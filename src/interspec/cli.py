@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import csv
 import json
-import math
 import os
 import sys
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -67,9 +68,13 @@ def _load_config(path: Optional[str]) -> RunConfig:
 def _parse_alpha(text: str) -> complex:
     """Bare reals are boundary angles in radians; literals with i are values."""
     if "i" in text or "j" in text:
-        value = parse_complex(text)
-        return value
+        return parse_complex(text)
     return cmath.exp(1j * float(text))
+
+
+def _csv_target(out: Optional[str]):
+    """The --out file opened for CSV writing, or stdout left open."""
+    return open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout)
 
 
 def _emit_json(data: dict, out: Optional[str]) -> None:
@@ -185,13 +190,14 @@ def _cmd_momentum_cover(args) -> int:
     alphas = [_parse_alpha(a) for a in args.alphas.split(",")]
     grid = GridSpec.parse(args.grid)
     rows = momentum_union_resolvent(alphas, grid.points())
-    writer = csv.writer(sys.stdout if not args.out else open(args.out, "w", newline=""))
-    writer.writerow(["re_lambda", "im_lambda", "covered", "admissible_alphas"])
     covered = True
-    for row in rows:
-        writer.writerow([repr(row.lam.real), repr(row.lam.imag), int(row.covered),
-                         ";".join(format_complex(a) for a in row.admissible)])
-        covered = covered and row.covered
+    with _csv_target(args.out) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["re_lambda", "im_lambda", "covered", "admissible_alphas"])
+        for row in rows:
+            writer.writerow([repr(row.lam.real), repr(row.lam.imag), int(row.covered),
+                             ";".join(format_complex(a) for a in row.admissible)])
+            covered = covered and row.covered
     return 0 if covered else 1
 
 
@@ -215,15 +221,15 @@ def _cmd_delta_bound(args) -> int:
 def _cmd_geneig(args) -> int:
     cfg = _load_config(args.config)
     grid = GridSpec.parse(args.lambda_grid)
-    writer = csv.writer(sys.stdout if not args.out else open(args.out, "w", newline=""))
-    writer.writerow(["lambda", "residual", "membership_norm"])
     worst = 0.0
-    for lam in grid.re_points():
-        from fractions import Fraction
-        pair = delta_eigenpair(float(lam), Fraction(args.s), args.n, cfg=cfg)
-        worst = max(worst, pair.residual)
-        writer.writerow([repr(float(lam)), repr(pair.residual),
-                         repr(pair.membership_norm)])
+    with _csv_target(args.out) as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["lambda", "residual", "membership_norm"])
+        for lam in grid.re_points():
+            pair = delta_eigenpair(float(lam), Fraction(args.s), args.n, cfg=cfg)
+            worst = max(worst, pair.residual)
+            writer.writerow([repr(float(lam)), repr(pair.residual),
+                             repr(pair.membership_norm)])
     return 0 if worst <= cfg.ge_tol else 1
 
 

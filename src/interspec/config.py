@@ -90,7 +90,6 @@ class RunConfig:
     scan_n_max: int = 2048
     product_cutoff: int = 1024
     quad_nodes: int = 128
-    quad_tol: float = 1e-8
     eig_tol: float = 1e-12
     equiv_probes: int = 64
     duality_check: bool = True
@@ -98,7 +97,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "solve_tol", "series_tol", "id_tol", "eq_tol",
-                     "ge_tol", "defect_eps", "regular_eps", "quad_tol", "eig_tol"):
+                     "ge_tol", "defect_eps", "regular_eps", "eig_tol"):
             if getattr(self, name) <= 0:
                 raise SpecParseError(f"tolerance {name} must be positive")
         if self.n0 > self.n_max or self.scan_n0 > self.scan_n_max:

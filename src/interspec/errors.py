@@ -30,6 +30,10 @@ class NotCertifiedError(InterspecError):
     """Operation requires a certified continuous extension on the given pair."""
 
 
+class CertificateBoundError(InterspecError):
+    """A section norm exceeded the bound its continuity certificate promises."""
+
+
 class NotRegularError(InterspecError):
     """Defect numbers are defined only at regular points."""
 

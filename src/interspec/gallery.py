@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class SpectrumDescriptor:
 
 def all_of_complex_plane() -> SpectrumDescriptor:
     return SpectrumDescriptor("all")
-
-
-def finite_set(points: Sequence[complex]) -> SpectrumDescriptor:
-    return SpectrumDescriptor("set", points=tuple(complex(p) for p in points))
 
 
 def sequence_closure(symbol: str, n_spec: int = 100_000) -> SpectrumDescriptor:

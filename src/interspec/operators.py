@@ -5,6 +5,9 @@ diagonal symbol, banded entry function, a sum of rank-one terms, or a dense
 generator. Truncation at n means the leading n x n principal submatrix in
 coefficient-slot order, so truncations are nested.
 
+The rest of the library reaches a representation only through the
+`Representation` protocol, whose defaults treat the matrix as dense.
+
 ``certify`` decides membership in C(E, F) through a three-valued outcome:
 certified (analytic-exact or truncation-stabilized), failed (norm grows
 without bound across doublings), or inconclusive. A finite truncation can
@@ -15,16 +18,17 @@ proxy: growth by ``growth_threshold`` across three doublings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
+from .sections import _DENSE_ALWAYS, PairKernel, SectionSummary
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
-                     check_same_basis, dual_space, modes)
+                     check_same_basis, dual_space, mode_to_position, modes, running_sup)
 
 CERT_EXACT = "analytic-exact"
 CERT_STABILIZED = "truncation-stabilized"
@@ -36,17 +40,117 @@ CERT_INCONCLUSIVE = "inconclusive"
 # representations
 
 
+class Representation:
+    """What the library asks of an operator representation.
+
+    A representation must supply ``entries`` and ``adjoint``; the remaining
+    methods default to treating the matrix as dense and may be overridden
+    where the structure allows something cheaper or exact.
+    """
+
+    def entries(self, mr: np.ndarray, mc: np.ndarray) -> np.ndarray:
+        """Dense block for distinct row modes ``mr`` and column modes ``mc``."""
+        raise NotImplementedError
+
+    def adjoint(self) -> "Representation":
+        raise NotImplementedError
+
+    def slot_bandwidth(self, basis: Basis) -> Optional[int]:
+        """Bandwidth in coefficient-slot order; None means full rows/columns."""
+        return None
+
+    def certify(self, op: "CoefficientOperator", e: ScaleSpace, f: ScaleSpace,
+                cfg: RunConfig) -> "ContinuityCertificate":
+        """Closed-form certificate where one exists, else the doubling schedule."""
+        return _certify_by_truncation(op, e, f, cfg)
+
+    def summary(self, kernel: PairKernel, lam: complex, n: int,
+                want_census: bool) -> SectionSummary:
+        """Section summary through the strategy that suits this structure."""
+        return kernel.dense_summary(lam, n, want_census)
+
+    def norm_estimate(self, kernel: PairKernel, n: int) -> float:
+        return kernel.summary(0.0, n, want_census=False).d_high
+
+    def max_n(self, cfg: RunConfig) -> int:
+        """Deepest truncation a scan may ask for."""
+        return min(cfg.scan_n_max, cfg.dense_cap)
+
+    def symbol(self, basis: Basis, n: int) -> Optional[np.ndarray]:
+        """Diagonal symbol on the leading n slots, or None if not diagonal."""
+        return None
+
+
 @dataclass(frozen=True)
-class Diagonal:
+class Diagonal(Representation):
     values: Callable[[np.ndarray], np.ndarray]
     source: Optional[str] = None
 
+    def entries(self, mr, mc):
+        out = np.zeros((len(mr), len(mc)), dtype=complex)
+        _, i, j = np.intersect1d(mr, mc, assume_unique=True, return_indices=True)
+        out[i, j] = np.asarray(self.values(mr[i]), dtype=complex)
+        return out
+
+    def adjoint(self):
+        return Diagonal(lambda m, f=self.values: np.conj(f(m)),
+                        source=f"conj({self.source})" if self.source else None)
+
+    def slot_bandwidth(self, basis):
+        return 0
+
+    def certify(self, op, e, f, cfg):
+        probe = cfg.symbol_probe
+        ratio = f.weights(probe) / e.weights(probe)
+        bound, diverged = running_sup(self.symbol(op.basis, probe) * ratio,
+                                      cfg.growth_threshold)
+        return ContinuityCertificate(op.describe(), e, f, float("inf") if diverged else bound,
+                                     CERT_FAILED if diverged else CERT_EXACT, probe)
+
+    def summary(self, kernel, lam, n, want_census):
+        return kernel.diagonal_summary(lam, n, want_census)
+
+    def max_n(self, cfg):
+        # closed-form singular values: deep truncations are nearly free
+        return max(cfg.scan_n_max, 1 << 15)
+
+    def symbol(self, basis, n):
+        return np.asarray(self.values(modes(basis, n).astype(float)), dtype=complex)
+
 
 @dataclass(frozen=True)
-class Banded:
+class Banded(Representation):
     bandwidth: int
     entry: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (row modes, col modes)
     source: Optional[str] = None
+
+    def entries(self, mr, mc):
+        grid_r, grid_c = mr[:, None], mc[None, :]
+        mask = np.abs(grid_r - grid_c) <= self.bandwidth
+        out = np.zeros((len(mr), len(mc)), dtype=complex)
+        vals = np.asarray(self.entry(grid_r, grid_c), dtype=complex)
+        out[mask] = vals[mask]
+        return out
+
+    def adjoint(self):
+        return Banded(self.bandwidth, lambda mr, mc, f=self.entry: np.conj(f(mc, mr)),
+                      source=f"adj({self.source})" if self.source else None)
+
+    def slot_bandwidth(self, basis):
+        return 2 * self.bandwidth + 1 if basis is Basis.FOURIER else self.bandwidth
+
+    def summary(self, kernel, lam, n, want_census):
+        if n > _DENSE_ALWAYS:
+            return kernel.banded_summary(lam, n, want_census)
+        return super().summary(kernel, lam, n, want_census)
+
+    def norm_estimate(self, kernel, n):
+        if n > _DENSE_ALWAYS:
+            return kernel.banded_norm(n)
+        return super().norm_estimate(kernel, n)
+
+    def max_n(self, cfg):
+        return cfg.scan_n_max
 
 
 @dataclass(frozen=True)
@@ -58,89 +162,81 @@ class RankSumTerm:
 
 
 @dataclass(frozen=True)
-class RankSum:
+class RankSum(Representation):
     terms: tuple
+
+    def entries(self, mr, mc):
+        out = np.zeros((len(mr), len(mc)), dtype=complex)
+        for term in self.terms:
+            out += np.outer(np.asarray(term.v(mr), dtype=complex),
+                            np.conj(np.asarray(term.u(mc), dtype=complex)))
+        return out
+
+    def adjoint(self):
+        return RankSum(tuple(RankSumTerm(t.v, t.u, t.v_source, t.u_source)
+                             for t in self.terms))
+
+    def certify(self, op, e, f, cfg):
+        e_dual = dual_space(e)
+        term_norms = []
+        for term in self.terms:
+            nu, verdict_u = weighted_norm_series(term.u, e_dual, cfg)
+            nv, verdict_v = weighted_norm_series(term.v, f, cfg)
+            if "diverged" in (verdict_u, verdict_v):
+                term_norms.append(float("inf"))
+            elif "inconclusive" in (verdict_u, verdict_v):
+                term_norms.append(float("nan"))
+            else:
+                term_norms.append(nu * nv)
+        if len(self.terms) == 1 and not math.isnan(term_norms[0]):
+            value = term_norms[0]  # exact for one term; inf when a factor diverges
+            return ContinuityCertificate(op.describe(), e, f, value,
+                                         CERT_FAILED if math.isinf(value) else CERT_EXACT,
+                                         cfg.symbol_probe)
+        upper = float("inf") if any(math.isinf(t) or math.isnan(t) for t in term_norms) \
+            else float(sum(term_norms))
+        return replace(super().certify(op, e, f, cfg), upper_bound=upper)
+
+    def summary(self, kernel, lam, n, want_census):
+        if n > _DENSE_ALWAYS:
+            return kernel.ranksum_summary(lam, n, want_census)
+        return super().summary(kernel, lam, n, want_census)
 
 
 @dataclass(frozen=True)
-class DenseGenerator:
+class DenseGenerator(Representation):
     entry: Callable[[np.ndarray, np.ndarray], np.ndarray]
     source: Optional[str] = None
+
+    def entries(self, mr, mc):
+        return np.asarray(self.entry(mr[:, None], mc[None, :]), dtype=complex)
+
+    def adjoint(self):
+        return DenseGenerator(lambda mr, mc, f=self.entry: np.conj(f(mc, mr)),
+                              source=f"adj({self.source})" if self.source else None)
 
 
 @dataclass(frozen=True)
 class CoefficientOperator:
     basis: Basis
-    rep: object
+    rep: Representation
     symmetric: bool = False
     name: str = ""
 
-    # -- structure -----------------------------------------------------
-
     def position_bandwidth(self) -> Optional[int]:
         """Bandwidth in coefficient-slot order; None means full rows/columns."""
-        if isinstance(self.rep, Diagonal):
-            return 0
-        if isinstance(self.rep, Banded):
-            b = self.rep.bandwidth
-            return 2 * b + 1 if self.basis is Basis.FOURIER else b
-        return None
+        return self.rep.slot_bandwidth(self.basis)
 
     def matrix(self, rows: int, cols: Optional[int] = None) -> np.ndarray:
         cols = rows if cols is None else cols
-        mr = modes(self.basis, rows).astype(float)
-        mc = modes(self.basis, cols).astype(float)
-        rep = self.rep
-        if isinstance(rep, Diagonal):
-            out = np.zeros((rows, cols), dtype=complex)
-            d = min(rows, cols)
-            out[np.arange(d), np.arange(d)] = np.asarray(rep.values(mr[:d]), dtype=complex)
-            return out
-        if isinstance(rep, Banded):
-            grid_r = mr[:, None]
-            grid_c = mc[None, :]
-            mask = np.abs(grid_r - grid_c) <= rep.bandwidth
-            out = np.zeros((rows, cols), dtype=complex)
-            vals = np.asarray(rep.entry(grid_r, grid_c), dtype=complex)
-            out[mask] = vals[mask]
-            return out
-        if isinstance(rep, RankSum):
-            out = np.zeros((rows, cols), dtype=complex)
-            for term in rep.terms:
-                out += np.outer(np.asarray(term.v(mr), dtype=complex),
-                                np.conj(np.asarray(term.u(mc), dtype=complex)))
-            return out
-        if isinstance(rep, DenseGenerator):
-            return np.asarray(rep.entry(mr[:, None], mc[None, :]), dtype=complex)
-        raise TypeError(f"unknown representation {type(rep).__name__}")
-
-    def row(self, i: int, cols: int) -> np.ndarray:
-        return self.matrix(i + 1, cols)[i]
-
-    def column(self, j: int, rows: int) -> np.ndarray:
-        return self.matrix(rows, j + 1)[:, j]
+        return self.rep.entries(modes(self.basis, rows).astype(float),
+                                modes(self.basis, cols).astype(float))
 
     def adjoint(self) -> "CoefficientOperator":
         if self.symmetric:
             return self
-        rep = self.rep
-        if isinstance(rep, Diagonal):
-            new = Diagonal(lambda m, f=rep.values: np.conj(f(m)),
-                           source=f"conj({rep.source})" if rep.source else None)
-        elif isinstance(rep, Banded):
-            new = Banded(rep.bandwidth,
-                         lambda mr, mc, f=rep.entry: np.conj(f(mc, mr)),
-                         source=f"adj({rep.source})" if rep.source else None)
-        elif isinstance(rep, RankSum):
-            new = RankSum(tuple(RankSumTerm(t.v, t.u, t.v_source, t.u_source)
-                                for t in rep.terms))
-        elif isinstance(rep, DenseGenerator):
-            new = DenseGenerator(lambda mr, mc, f=rep.entry: np.conj(f(mc, mr)),
-                                 source=f"adj({rep.source})" if rep.source else None)
-        else:
-            raise TypeError(f"unknown representation {type(rep).__name__}")
-        label = f"{self.name}^+" if self.name else ""
-        return CoefficientOperator(self.basis, new, symmetric=False, name=label)
+        return CoefficientOperator(self.basis, self.rep.adjoint(),
+                                   name=f"{self.name}^+" if self.name else "")
 
     def describe(self) -> str:
         kind = type(self.rep).__name__.lower()
@@ -154,12 +250,6 @@ def sesq_form(x: CoefficientOperator, xi: CoefficientVector,
     n = max(xi.n, eta.n)
     mat = x.matrix(n)
     return complex(np.conj(eta.padded(n)) @ (mat @ xi.padded(n)))
-
-
-def apply_truncated(x: CoefficientOperator, v: CoefficientVector, rows: int) -> np.ndarray:
-    """Apply the (rows x len(v)) section of X to the stored coefficients."""
-    check_same_basis(x, v)
-    return x.matrix(rows, v.n) @ v.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +279,6 @@ class ContinuityCertificate:
             "witness_n": self.witness_n,
             "upper_bound": self.upper_bound,
         }
-
-
-def _sup_with_growth_check(values: np.ndarray, growth_threshold: float):
-    """Running max of |values| with a divergence verdict across checkpoints."""
-    n = len(values)
-    checkpoints = [max(16, n >> 6), max(32, n >> 3), n]
-    mags = np.abs(values)
-    maxima = [float(np.max(mags[:c])) for c in checkpoints]
-    diverged = maxima[-1] >= growth_threshold * max(maxima[0], 1e-300)
-    return maxima[-1], diverged
 
 
 def weighted_norm_series(vec_fn: Callable[[np.ndarray], np.ndarray], space: ScaleSpace,
@@ -234,65 +314,11 @@ def weighted_norm_series(vec_fn: Callable[[np.ndarray], np.ndarray], space: Scal
     return math.sqrt(total), "inconclusive"
 
 
-def _weighted_section(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
-                      rows: int, cols: int) -> np.ndarray:
-    mat = x.matrix(rows, cols)
-    wf = f.weights(rows)
-    we = e.weights(cols)
-    return mat * wf[:, None] / we[None, :]
-
-
-def truncated_norm_estimates(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
-                             n_list: Sequence[int],
-                             cfg: RunConfig = DEFAULT_CONFIG) -> list:
-    """Largest singular value of the weighted tall section at each truncation."""
-    from .sections import operator_norm_estimate
-    return [operator_norm_estimate(x, e, f, n, cfg) for n in n_list]
-
-
 def certify(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
             cfg: RunConfig = DEFAULT_CONFIG) -> ContinuityCertificate:
     """Certify (or refute, or give up on) membership of X in C(E, F)."""
     check_same_basis(x, e, f)
-    rep = x.rep
-
-    if isinstance(rep, Diagonal):
-        m = modes(x.basis, cfg.symbol_probe)
-        vals = np.asarray(rep.values(m), dtype=complex)
-        ratio = f.weights(cfg.symbol_probe) / e.weights(cfg.symbol_probe)
-        bound, diverged = _sup_with_growth_check(vals * ratio, cfg.growth_threshold)
-        if diverged:
-            return ContinuityCertificate(x.describe(), e, f, float("inf"),
-                                         CERT_FAILED, cfg.symbol_probe)
-        return ContinuityCertificate(x.describe(), e, f, bound, CERT_EXACT,
-                                     cfg.symbol_probe)
-
-    if isinstance(rep, RankSum):
-        e_dual = dual_space(e)
-        term_norms = []
-        for term in rep.terms:
-            nu, verdict_u = weighted_norm_series(term.u, e_dual, cfg)
-            nv, verdict_v = weighted_norm_series(term.v, f, cfg)
-            if "diverged" in (verdict_u, verdict_v):
-                term_norms.append(float("inf"))
-            elif "inconclusive" in (verdict_u, verdict_v):
-                term_norms.append(float("nan"))
-            else:
-                term_norms.append(nu * nv)
-        if len(rep.terms) == 1:
-            value = term_norms[0]
-            if math.isinf(value):
-                return ContinuityCertificate(x.describe(), e, f, float("inf"),
-                                             CERT_FAILED, cfg.symbol_probe)
-            if not math.isnan(value):
-                return ContinuityCertificate(x.describe(), e, f, value,
-                                             CERT_EXACT, cfg.symbol_probe)
-        upper = float("inf") if any(math.isinf(t) or math.isnan(t) for t in term_norms) \
-            else float(sum(term_norms))
-        cert = _certify_by_truncation(x, e, f, cfg)
-        return replace(cert, upper_bound=upper)
-
-    return _certify_by_truncation(x, e, f, cfg)
+    return x.rep.certify(x, e, f, cfg)
 
 
 def _certify_by_truncation(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
@@ -300,7 +326,7 @@ def _certify_by_truncation(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
     history = []
     n = cfg.n0
     while n <= cfg.n_max:
-        history.append((n, truncated_norm_estimates(x, e, f, [n], cfg)[0]))
+        history.append((n, PairKernel(x, e, f, cfg).norm_estimate(n)))
         if len(history) >= 2:
             (_, prev), (_, last) = history[-2], history[-1]
             if abs(last - prev) <= cfg.rel_tol * max(abs(last), 1e-300):
@@ -357,24 +383,22 @@ def framework_product(x: CoefficientOperator, y: CoefficientOperator,
     basis = x.basis
     cutoff = cfg.product_cutoff
 
-    def _positions(m_flat: np.ndarray) -> np.ndarray:
-        from .spaces import mode_to_position
-        return mode_to_position(basis, np.asarray(m_flat).astype(int))
-
     def entry(mr, mc):
         # entry (i, j) sums over max(cutoff, 2 (max(i, j) + 1)) inner slots,
         # a pure function of (i, j); whole-grid calls become one matmul
         shape = np.broadcast_shapes(np.shape(mr), np.shape(mc))
-        i_all = _positions(np.broadcast_to(mr, shape).ravel())
-        j_all = _positions(np.broadcast_to(mc, shape).ravel())
+        mr_all, mc_all = (np.broadcast_to(m, shape).ravel() for m in (mr, mc))
+        i_all, j_all = (mode_to_position(basis, m.astype(int)) for m in (mr_all, mc_all))
         top = int(max(i_all.max(), j_all.max()))
         if 2 * (top + 1) <= cutoff:
             block = x.matrix(top + 1, cutoff) @ y.matrix(cutoff, top + 1)
             return block[i_all, j_all].reshape(shape)
         out = np.empty(i_all.shape, dtype=complex)
         for idx, (i, j) in enumerate(zip(i_all, j_all)):
-            k = max(cutoff, 2 * (int(max(i, j)) + 1))
-            out[idx] = x.row(int(i), k) @ y.column(int(j), k)
+            inner = modes(basis, max(cutoff, 2 * (int(max(i, j)) + 1))).astype(float)
+            row = x.rep.entries(mr_all[idx:idx + 1], inner)
+            column = y.rep.entries(inner, mc_all[idx:idx + 1])
+            out[idx] = (row @ column)[0, 0]
         return out.reshape(shape)
 
     name = f"({x.describe()}).({y.describe()})"
@@ -403,7 +427,8 @@ def operator_from_spec(spec: dict) -> CoefficientOperator:
     elif kind == "ranksum":
         terms = []
         for term in rep_spec.get("terms", []):
-            terms.append(RankSumTerm(_term_vector(term["u"]), _term_vector(term["v"]),
+            terms.append(RankSumTerm(_term_vector(term["u"], basis),
+                                     _term_vector(term["v"], basis),
                                      u_source=str(term["u"]), v_source=str(term["v"])))
         rep = RankSum(tuple(terms))
     elif kind == "dense":
@@ -415,7 +440,7 @@ def operator_from_spec(spec: dict) -> CoefficientOperator:
     return CoefficientOperator(basis, rep, symmetric=symmetric, name=name)
 
 
-def _term_vector(spec) -> Callable[[np.ndarray], np.ndarray]:
+def _term_vector(spec, basis: Basis) -> Callable[[np.ndarray], np.ndarray]:
     if isinstance(spec, dict) and spec.get("kind") == "ones":
         return lambda m: np.ones_like(np.asarray(m, dtype=float), dtype=complex)
     if isinstance(spec, dict) and spec.get("kind") == "point":
@@ -429,12 +454,11 @@ def _term_vector(spec) -> Callable[[np.ndarray], np.ndarray]:
                              else complex(v[0], v[1]) for v in spec])
 
         def coeff_vec(m, vals=values):
-            m = np.asarray(m)
-            out = np.zeros(m.shape, dtype=complex)
-            # stored by coefficient slot, not by mode number
-            idx = np.arange(len(out))
-            take = idx < len(vals)
-            out[take] = vals[idx[take]]
+            # listed by coefficient slot: look each mode's slot up
+            slots = mode_to_position(basis, np.asarray(m).astype(int))
+            out = np.zeros(slots.shape, dtype=complex)
+            take = slots < len(vals)
+            out[take] = vals[slots[take]]
             return out
         return coeff_vec
     raise SpecParseError(f"cannot interpret rank-sum term vector {spec!r}")

@@ -28,10 +28,9 @@ import numpy as np
 import scipy.linalg
 
 from .config import DEFAULT_CONFIG, GridSpec, RunConfig
-from .errors import (NeumannRadiusError, NotCertifiedError, NotInResolventError,
-                     NotRegularError, SolveToleranceError)
-from .operators import (CERT_FAILED, CoefficientOperator, ContinuityCertificate,
-                        Diagonal, certify)
+from .errors import (CertificateBoundError, NeumannRadiusError, NotCertifiedError,
+                     NotInResolventError, NotRegularError, SolveToleranceError)
+from .operators import CERT_FAILED, CoefficientOperator, ContinuityCertificate, certify
 from .sections import PairKernel, SectionSummary
 from .spaces import (CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
                      embedding_norm, norm)
@@ -194,9 +193,11 @@ def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
     last = summaries[-1]
     stabilized = len(summaries) >= 2 and _stabilized(summaries, cfg)
     if math.isfinite(cert.norm_bound):
-        bound = cert.norm_bound + abs(lam) * embedding_norm(e, f)
-        assert last.d_high <= bound * (1 + 1e-9) + 1e-12, \
-            "section norm exceeded certificate sanity bound"
+        bound = cert.norm_bound + abs(lam) * embedding_norm(e, f, cfg)
+        if not last.d_high <= bound * (1 + 1e-9) + 1e-12:
+            raise CertificateBoundError(
+                f"section norm {last.d_high:.6g} at n={last.n} exceeds the certificate "
+                f"bound {bound:.6g} on ({e.label}, {f.label})")
     return RegularPointReport(lam, e, f, last.c_low, last.d_high, stabilized, last.n)
 
 
@@ -229,10 +230,9 @@ def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
     expression as the analytic inverse); everything else goes through LU.
     """
     check_same_basis(x, eta)
-    if isinstance(x.rep, Diagonal):
-        from .spaces import modes
-        a = np.asarray(x.rep.values(modes(x.basis, n).astype(float)), dtype=complex)
-        return CoefficientVector(x.basis, eta.padded(n) / (a - lam))
+    symbol = x.rep.symbol(x.basis, n)
+    if symbol is not None:
+        return CoefficientVector(x.basis, eta.padded(n) / (symbol - lam))
     mat = x.matrix(n).astype(complex)
     mat[np.arange(n), np.arange(n)] -= lam
     xi = scipy.linalg.solve(mat, eta.padded(n))
@@ -311,7 +311,7 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
     chosen so the geometric tail bound (restriction norm to the n-1, times
     the F-to-E norm once) falls below series_tol.
     """
-    if not math.isfinite(embedding_norm(e, f)):
+    if not math.isfinite(embedding_norm(e, f, cfg)):
         raise NotCertifiedError("Neumann continuation requires E embedded in F")
     status = point_status(x, lam0, e, f, cfg)
     if status.status != STATUS_RESOLVENT:
@@ -319,11 +319,9 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
             f"center lambda0={lam0} not in the ({e.label}, {f.label}) resolvent set",
             report=status)
     n = status.witness_n
-    if isinstance(x.rep, Diagonal):
-        from .spaces import modes
-        probe = max(n, 4096)
-        a = np.asarray(x.rep.values(modes(x.basis, probe).astype(float)), dtype=complex)
-        entries = 1.0 / (a - lam0)
+    probe = max(n, 4096)
+    entries = _diagonal_inverse(x, lam0, probe)
+    if entries is not None:
         norm_ee = float(np.max(np.abs(entries)))
         norm_fe = float(np.max(np.abs(entries) * e.weights(probe) / f.weights(probe)))
         r0 = entries[:n]
@@ -361,11 +359,16 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
     return NeumannContinuation(lam0, lam, radius, terms, apply)
 
 
+def _diagonal_inverse(x: CoefficientOperator, lam: complex, n: int) -> Optional[np.ndarray]:
+    """Diagonal of (X_n - lambda)^(-1) when X is diagonal, else None."""
+    symbol = x.rep.symbol(x.basis, n)
+    return None if symbol is None else 1.0 / (symbol - lam)
+
+
 def _resolvent_matrix(x: CoefficientOperator, lam: complex, n: int) -> np.ndarray:
-    if isinstance(x.rep, Diagonal):
-        from .spaces import modes
-        a = np.asarray(x.rep.values(modes(x.basis, n).astype(float)), dtype=complex)
-        return np.diag(1.0 / (a - lam))
+    inverse = _diagonal_inverse(x, lam, n)
+    if inverse is not None:
+        return np.diag(inverse)
     mat = x.matrix(n).astype(complex)
     mat[np.arange(n), np.arange(n)] -= lam
     return np.linalg.inv(mat)
@@ -455,17 +458,6 @@ def equivalent(b: Callable, c: Callable, cfg: RunConfig = DEFAULT_CONFIG,
 # grid scans and the union spectrum
 
 
-@dataclass(frozen=True)
-class ResolventBranch:
-    e: ScaleSpace
-    f: ScaleSpace
-    grid_points: tuple  # (lambda, CellStatus) pairs
-    solver: Callable    # lambda -> handle
-
-    def handle(self, lam: complex) -> Callable:
-        return self.solver(lam)
-
-
 @dataclass
 class SpectrumMap:
     grid: GridSpec
@@ -476,9 +468,6 @@ class SpectrumMap:
     lambdas: list
     duality_mismatches: Optional[list] = None
     duality_checked: bool = False
-
-    def status_at(self, pair_index: int, lam_index: int) -> CellStatus:
-        return self.cells[pair_index][lam_index]
 
     def to_json_dict(self, config: Optional[RunConfig] = None) -> dict:
         data = {

@@ -13,7 +13,8 @@ what makes a small value conclusive evidence against regularity.
 Per-representation strategies keep scans affordable: diagonal sections have
 closed-form singular values, banded sections go through Hermitian banded
 Gram eigenvalues, rank sums use a Woodbury inverse inside a Lanczos loop,
-and only dense generators fall back to full SVDs.
+and only dense generators fall back to full SVDs. `PairKernel` holds the
+strategies; the operator's representation picks one for each truncation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .config import RunConfig
-from .operators import Banded, CoefficientOperator, Diagonal, RankSum
 from .spaces import ScaleSpace, modes
 
 _DENSE_ALWAYS = 96  # below this size dense SVD beats the structured routes
@@ -94,52 +94,39 @@ def _gram_extremes(a: scipy.sparse.spmatrix, want_min: bool, want_max: bool,
 class PairKernel:
     """Singular-value summaries of W_F (X - lambda) W_E^{-1} for one pair."""
 
-    def __init__(self, x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
-                 cfg: RunConfig):
-        self.x = x
+    def __init__(self, x, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig):
+        self.x = x  # a CoefficientOperator
         self.e = e
         self.f = f
         self.cfg = cfg
-        self._cache_len = 0
-        self._diag_vals = None
-        self._ratio = None
+        self._cache_len = 0  # symbol and weight caches: see _ensure_arrays
 
     # -- shared data ----------------------------------------------------
 
     def _ensure_arrays(self, n: int) -> None:
         if self._cache_len >= n:
             return
-        m = modes(self.x.basis, n)
-        if isinstance(self.x.rep, Diagonal):
-            self._diag_vals = np.asarray(self.x.rep.values(m.astype(float)), dtype=complex)
+        self._symbol = self.x.rep.symbol(self.x.basis, n)
         self._ratio = self.f.weights(n) / self.e.weights(n)
         self._wf = self.f.weights(n)
         self._we = self.e.weights(n)
         self._cache_len = n
 
     def max_n(self) -> int:
-        if isinstance(self.x.rep, Diagonal):
-            # closed-form singular values: deep truncations are nearly free
-            return max(self.cfg.scan_n_max, 1 << 15)
-        if isinstance(self.x.rep, Banded):
-            return self.cfg.scan_n_max
-        return min(self.cfg.scan_n_max, self.cfg.dense_cap)
+        return self.x.rep.max_n(self.cfg)
+
+    def summary(self, lam: complex, n: int, want_census: bool = True) -> SectionSummary:
+        return self.x.rep.summary(self, lam, n, want_census)
+
+    def norm_estimate(self, n: int) -> float:
+        """Largest singular value of the unshifted weighted tall section."""
+        return self.x.rep.norm_estimate(self, n)
 
     # -- strategies -----------------------------------------------------
 
-    def summary(self, lam: complex, n: int, want_census: bool = True) -> SectionSummary:
-        rep = self.x.rep
-        if isinstance(rep, Diagonal):
-            return self._diagonal_summary(lam, n, want_census)
-        if isinstance(rep, Banded) and n > _DENSE_ALWAYS:
-            return self._banded_summary(lam, n, want_census)
-        if isinstance(rep, RankSum) and n > _DENSE_ALWAYS:
-            return self._ranksum_summary(lam, n, want_census)
-        return self._dense_summary(lam, n, want_census)
-
-    def _diagonal_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def diagonal_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
         self._ensure_arrays(n)
-        vals = np.abs(self._diag_vals[:n] - lam) * self._ratio[:n]
+        vals = np.abs(self._symbol[:n] - lam) * self._ratio[:n]
         d_high = float(np.max(vals))
         c_low = float(np.min(vals))
         census = int(np.sum(vals < self.cfg.defect_eps * d_high)) if want_census else None
@@ -175,7 +162,7 @@ class PairKernel:
             shape=(rows, cols), dtype=complex)
         return mat.tocsr()
 
-    def _banded_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def banded_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
         pb = self.x.position_bandwidth() or 0
         margin = max(pb, 1)
         tall = self._sparse_shifted(lam, n + margin, n)
@@ -188,20 +175,13 @@ class PairKernel:
                                           census_threshold=self.cfg.defect_eps * surj_high)
         return SectionSummary(n, c_low, d_high, surj_low, census)
 
-    def norm_estimate(self, n: int) -> float:
-        """Largest singular value of the unshifted weighted tall section."""
-        rep = self.x.rep
-        if isinstance(rep, Diagonal):
-            self._ensure_arrays(n)
-            return float(np.max(np.abs(self._diag_vals[:n]) * self._ratio[:n]))
-        if isinstance(rep, Banded) and n > _DENSE_ALWAYS:
-            pb = self.x.position_bandwidth() or 0
-            tall = self._sparse_shifted(0.0, n + max(pb, 1), n)
-            _, smax, _ = _gram_extremes(tall, False, True)
-            return smax
-        return self.summary(0.0, n, want_census=False).d_high
+    def banded_norm(self, n: int) -> float:
+        pb = self.x.position_bandwidth() or 0
+        tall = self._sparse_shifted(0.0, n + max(pb, 1), n)
+        _, smax, _ = _gram_extremes(tall, False, True)
+        return smax
 
-    def _ranksum_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def ranksum_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
         # square view: rank-sum columns have unbounded support, so margins
         # cannot make the tall view exact anyway
         rep = self.x.rep
@@ -254,7 +234,7 @@ class PairKernel:
             return float(_svdvals(dense)[-1])
         return 1.0 / inv_norm if inv_norm > 0 else float("inf")
 
-    def _dense_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def dense_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
         pb = self.x.position_bandwidth()
         margin = pb if pb is not None else self.cfg.section_margin
         rows = n + margin
@@ -272,9 +252,3 @@ class PairKernel:
         census = int(np.sum(sv_wide < self.cfg.defect_eps * sv_wide[0])) if want_census else None
         return SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]),
                               float(sv_wide[-1]), census)
-
-
-def operator_norm_estimate(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
-                           n: int, cfg: RunConfig) -> float:
-    """Largest singular value of the weighted tall section at truncation n."""
-    return PairKernel(x, e, f, cfg).norm_estimate(n)

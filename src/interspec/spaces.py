@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BasisMismatchError, FamilySpecError, SpecParseError
 from .expressions import compile_expression
 
@@ -298,23 +299,29 @@ def dual_space(space: ScaleSpace) -> ScaleSpace:
     return ScaleSpace(space.basis, -space.index, space.family)
 
 
-def embedding_norm(e: ScaleSpace, f: ScaleSpace, probe: int = 1 << 17,
-                   growth_threshold: float = 1.5) -> float:
+def running_sup(values: np.ndarray, growth_threshold: float):
+    """Sup of |values| with a divergence verdict: the running maximum over the
+    first 1/64, 1/8 and all of the slots grows by ``growth_threshold``."""
+    n = len(values)
+    checkpoints = [max(16, n >> 6), max(32, n >> 3), n]
+    mags = np.abs(values)
+    maxima = [float(np.max(mags[:c])) for c in checkpoints]
+    diverged = maxima[-1] >= growth_threshold * max(maxima[0], 1e-300)
+    return maxima[-1], diverged
+
+
+def embedding_norm(e: ScaleSpace, f: ScaleSpace, cfg: RunConfig = DEFAULT_CONFIG) -> float:
     """sup_n w_F(n)/w_E(n); finite iff E embeds continuously into F.
 
-    The supremum is probed on the first ``probe`` coefficient slots; an
-    unbounded ratio is reported as inf when the running maximum keeps
-    growing across the last three geometric checkpoints.
+    The supremum is probed on the first ``cfg.symbol_probe`` coefficient
+    slots; an unbounded ratio is reported as inf (see `running_sup`).
     """
     check_same_basis(e, f)
     if e == f:
         return 1.0
-    ratio = f.weights(probe) / e.weights(probe)
-    checkpoints = [probe >> 6, probe >> 3, probe]
-    maxima = [float(np.max(ratio[:c])) for c in checkpoints]
-    if maxima[-1] >= growth_threshold * maxima[0]:
-        return float("inf")
-    return maxima[-1]
+    sup, diverged = running_sup(f.weights(cfg.symbol_probe) / e.weights(cfg.symbol_probe),
+                                cfg.growth_threshold)
+    return float("inf") if diverged else sup
 
 
 def intersection(e: ScaleSpace, f: ScaleSpace) -> ScaleSpace:

@@ -1,6 +1,9 @@
 """Subcommand behavior, exit codes, file outputs, determinism."""
 
+import csv
+import gc
 import json
+import warnings
 
 from interspec.cli import main
 from interspec.expressions import parse_complex
@@ -107,6 +110,24 @@ def test_momentum_cover_command(capsys):
     assert lines[0].startswith("re_lambda,im_lambda,covered")
     assert len(lines) == 202
     assert all(line.split(",")[2] == "1" for line in lines[1:])
+
+
+def test_csv_out_files_are_closed(tmp_path, capsys):
+    cover, geneig = tmp_path / "cover.csv", tmp_path / "geneig.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(capsys, "momentum-cover", "--alphas", "0,3.14159265358979",
+                   "--grid=-10:10:21", "--out", str(cover))[0] == 0
+        assert run(capsys, "geneig", "--lambda-grid=-1:1:2", "--n", "256",
+                   "--out", str(geneig))[0] == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    with open(cover, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0][:3] == ["re_lambda", "im_lambda", "covered"] and len(rows) == 22
+    with open(geneig, newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["lambda", "residual", "membership_norm"] and len(rows) == 3
 
 
 def test_delta_bound_command(capsys):

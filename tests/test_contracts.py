@@ -5,10 +5,12 @@ import pathlib
 
 import jsonschema
 import numpy as np
+import pytest
 from fractions import Fraction
 
 from interspec.cli import main
 from interspec.config import GridSpec, RunConfig
+from interspec.errors import CertificateBoundError, SpecParseError
 from interspec.gallery import hermite_diagonal, registry, torus_multiplication
 from interspec.geneig import delta_eigenpair
 from interspec.resolvent import (STATUS_RESOLVENT, neumann_continue,
@@ -126,3 +128,27 @@ def test_sanity_bound_on_section_norm():
     rep = regular_point(op, lam, e, f, CFG)
     cert = certify(op, e, f, CFG)
     assert rep.d_high <= cert.norm_bound + abs(lam) * embedding_norm(e, f) + 1e-9
+
+
+def test_section_norm_above_certificate_raises_typed_error():
+    from interspec.operators import (CERT_EXACT, ContinuityCertificate, certify,
+                                     operator_from_spec)
+    from interspec.resolvent import regular_point
+    from interspec.spaces import hilbert_scale_family
+    fam = hilbert_scale_family("n+1", range(-2, 3))
+    op = operator_from_spec({"basis": "hermite",
+                             "rep": {"type": "diagonal", "symbol": "n+1"},
+                             "symmetric": True})
+    e, f = fam.space_at(1), fam.space_at(0)
+    honest = certify(op, e, f, CFG)
+    assert honest.method == CERT_EXACT
+    # a certified bound far below the true norm (about 1) must be refused
+    # through a typed error that survives `python -O`
+    cert = ContinuityCertificate(honest.operator, e, f, 1e-6, CERT_EXACT, honest.witness_n)
+    with pytest.raises(CertificateBoundError, match="exceeds the certificate bound"):
+        regular_point(op, 0.1j, e, f, CFG, cert=cert)
+
+
+def test_config_rejects_removed_quad_tol():
+    with pytest.raises(SpecParseError, match="quad_tol"):
+        RunConfig.from_dict({"quad_tol": 1e-8})

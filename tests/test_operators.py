@@ -8,9 +8,9 @@ from interspec.errors import BasisMismatchError, ProductUndefinedError
 from interspec.operators import (CERT_EXACT, CERT_FAILED, CoefficientOperator,
                                  Diagonal, RankSum, RankSumTerm, certify,
                                  find_product_triple, framework_product,
-                                 operator_from_spec, sesq_form,
-                                 truncated_norm_estimates)
+                                 operator_from_spec, sesq_form, weighted_norm_series)
 from interspec.gallery import hermite_position, torus_delta
+from interspec.sections import PairKernel
 from interspec.spaces import (Basis, CoefficientVector, dual_space,
                               hilbert_scale_family, sobolev_torus_family)
 
@@ -160,10 +160,50 @@ def test_certify_adjoint_duality_banded_close(scale):
 def test_truncated_estimates_monotone_from_below(scale):
     op = diag_op("n/(n+1)")
     e = f = scale.space_at(0)
-    estimates = truncated_norm_estimates(op, e, f, [64, 128, 256, 512], CFG)
+    estimates = [PairKernel(op, e, f, CFG).norm_estimate(n) for n in (64, 128, 256, 512)]
     assert all(b >= a - 1e-15 for a, b in zip(estimates, estimates[1:]))
     exact = certify(op, e, f, CFG).norm_bound
     assert all(est <= exact + 1e-12 for est in estimates)
+
+
+LIST_RANK_ONE = {"basis": "fourier",
+                 "rep": {"type": "ranksum", "terms": [{"u": [1, 2, 3], "v": [1, 0, 1]}]}}
+
+
+def test_list_term_vectors_follow_mode_numbers(torus):
+    # slots 0, 1, 2 hold modes 0, 1, -1; a tail slice must not see the head again
+    op = operator_from_spec(LIST_RANK_ONE)
+    u = op.rep.terms[0].u
+    assert np.array_equal(u(np.array([-1, 0, 1, 2, 5])), [3, 1, 2, 0, 0])
+    u_norm = np.sqrt(1 + 4 / 4 + 9 / 4)   # |u| in W_-2: weights (1 + m^2)^-1
+    v_norm = np.sqrt(2.0)                 # |v| in W_0
+    for k in range(5):
+        value, verdict = weighted_norm_series(u, torus.space_at(k), CFG)
+        assert verdict == "converged"
+        assert value == pytest.approx(np.sqrt(1 + (4 + 9) * 2.0 ** k), rel=1e-14)
+    cert = certify(op, torus.space_at(2), torus.space_at(0), CFG)
+    assert cert.method == CERT_EXACT
+    assert cert.norm_bound == pytest.approx(u_norm * v_norm, rel=1e-14)
+    dense = op.matrix(3)
+    assert np.array_equal(dense, np.outer([1, 0, 1], [1, 2, 3]))
+
+
+def test_framework_product_slow_path_diagonals_exact(scale):
+    # 32 rows with an inner cutoff of 8 sends every entry through the per-entry path
+    cfg = RunConfig(product_cutoff=8)
+    a, b = diag_op("n+1"), diag_op("1/(n+2)")
+    got = framework_product(a, b, scale, cfg).matrix(32)
+    expected = np.diag(np.diag(a.matrix(32)) * np.diag(b.matrix(32)))
+    assert np.array_equal(got, expected)
+
+
+def test_framework_product_slow_path_banded_matches_dense(scale):
+    cfg = RunConfig(product_cutoff=8)
+    pos = hermite_position().operator
+    got = framework_product(pos, pos, scale, cfg).matrix(32)
+    expected = pos.matrix(32, 64) @ pos.matrix(64, 32)
+    assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
+    assert np.count_nonzero(got) == np.count_nonzero(expected)
 
 
 def test_framework_product_diagonal_square(scale):
