@@ -75,7 +75,7 @@ def delta_eigenpair(lam: float, s=1, n: int = 1024,
     target = family.coarsest
     chi = CoefficientVector(Basis.HERMITE, hermite_function_values(lam, n).astype(complex))
     op = hermite_position().operator
-    resid_vec = op.matrix(n) @ chi.coeffs - lam * chi.coeffs
+    resid_vec = op.section(n) @ chi.coeffs - lam * chi.coeffs
     membership = norm(chi, home)
     residual = norm(CoefficientVector(Basis.HERMITE, resid_vec), target) / membership
     return GeneralizedEigenpair(float(lam), chi, home, float(residual), float(membership))

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse
 
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
@@ -54,6 +55,11 @@ class Representation:
 
     def adjoint(self) -> "Representation":
         raise NotImplementedError
+
+    def section(self, basis: Basis, rows: int, cols: int):
+        """Leading rows x cols block in slot order: dense here, sparse where
+        the structure allows; solves, residuals and banded summaries use it."""
+        return self.entries(modes(basis, rows).astype(float), modes(basis, cols).astype(float))
 
     def slot_bandwidth(self, basis: Basis) -> Optional[int]:
         """Bandwidth in coefficient-slot order; None means full rows/columns."""
@@ -96,6 +102,10 @@ class Diagonal(Representation):
         return Diagonal(lambda m, f=self.values: np.conj(f(m)),
                         source=f"conj({self.source})" if self.source else None)
 
+    def section(self, basis, rows, cols):
+        return scipy.sparse.diags(self.symbol(basis, min(rows, cols)), shape=(rows, cols),
+                                  format="csr")
+
     def slot_bandwidth(self, basis):
         return 0
 
@@ -135,6 +145,30 @@ class Banded(Representation):
     def adjoint(self):
         return Banded(self.bandwidth, lambda mr, mc, f=self.entry: np.conj(f(mc, mr)),
                       source=f"adj({self.source})" if self.source else None)
+
+    def section(self, basis, rows, cols):
+        # built diagonal by diagonal in slot order; slot pairs whose modes lie
+        # outside the band stay as explicit zeros
+        pb = self.slot_bandwidth(basis)
+        m_all = modes(basis, max(rows, cols))
+        data, ii, jj = [], [], []
+        for off in range(-pb, pb + 1):
+            j0 = max(0, -off)
+            j1 = min(cols, rows - off)
+            if j1 <= j0:
+                continue
+            j = np.arange(j0, j1)
+            i = j + off
+            vals = np.asarray(self.entry(m_all[i].astype(float), m_all[j].astype(float)),
+                              dtype=complex)
+            mask = np.abs(m_all[i] - m_all[j]) <= self.bandwidth
+            data.append(np.where(mask, vals, 0.0))
+            ii.append(i)
+            jj.append(j)
+        mat = scipy.sparse.coo_matrix(
+            (np.concatenate(data), (np.concatenate(ii), np.concatenate(jj))),
+            shape=(rows, cols), dtype=complex)
+        return mat.tocsr()
 
     def slot_bandwidth(self, basis):
         return 2 * self.bandwidth + 1 if basis is Basis.FOURIER else self.bandwidth
@@ -231,6 +265,10 @@ class CoefficientOperator:
         cols = rows if cols is None else cols
         return self.rep.entries(modes(self.basis, rows).astype(float),
                                 modes(self.basis, cols).astype(float))
+
+    def section(self, rows: int, cols: Optional[int] = None):
+        """The block of ``matrix(rows, cols)``, sparse where the representation allows."""
+        return self.rep.section(self.basis, rows, rows if cols is None else cols)
 
     def adjoint(self) -> "CoefficientOperator":
         if self.symmetric:

@@ -26,6 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .config import DEFAULT_CONFIG, GridSpec, RunConfig
 from .errors import (CertificateBoundError, NeumannRadiusError, NotCertifiedError,
@@ -222,27 +224,45 @@ def defect_number(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
 # solves
 
 
-def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
-                              eta: CoefficientVector, n: int) -> CoefficientVector:
-    """Solve the square truncated system (X_n - lambda) xi = eta.
+def _factorize(x: CoefficientOperator, lam: complex, square) -> Callable:
+    """Factor X_n - lambda once, from the n x n ``square`` section of X;
+    returns b -> (X_n - lambda)^(-1) b.
 
-    Diagonal representations invert the symbol entrywise (the same floating
-    expression as the analytic inverse); everything else goes through LU.
+    Diagonal representations divide by the shifted symbol (the same floating
+    expression as the analytic inverse), sparse sections go through SuperLU
+    and dense ones through LAPACK LU.
     """
-    check_same_basis(x, eta)
+    n = square.shape[0]
     symbol = x.rep.symbol(x.basis, n)
     if symbol is not None:
-        return CoefficientVector(x.basis, eta.padded(n) / (symbol - lam))
-    mat = x.matrix(n).astype(complex)
+        shifted = symbol - lam
+        return lambda b: b / shifted
+    if scipy.sparse.issparse(square):
+        return scipy.sparse.linalg.splu((square - lam * scipy.sparse.identity(n)).tocsc()).solve
+    mat = square.astype(complex)
     mat[np.arange(n), np.arange(n)] -= lam
-    xi = scipy.linalg.solve(mat, eta.padded(n))
-    return CoefficientVector(x.basis, xi)
+    lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
+    return lambda b: scipy.linalg.lu_solve(lu, b)
+
+
+def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
+                              eta: CoefficientVector, n: int) -> CoefficientVector:
+    """Solve the square truncated system (X_n - lambda) xi = eta."""
+    check_same_basis(x, eta)
+    return CoefficientVector(x.basis, _factorize(x, lam, x.section(n))(eta.padded(n)))
 
 
 def resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                     eta: CoefficientVector, cfg: RunConfig = DEFAULT_CONFIG,
                     status: Optional[CellStatus] = None) -> SolveResult:
     """Apply the per-pair resolvent to eta with a residual contract in F."""
+    return _resolvent_solve(x, lam, e, f, eta, cfg, status, {})
+
+
+def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
+                     eta: CoefficientVector, cfg: RunConfig, status: Optional[CellStatus],
+                     factors: dict) -> SolveResult:
+    """``resolvent_solve`` drawing on ``factors``: n -> (solve, residual section)."""
     check_same_basis(x, e, f, eta)
     status = status if status is not None else point_status(x, lam, e, f, cfg)
     if status.status != STATUS_RESOLVENT:
@@ -252,9 +272,13 @@ def resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Scal
     eta_f = norm(eta, f)
     n = max(status.witness_n, eta.n)
     while True:
-        xi = truncated_resolvent_apply(x, lam, eta, n)
-        rows = n + (x.position_bandwidth() or 0)
-        resid_vec = x.matrix(rows, n) @ xi.coeffs - lam * xi.padded(rows) - eta.padded(rows)
+        if n not in factors:
+            block = x.section(n + (x.position_bandwidth() or 0), n)
+            factors[n] = (_factorize(x, lam, block[:n]), block)
+        solve, block = factors[n]
+        rows = block.shape[0]
+        xi = CoefficientVector(x.basis, solve(eta.padded(n)))
+        resid_vec = block @ xi.coeffs - lam * xi.padded(rows) - eta.padded(rows)
         residual = norm(CoefficientVector(x.basis, resid_vec), f)
         if residual <= cfg.solve_tol * max(eta_f, 1e-300):
             return SolveResult(xi, norm(xi, e), residual, n)
@@ -267,11 +291,16 @@ def resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Scal
 def solver_handle(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                   cfg: RunConfig = DEFAULT_CONFIG,
                   status: Optional[CellStatus] = None) -> Callable:
-    """Closure applying R_lambda^(E,F)(X) to coefficient vectors."""
+    """Closure applying R_lambda^(E,F)(X) to coefficient vectors.
+
+    The handle keeps the factorization of each truncation it visits, so every
+    vector it is applied to shares one factorization per n.
+    """
     frozen_status = status if status is not None else point_status(x, lam, e, f, cfg)
+    factors: dict = {}
 
     def apply(vec: CoefficientVector) -> CoefficientVector:
-        return resolvent_solve(x, lam, e, f, vec, cfg, status=frozen_status).vector
+        return _resolvent_solve(x, lam, e, f, vec, cfg, frozen_status, factors).vector
 
     apply.pair = (e, f)  # type: ignore[attr-defined]
     apply.lam = lam      # type: ignore[attr-defined]

@@ -133,34 +133,12 @@ class PairKernel:
         return SectionSummary(n, c_low, d_high, c_low, census)
 
     def _sparse_shifted(self, lam: complex, rows: int, cols: int) -> scipy.sparse.csr_matrix:
-        rep = self.x.rep
-        pb = self.x.position_bandwidth() or 0
-        m_all = modes(self.x.basis, max(rows, cols))
+        sec = self.x.section(rows, cols)
         self._ensure_arrays(max(rows, cols))
-        wf = self._wf
-        we = self._we
-        data, ii, jj = [], [], []
-        for off in range(-pb, pb + 1):
-            j0 = max(0, -off)
-            j1 = min(cols, rows - off)
-            if j1 <= j0:
-                continue
-            j = np.arange(j0, j1)
-            i = j + off
-            vals = np.asarray(rep.entry(m_all[i].astype(float), m_all[j].astype(float)),
-                              dtype=complex)
-            mask = np.abs(m_all[i] - m_all[j]) <= rep.bandwidth
-            vals = np.where(mask, vals, 0.0)
-            if off == 0:
-                vals = vals - lam
-            vals = vals * wf[i] / we[j]
-            data.append(vals)
-            ii.append(i)
-            jj.append(j)
-        mat = scipy.sparse.coo_matrix(
-            (np.concatenate(data), (np.concatenate(ii), np.concatenate(jj))),
-            shape=(rows, cols), dtype=complex)
-        return mat.tocsr()
+        i = np.repeat(np.arange(rows), np.diff(sec.indptr))
+        j = sec.indices
+        vals = np.where(i == j, sec.data - lam, sec.data) * self._wf[i] / self._we[j]
+        return scipy.sparse.csr_matrix((vals, j, sec.indptr), shape=(rows, cols))
 
     def banded_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
         pb = self.x.position_bandwidth() or 0
@@ -221,9 +199,8 @@ class PairKernel:
             return y - inv_diag * (vt @ (core_inv @ (ut.conj().T @ y)))
 
         def inv_rmatvec(z):
-            z = np.asarray(z).ravel()
-            y = z - np.conj(inv_diag) * (ut @ (core_inv.conj().T @ (vt.conj().T @ z)))
-            return np.conj(inv_diag) * y
+            y = np.conj(inv_diag) * np.asarray(z).ravel()
+            return y - np.conj(inv_diag) * (ut @ (core_inv.conj().T @ (vt.conj().T @ y)))
 
         op = scipy.sparse.linalg.LinearOperator((n, n), matvec=inv_matvec,
                                                 rmatvec=inv_rmatvec, dtype=complex)

@@ -1,21 +1,27 @@
 """Regular points, defects, solves, Neumann continuation, identities, scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from interspec.config import GridSpec, RunConfig
 from interspec.errors import (NeumannRadiusError, NotCertifiedError,
                               NotInResolventError, NotRegularError)
 from interspec.operators import Banded, CoefficientOperator, operator_from_spec
-from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT,
+from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, CellStatus,
                                  branch_report, defect_number, equivalent,
                                  neumann_continue, point_status, regular_point,
                                  resolvent_identity_residuals, resolvent_solve,
                                  solver_handle, truncated_resolvent_apply,
                                  union_spectrum_scan)
-from interspec.gallery import hermite_position, torus_delta
+from interspec.gallery import (hermite_position, scale_generator_entry, torus_delta,
+                               torus_multiplication)
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily,
-                              hilbert_scale_family, sequence_power_family)
+                              hilbert_scale_family, sequence_power_family,
+                              sobolev_torus_family)
 
 CFG = RunConfig()
 
@@ -145,7 +151,6 @@ def test_truncated_solve_position_operator_vs_dense_lu(scale):
     rng = np.random.default_rng(11)
     eta = CoefficientVector(Basis.HERMITE, rng.normal(size=n) * np.exp(-np.arange(n) / 8.0))
     xi = truncated_resolvent_apply(pos, lam, eta, n)
-    import scipy.linalg
     mat = pos.matrix(n).astype(complex)
     mat[np.arange(n), np.arange(n)] -= lam
     lu = scipy.linalg.lu_factor(mat)
@@ -153,6 +158,70 @@ def test_truncated_solve_position_operator_vs_dense_lu(scale):
     assert np.allclose(xi.coeffs, oracle, atol=1e-12)
     residual = mat @ xi.coeffs - eta.coeffs
     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(eta.coeffs)
+
+
+def _dense_lu_oracle(x, lam, eta, n):
+    mat = x.matrix(n).astype(complex)
+    mat[np.arange(n), np.arange(n)] -= lam
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(mat), eta.padded(n))
+
+
+@pytest.mark.parametrize("make,basis,n", [
+    (lambda: torus_multiplication("cos(t)").operator, Basis.FOURIER, 128),
+    (lambda: torus_multiplication("cos(t)").operator, Basis.FOURIER, 512),
+    (lambda: torus_delta().operator, Basis.FOURIER, 128),
+    (lambda: operator_from_spec({"basis": "hermite", "rep": {
+        "type": "dense", "entry": "1/(1+(n-m)^2)"}}), Basis.HERMITE, 128),
+], ids=["cos-128", "cos-512", "ranksum", "dense"])
+def test_truncated_solve_routes_match_dense_lu(make, basis, n):
+    x = make()
+    lam = 0.3 + 0.5j
+    eta = CoefficientVector(basis, np.random.default_rng(5).normal(size=n) + 0j)
+    xi = truncated_resolvent_apply(x, lam, eta, n)
+    assert np.allclose(xi.coeffs, _dense_lu_oracle(x, lam, eta, n), rtol=0, atol=1e-12)
+
+
+def test_solver_handle_factors_once_per_truncation(monkeypatch):
+    factored = []
+
+    def counting(fn):
+        def wrapper(mat, *args, **kwargs):
+            factored.append((fn.__name__, mat.shape[0]))
+            return fn(mat, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting(scipy.sparse.linalg.splu))
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting(scipy.linalg.lu_factor))
+    torus = sobolev_torus_family(range(-1, 2))
+    e, f = torus.space_at(1), torus.space_at(0)
+    probes = [CoefficientVector.unit(Basis.FOURIER, j, CFG.equiv_probes)
+              for j in range(CFG.equiv_probes)]
+    for x, route in ((torus_multiplication("cos(t)").operator, "splu"),
+                     (torus_delta().operator, "lu_factor")):
+        factored.clear()
+        status = CellStatus(STATUS_RESOLVENT, witness_n=256)
+        handle = solver_handle(x, 0.3 + 0.5j, e, f, CFG, status=status)
+        sizes = {handle(p).n for p in probes}
+        assert [name for name, _ in factored] == [route] * len(factored)
+        visited = [size for _, size in factored]
+        assert len(visited) == len(set(visited)) >= 1
+        assert sizes <= set(visited)
+
+
+def test_resolvent_solve_deep_witness_stays_sparse():
+    # a dense 8192 x 8192 complex matrix alone would take 1 GiB
+    entry = scale_generator_entry()
+    e, f = entry.family.space_at(1), entry.family.space_at(0)
+    eta = CoefficientVector.unit(entry.operator.basis, 0, 256)
+    status = CellStatus(STATUS_RESOLVENT, witness_n=8192)
+    tracemalloc.start()
+    try:
+        result = resolvent_solve(entry.operator, -5.0 + 0.5j, e, f, eta, CFG, status=status)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.witness_n == 8192
+    assert peak < 64 * 2 ** 20
 
 
 # -- Neumann continuation ----------------------------------------------------
