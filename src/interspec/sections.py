@@ -15,6 +15,14 @@ closed-form singular values, banded sections go through Hermitian banded
 Gram eigenvalues, rank sums use a Woodbury inverse inside a Lanczos loop,
 and only dense generators fall back to full SVDs. `PairKernel` holds the
 strategies; the operator's representation picks one for each truncation.
+
+The Woodbury operator applies its n x r factors with ``np.einsum`` rather
+than ``@``: ARPACK calls it hundreds of times per summary, and each ``@``
+with an n-length operand is a BLAS level-2 call that threaded OpenBLAS
+hands to its worker threads, which costs milliseconds where the arithmetic
+takes microseconds. When the shifted weight ratio is constant (E = F) the
+Woodbury inverse is a I - P Q^H, and its norm comes exactly from a 2r x 2r
+matrix instead of ARPACK.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from .config import RunConfig
 from .spaces import ScaleSpace, modes
 
 _DENSE_ALWAYS = 96  # below this size dense SVD beats the structured routes
+_ARPACK_MIN_N = 8  # smallest operator side served by the iterative sigma_max
 
 
 @dataclass(frozen=True)
@@ -48,12 +57,45 @@ def _svdvals(mat: np.ndarray) -> np.ndarray:
 
 def _deterministic_sigma_max(op: scipy.sparse.linalg.LinearOperator) -> float:
     k = min(op.shape)
-    if k < 8:
+    if k < _ARPACK_MIN_N:
         raise ValueError("too small for iterative sigma_max")
     v0 = np.full(k, 1.0 / np.sqrt(k))
     vals = scipy.sparse.linalg.svds(op, k=1, v0=v0, return_singular_vectors=False,
                                     maxiter=600, tol=1e-10)
     return float(vals[0])
+
+
+def _diag_minus_low_rank(a: np.ndarray, p: np.ndarray,
+                         q: np.ndarray) -> scipy.sparse.linalg.LinearOperator:
+    """diag(a) - P Q^H, with its n x r products in np.einsum (no BLAS call)."""
+    p_conj, q_conj = p.conj(), q.conj()
+
+    def matvec(z):
+        z = np.asarray(z).ravel()
+        return a * z - np.einsum("ik,k->i", p, np.einsum("ik,i->k", q_conj, z))
+
+    def rmatvec(z):
+        z = np.asarray(z).ravel()
+        return np.conj(a) * z - np.einsum("ik,k->i", q, np.einsum("ik,i->k", p_conj, z))
+
+    n = len(a)
+    return scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec,
+                                              dtype=complex)
+
+
+def _scalar_minus_low_rank_norm(a: complex, p: np.ndarray, q: np.ndarray) -> float:
+    """2-norm (largest singular value) of a I - P Q^H, exactly, in O(n r^2).
+
+    With B an orthonormal basis of k = min(n, 2r) columns whose range holds
+    range(P) and range(Q), the operator acts as the k x k matrix
+    a I - (B^H P)(B^H Q)^H on range(B) and as a I on its complement. A rank-r
+    change of a I_k leaves at least k - r singular values at or above |a|,
+    so the largest one of the k x k matrix is the operator's.
+    """
+    b, _ = np.linalg.qr(np.concatenate([p, q], axis=1))
+    small = a * np.eye(b.shape[1]) - np.einsum("ik,il->kl", b.conj(), p) \
+        @ np.einsum("ik,il->kl", b.conj(), q).conj().T
+    return float(scipy.linalg.svdvals(small)[0])
 
 
 def _herm_band_lower(g: scipy.sparse.spmatrix) -> np.ndarray:
@@ -185,30 +227,32 @@ class PairKernel:
 
     def _ranksum_sigma_min(self, diag: np.ndarray, vt: np.ndarray, ut: np.ndarray,
                            n: int) -> float:
+        def dense_sigma_min() -> float:
+            dense = np.diag(diag).astype(complex) + vt @ ut.conj().T
+            return float(_svdvals(dense)[-1])
+
+        if n < _ARPACK_MIN_N:
+            return dense_sigma_min()
+        # Woodbury: S^{-1} = diag(a) - P Q^H with a = 1/diag, P = a V C^{-1},
+        # Q = conj(a) U and C = I + U^H diag(a) V
         r = vt.shape[1]
-        inv_diag = 1.0 / diag
-        core = np.eye(r, dtype=complex) + ut.conj().T @ (inv_diag[:, None] * vt)
+        a = 1.0 / diag
+        core = np.eye(r, dtype=complex) + np.einsum("ik,i,il->kl", ut.conj(), a, vt)
         try:
             core_inv = np.linalg.inv(core)
         except np.linalg.LinAlgError:
-            dense = np.diag(diag).astype(complex) + vt @ ut.conj().T
-            return float(_svdvals(dense)[-1])
-
-        def inv_matvec(z):
-            y = inv_diag * np.asarray(z).ravel()
-            return y - inv_diag * (vt @ (core_inv @ (ut.conj().T @ y)))
-
-        def inv_rmatvec(z):
-            y = np.conj(inv_diag) * np.asarray(z).ravel()
-            return y - np.conj(inv_diag) * (ut @ (core_inv.conj().T @ (vt.conj().T @ y)))
-
-        op = scipy.sparse.linalg.LinearOperator((n, n), matvec=inv_matvec,
-                                                rmatvec=inv_rmatvec, dtype=complex)
-        try:
-            inv_norm = _deterministic_sigma_max(op)
-        except Exception:
-            dense = np.diag(diag).astype(complex) + vt @ ut.conj().T
-            return float(_svdvals(dense)[-1])
+            return dense_sigma_min()
+        p = np.einsum("ik,kl->il", a[:, None] * vt, core_inv)
+        q = np.conj(a)[:, None] * ut
+        if np.all(a == a[0]):
+            # constant shift (E = F): the Krylov space is invariant with
+            # dimension <= 2r + 1, where ARPACK can apply no shifts
+            inv_norm = _scalar_minus_low_rank_norm(a[0], p, q)
+        else:
+            try:
+                inv_norm = _deterministic_sigma_max(_diag_minus_low_rank(a, p, q))
+            except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
+                return dense_sigma_min()
         return 1.0 / inv_norm if inv_norm > 0 else float("inf")
 
     def dense_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
