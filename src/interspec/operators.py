@@ -27,7 +27,7 @@ import scipy.sparse
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
-from .sections import _DENSE_ALWAYS, PairKernel, SectionSummary
+from .sections import _DENSE_ALWAYS, PairKernel
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
                      check_same_basis, dual_space, mode_to_position, modes, running_sup)
 
@@ -70,10 +70,10 @@ class Representation:
         """Closed-form certificate where one exists, else the doubling schedule."""
         return _certify_by_truncation(op, e, f, cfg)
 
-    def summary(self, kernel: PairKernel, lam: complex, n: int,
-                want_census: bool) -> SectionSummary:
-        """Section summary through the strategy that suits this structure."""
-        return kernel.dense_summary(lam, n, want_census)
+    def summary(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
+        """Section summary, and its census call, through the strategy that
+        suits this structure."""
+        return kernel.dense_summary(lam, n)
 
     def norm_estimate(self, kernel: PairKernel, n: int) -> float:
         return kernel.summary(0.0, n, want_census=False).d_high
@@ -117,8 +117,8 @@ class Diagonal(Representation):
         return ContinuityCertificate(op.describe(), e, f, float("inf") if diverged else bound,
                                      CERT_FAILED if diverged else CERT_EXACT, probe)
 
-    def summary(self, kernel, lam, n, want_census):
-        return kernel.diagonal_summary(lam, n, want_census)
+    def summary(self, kernel, lam, n):
+        return kernel.diagonal_summary(lam, n)
 
     def max_n(self, cfg):
         # closed-form singular values: deep truncations are nearly free
@@ -173,10 +173,10 @@ class Banded(Representation):
     def slot_bandwidth(self, basis):
         return 2 * self.bandwidth + 1 if basis is Basis.FOURIER else self.bandwidth
 
-    def summary(self, kernel, lam, n, want_census):
+    def summary(self, kernel, lam, n):
         if n > _DENSE_ALWAYS:
-            return kernel.banded_summary(lam, n, want_census)
-        return super().summary(kernel, lam, n, want_census)
+            return kernel.banded_summary(lam, n)
+        return super().summary(kernel, lam, n)
 
     def norm_estimate(self, kernel, n):
         if n > _DENSE_ALWAYS:
@@ -231,10 +231,10 @@ class RankSum(Representation):
             else float(sum(term_norms))
         return replace(super().certify(op, e, f, cfg), upper_bound=upper)
 
-    def summary(self, kernel, lam, n, want_census):
+    def summary(self, kernel, lam, n):
         if n > _DENSE_ALWAYS:
-            return kernel.ranksum_summary(lam, n, want_census)
-        return super().summary(kernel, lam, n, want_census)
+            return kernel.ranksum_summary(lam, n)
+        return super().summary(kernel, lam, n)
 
 
 @dataclass(frozen=True)
@@ -362,9 +362,10 @@ def certify(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
 def _certify_by_truncation(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
                            cfg: RunConfig) -> ContinuityCertificate:
     history = []
+    kernel = PairKernel(x, e, f, cfg)
     n = cfg.n0
     while n <= cfg.n_max:
-        history.append((n, PairKernel(x, e, f, cfg).norm_estimate(n)))
+        history.append((n, kernel.norm_estimate(n)))
         if len(history) >= 2:
             (_, prev), (_, last) = history[-2], history[-1]
             if abs(last - prev) <= cfg.rel_tol * max(abs(last), 1e-300):

@@ -184,13 +184,14 @@ def point_status(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSp
 
 def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                   cfg: RunConfig = DEFAULT_CONFIG,
-                  cert: Optional[ContinuityCertificate] = None) -> RegularPointReport:
+                  cert: Optional[ContinuityCertificate] = None,
+                  kernel: Optional[PairKernel] = None) -> RegularPointReport:
     """Best two-sided constants of the weighted section of X - lambda on (E, F)."""
     cert = cert if cert is not None else certify(x, e, f, cfg)
     if not cert.certified:
         raise NotCertifiedError(
             f"regular_point requires a certified extension on ({e.label}, {f.label})")
-    kernel = PairKernel(x, e, f, cfg)
+    kernel = kernel if kernel is not None else PairKernel(x, e, f, cfg)
     summaries = _summaries(kernel, lam, cfg, want_census=False)
     last = summaries[-1]
     stabilized = len(summaries) >= 2 and _stabilized(summaries, cfg)
@@ -206,10 +207,10 @@ def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
 def defect_number(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                   cfg: RunConfig = DEFAULT_CONFIG) -> DefectReport:
     """Stable census of near-kernel directions of the wide section in F."""
-    report = regular_point(x, lam, e, f, cfg)
+    kernel = PairKernel(x, e, f, cfg)
+    report = regular_point(x, lam, e, f, cfg, kernel=kernel)
     if not report.regular or report.c_low <= cfg.regular_eps * max(report.d_high, 1.0):
         raise NotRegularError("defect defined only at regular points")
-    kernel = PairKernel(x, e, f, cfg)
     s1 = kernel.summary(lam, report.witness_n, want_census=True)
     s2 = kernel.summary(lam, min(2 * report.witness_n, kernel.max_n()), want_census=True)
     if s1.census is None or s2.census is None or s1.census != s2.census:

@@ -15,6 +15,17 @@ closed-form singular values, banded sections go through Hermitian banded
 Gram eigenvalues, rank sums use a Woodbury inverse inside a Lanczos loop,
 and only dense generators fall back to full SVDs. `PairKernel` holds the
 strategies; the operator's representation picks one for each truncation.
+`PairKernel.summary` keeps the summaries of the current lambda per
+truncation, and computes a census only when one is asked for.
+
+Each banded Gram matrix is reduced to tridiagonal form once (LAPACK
+zhbtrd), and its smallest and largest eigenvalues and its census all come
+from dstebz on that form. ``scipy.linalg.eigvals_banded`` would call zhbevx,
+which repeats the O(n^2 kd) reduction for every query. scipy.linalg.lapack
+wraps no zhbtrd, so it is called through the function pointer that
+scipy.linalg.cython_lapack exports, with the arguments, pre-scaling and
+dstebz settings that zhbevx uses. Every value and count is therefore bit for
+bit what eigvals_banded returns.
 
 The Woodbury operator applies its n x r factors with ``np.einsum`` rather
 than ``@``: ARPACK calls it hundreds of times per summary, and each ``@``
@@ -27,11 +38,14 @@ matrix instead of ARPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.cython_lapack
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -110,27 +124,91 @@ def _herm_band_lower(g: scipy.sparse.spmatrix) -> np.ndarray:
     return ab
 
 
-def _gram_extremes(a: scipy.sparse.spmatrix, want_min: bool, want_max: bool,
-                   census_threshold: Optional[float] = None):
-    """(sigma_min, sigma_max, census) of sparse ``a`` via Gram band eigenvalues."""
+def _capsule_address(name: str) -> int:
+    """Address of the LAPACK routine ``name`` exported by scipy.linalg.cython_lapack."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, get_name(capsule))
+
+
+# zhbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info), every argument by address
+_ZHBTRD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)(_capsule_address("zhbtrd"))
+# zhbevx's machine constants: band matrices with max|entry| outside [RMIN, RMAX]
+# are scaled into it before the reduction
+_SAFMIN = float(scipy.linalg.lapack.dlamch("s"))
+_SMLNUM = _SAFMIN / float(scipy.linalg.lapack.dlamch("p"))
+_RMIN = np.sqrt(_SMLNUM)
+_RMAX = min(np.sqrt(1.0 / _SMLNUM), 1.0 / np.sqrt(np.sqrt(_SAFMIN)))
+
+
+def _band_tridiagonal(ab: np.ndarray) -> tuple:
+    """(d, e, sigma): zhbtrd's tridiagonal form of sigma * H, where ``ab`` holds a
+    Hermitian band matrix H in lower band storage (entries past the end of
+    each column zero) and sigma is zhbevx's pre-scaling factor."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    ab = np.array(ab, dtype=complex, order="F")
+    anrm = max(np.max(np.abs(ab[0].real)), np.max(np.abs(ab[1:]), initial=0.0))
+    sigma = 1.0
+    if 0.0 < anrm < _RMIN:
+        sigma = _RMIN / anrm
+    elif anrm > _RMAX:
+        sigma = _RMAX / anrm
+    if sigma != 1.0:
+        ab.real *= sigma  # zlascl multiplies real and imaginary parts alike
+        ab.imag *= sigma
+    d, e = np.empty(n), np.empty(max(n - 1, 1))
+    work, q = np.empty(n, dtype=complex), np.empty(1, dtype=complex)
+    n_, kd_, ldab, ldq = (ctypes.byref(ctypes.c_int(v)) for v in (n, kd, kd + 1, 1))
+    info = ctypes.c_int(0)
+    _ZHBTRD(b"N", b"L", n_, kd_, ab.ctypes.data, ldab, d.ctypes.data, e.ctypes.data,
+            q.ctypes.data, ldq, work.ctypes.data, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"zhbtrd failed with info={info.value}")
+    return d, e[:n - 1], sigma
+
+
+class _GramSpectrum:
+    """Eigenvalues of a Hermitian band matrix from one reduction to tridiagonal form.
+
+    Each query runs LAPACK dstebz on the stored tridiagonal form with the
+    arguments zhbevx gives it (ORDER='E', abstol = 2 * safe minimum, pre-scaled
+    bounds, results scaled back by 1/sigma). Values and counts therefore equal
+    ``scipy.linalg.eigvals_banded(ab, lower=True, select="i" or "v")`` bit for
+    bit, while the O(n^2 kd) band reduction runs once for any number of queries.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        self.d, self.e, self.sigma = _band_tridiagonal(ab)
+
+    def _stebz(self, select: int, vl: float, vu: float, index: int) -> np.ndarray:
+        abstol = 2 * _SAFMIN
+        if self.sigma != 1.0:
+            abstol, vl, vu = abstol * self.sigma, vl * self.sigma, vu * self.sigma
+        m, w, _, _, info = scipy.linalg.lapack.dstebz(self.d, self.e, select, vl, vu,
+                                                      index, index, abstol, "E")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstebz failed with info={info}")
+        return w[:m] if self.sigma == 1.0 else w[:m] * (1.0 / self.sigma)
+
+    def singular_value(self, index: int) -> float:
+        """Square root of the index-th smallest eigenvalue (negative counts from the top)."""
+        lam = self._stebz(2, 0.0, 0.0, index % len(self.d) + 1)[0]
+        return float(np.sqrt(max(lam, 0.0)))
+
+    def count_up_to(self, bound: float) -> int:
+        """Number of eigenvalues in (-1, bound]."""
+        return len(self._stebz(1, -1.0, bound, 1))
+
+
+def _gram_spectrum(a: scipy.sparse.spmatrix) -> _GramSpectrum:
+    """Band spectrum of the smaller Gram matrix of sparse ``a``, whose
+    eigenvalues are the squared singular values of ``a``."""
     rows, cols = a.shape
     gram = (a.getH() @ a).tocsr() if rows >= cols else (a @ a.getH()).tocsr()
-    ab = _herm_band_lower(gram)
-    m = gram.shape[0]
-    smin = smax = None
-    if want_min:
-        lo = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))
-        smin = float(np.sqrt(max(lo[0], 0.0)))
-    if want_max:
-        hi = scipy.linalg.eigvals_banded(ab, lower=True, select="i",
-                                         select_range=(m - 1, m - 1))
-        smax = float(np.sqrt(max(hi[0], 0.0)))
-    census = None
-    if census_threshold is not None:
-        vals = scipy.linalg.eigvals_banded(ab, lower=True, select="v",
-                                           select_range=(-1.0, census_threshold ** 2))
-        census = int(len(vals))
-    return smin, smax, census
+    return _GramSpectrum(_herm_band_lower(gram))
 
 
 class PairKernel:
@@ -142,6 +220,8 @@ class PairKernel:
         self.f = f
         self.cfg = cfg
         self._cache_len = 0  # symbol and weight caches: see _ensure_arrays
+        self._lam: Optional[complex] = None
+        self._memo: dict = {}  # n -> (summary, census call), at lambda = self._lam
 
     # -- shared data ----------------------------------------------------
 
@@ -158,21 +238,39 @@ class PairKernel:
         return self.x.rep.max_n(self.cfg)
 
     def summary(self, lam: complex, n: int, want_census: bool = True) -> SectionSummary:
-        return self.x.rep.summary(self, lam, n, want_census)
+        """Section summary at truncation n, with its census when ``want_census``.
+
+        The summaries of the current lambda are kept per n and dropped when
+        lambda changes. A census asked for an n summarized before runs only
+        the census step of its strategy.
+        """
+        if lam != self._lam:
+            self._lam, self._memo = lam, {}
+        if n not in self._memo:
+            self._memo[n] = self.x.rep.summary(self, lam, n)
+        found, census = self._memo[n]
+        if want_census and found.census is None:
+            found = replace(found, census=census(self.cfg))
+            self._memo[n] = (found, census)
+        return found
 
     def norm_estimate(self, n: int) -> float:
         """Largest singular value of the unshifted weighted tall section."""
         return self.x.rep.norm_estimate(self, n)
 
     # -- strategies -----------------------------------------------------
+    # Each returns the summary without its census, and the call that computes
+    # the census from a RunConfig. The call must not hold the kernel: a kernel
+    # -> memo -> call -> kernel cycle would keep dead kernels' arrays alive
+    # until the cyclic garbage collector runs.
 
-    def diagonal_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def diagonal_summary(self, lam: complex, n: int) -> tuple:
         self._ensure_arrays(n)
         vals = np.abs(self._symbol[:n] - lam) * self._ratio[:n]
         d_high = float(np.max(vals))
         c_low = float(np.min(vals))
-        census = int(np.sum(vals < self.cfg.defect_eps * d_high)) if want_census else None
-        return SectionSummary(n, c_low, d_high, c_low, census)
+        return (SectionSummary(n, c_low, d_high, c_low, None),
+                lambda cfg: int(np.sum(vals < cfg.defect_eps * d_high)))
 
     def _sparse_shifted(self, lam: complex, rows: int, cols: int) -> scipy.sparse.csr_matrix:
         sec = self.x.section(rows, cols)
@@ -182,26 +280,24 @@ class PairKernel:
         vals = np.where(i == j, sec.data - lam, sec.data) * self._wf[i] / self._we[j]
         return scipy.sparse.csr_matrix((vals, j, sec.indptr), shape=(rows, cols))
 
-    def banded_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def banded_summary(self, lam: complex, n: int) -> tuple:
         pb = self.x.position_bandwidth() or 0
         margin = max(pb, 1)
-        tall = self._sparse_shifted(lam, n + margin, n)
-        wide = self._sparse_shifted(lam, n, n + margin)
-        c_low, d_high, _ = _gram_extremes(tall, True, True)
-        surj_low, surj_high, _ = _gram_extremes(wide, True, want_census)
-        census = None
-        if want_census:
-            _, _, census = _gram_extremes(wide, False, False,
-                                          census_threshold=self.cfg.defect_eps * surj_high)
-        return SectionSummary(n, c_low, d_high, surj_low, census)
+        tall = _gram_spectrum(self._sparse_shifted(lam, n + margin, n))
+        wide = _gram_spectrum(self._sparse_shifted(lam, n, n + margin))
+
+        def census(cfg: RunConfig) -> int:
+            return wide.count_up_to((cfg.defect_eps * wide.singular_value(-1)) ** 2)
+
+        return (SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
+                               wide.singular_value(0), None), census)
 
     def banded_norm(self, n: int) -> float:
         pb = self.x.position_bandwidth() or 0
         tall = self._sparse_shifted(0.0, n + max(pb, 1), n)
-        _, smax, _ = _gram_extremes(tall, False, True)
-        return smax
+        return _gram_spectrum(tall).singular_value(-1)
 
-    def ranksum_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def ranksum_summary(self, lam: complex, n: int) -> tuple:
         # square view: rank-sum columns have unbounded support, so margins
         # cannot make the tall view exact anyway
         rep = self.x.rep
@@ -218,12 +314,14 @@ class PairKernel:
             c_low = 0.0 if n > len(rep.terms) else float("nan")
         else:
             c_low = self._ranksum_sigma_min(diag, vt, ut, n)
-        census = None
-        if want_census and n <= self.cfg.dense_cap:
-            dense = np.diag(diag).astype(complex) + vt @ ut.conj().T
-            sv = _svdvals(dense)
-            census = int(np.sum(sv < self.cfg.defect_eps * sv[0]))
-        return SectionSummary(n, c_low, d_high, c_low, census)
+
+        def census(cfg: RunConfig) -> Optional[int]:
+            if n > cfg.dense_cap:
+                return None
+            sv = _svdvals(np.diag(diag).astype(complex) + vt @ ut.conj().T)
+            return int(np.sum(sv < cfg.defect_eps * sv[0]))
+
+        return SectionSummary(n, c_low, d_high, c_low, None), census
 
     def _ranksum_sigma_min(self, diag: np.ndarray, vt: np.ndarray, ut: np.ndarray,
                            n: int) -> float:
@@ -255,7 +353,7 @@ class PairKernel:
                 return dense_sigma_min()
         return 1.0 / inv_norm if inv_norm > 0 else float("inf")
 
-    def dense_summary(self, lam: complex, n: int, want_census: bool) -> SectionSummary:
+    def dense_summary(self, lam: complex, n: int) -> tuple:
         pb = self.x.position_bandwidth()
         margin = pb if pb is not None else self.cfg.section_margin
         rows = n + margin
@@ -270,6 +368,5 @@ class PairKernel:
         wide *= self._wf[:n, None]
         wide /= self._we[None, :rows]
         sv_wide = _svdvals(wide)
-        census = int(np.sum(sv_wide < self.cfg.defect_eps * sv_wide[0])) if want_census else None
-        return SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]),
-                              float(sv_wide[-1]), census)
+        return (SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]), float(sv_wide[-1]), None),
+                lambda cfg: int(np.sum(sv_wide < cfg.defect_eps * sv_wide[0])))

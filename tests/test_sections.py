@@ -1,17 +1,21 @@
 """Sparse sections against dense blocks, and structured lower constants
 against a dense SVD of the identical section."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from interspec import sections
 from interspec.config import RunConfig
-from interspec.gallery import (hermite_position, scale_generator_entry, torus_comb,
+from interspec.gallery import (hermite_position, registry, scale_generator_entry, torus_comb,
                                torus_delta, torus_multiplication)
-from interspec.operators import operator_from_spec
-from interspec.sections import _DENSE_ALWAYS, PairKernel
+from interspec.operators import certify, operator_from_spec
+from interspec.resolvent import STATUS_RESOLVENT, defect_number, point_status
+from interspec.sections import _DENSE_ALWAYS, PairKernel, SectionSummary
 from interspec.spaces import modes
 
 CFG = RunConfig()
@@ -164,5 +168,158 @@ def test_ranksum_arpack_failure_falls_back_to_dense_svd(monkeypatch):
     got = kernel.summary(lam, n, want_census=False).c_low
     assert abs(got - _dense_square_sigma_min(x, e, f, lam, n)) <= 1e-12 * got
     # below ARPACK's size floor the route goes dense without calling it
-    assert abs(kernel.ranksum_summary(lam, 6, want_census=False).c_low
+    assert abs(kernel.ranksum_summary(lam, 6)[0].c_low
                - _dense_square_sigma_min(x, e, f, lam, 6)) <= 1e-12
+
+
+# -- banded route: one band reduction per Gram matrix ---------------------------
+
+
+def _reference_extremes(ab):
+    """(sigma_min, sigma_max) of a Gram band from two eigvals_banded calls, as the
+    banded route computed them before it reduced each Gram matrix once."""
+    m = ab.shape[1]
+    lo = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))
+    hi = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(m - 1, m - 1))
+    return float(np.sqrt(max(lo[0], 0.0))), float(np.sqrt(max(hi[0], 0.0)))
+
+
+def _reference_count(ab, bound):
+    return len(scipy.linalg.eigvals_banded(ab, lower=True, select="v",
+                                           select_range=(-1.0, bound)))
+
+
+def _gram_band(a):
+    rows, cols = a.shape
+    gram = (a.getH() @ a).tocsr() if rows >= cols else (a @ a.getH()).tocsr()
+    return sections._herm_band_lower(gram)
+
+
+def _reference_banded_summary(kernel, lam, n, want_census):
+    margin = max(kernel.x.position_bandwidth() or 0, 1)
+    tall = _gram_band(kernel._sparse_shifted(lam, n + margin, n))
+    wide = _gram_band(kernel._sparse_shifted(lam, n, n + margin))
+    c_low, d_high = _reference_extremes(tall)
+    surj_low, surj_high = _reference_extremes(wide)
+    census = _reference_count(wide, (kernel.cfg.defect_eps * surj_high) ** 2) \
+        if want_census else None
+    return SectionSummary(n, c_low, d_high, surj_low, census)
+
+
+BANDED_LAMBDAS = (0.0, 0.5, 0.3 + 0.5j, -1.2 + 0.5j)
+BANDED_NS = (128, 512, 1024)
+
+
+def _banded_cases():
+    # every gallery pair; lambda and n rotate with the pair index, so each
+    # family meets every lambda and every n
+    for name in ("position", "multiplier[cos(t)]", "multiplier[2+cos(t)]"):
+        entry = registry()[name]
+        for k, (e, f) in enumerate(entry.family.admissible_pairs()):
+            yield pytest.param(entry.operator, e, f, BANDED_LAMBDAS[k % 4], BANDED_NS[k % 3],
+                               id=f"{name}-{e.label}-{f.label}")
+
+
+@pytest.mark.parametrize("x, e, f, lam, n", _banded_cases())
+def test_banded_summary_equals_separate_eigvals_banded_calls(x, e, f, lam, n):
+    kernel = PairKernel(x, e, f, CFG)
+    assert kernel.summary(lam, n, want_census=False) == \
+        _reference_banded_summary(kernel, lam, n, want_census=False)
+    assert kernel.summary(lam, n, want_census=True) == \
+        _reference_banded_summary(kernel, lam, n, want_census=True)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e80])
+def test_gram_spectrum_prescales_like_zhbevx(scale):
+    # max|ab| outside [RMIN, RMAX]: zhbevx scales the band before reducing it
+    entry = registry()["multiplier[cos(t)]"]
+    kernel = PairKernel(entry.operator, entry.family.space_at(1), entry.family.space_at(0), CFG)
+    ab = _gram_band(kernel._sparse_shifted(0.3 + 0.5j, 260, 256)) * scale
+    spectrum = sections._GramSpectrum(ab)
+    assert spectrum.sigma != 1.0
+    lo, hi = _reference_extremes(ab)
+    assert (spectrum.singular_value(0), spectrum.singular_value(-1)) == (lo, hi)
+    bound = lo * hi
+    count = spectrum.count_up_to(bound)
+    assert 0 < count < ab.shape[1]
+    assert count == _reference_count(ab, bound)
+
+
+def _count_reductions(monkeypatch):
+    sizes = []
+    reduce = sections._band_tridiagonal
+
+    def counted(ab):
+        sizes.append(ab.shape[1])
+        return reduce(ab)
+
+    monkeypatch.setattr(sections, "_band_tridiagonal", counted)
+    return sizes
+
+
+def test_banded_point_status_reduces_each_gram_matrix_once(monkeypatch):
+    entry = registry()["multiplier[cos(t)]"]
+    x, e = entry.operator, entry.family.space_at(1)
+    cert = certify(x, e, e, CFG)
+    sizes = _count_reductions(monkeypatch)
+    status = point_status(x, 0.3 + 0.5j, e, e, CFG, cert=cert)
+    assert status.status == STATUS_RESOLVENT  # reached census_pair with census 0
+    counts = Counter(sizes)
+    assert len(counts) >= 2 and set(counts.values()) == {2}  # tall and wide, per n
+
+
+def test_census_on_a_summarized_point_reuses_the_reductions(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census must reuse the stored reduction")
+
+    entry = registry()["position"]
+    x, e, f = entry.operator, entry.family.space_at(1), entry.family.space_at(0)
+    lam, n = 0.5 + 0.5j, 512
+    kernel = PairKernel(x, e, f, CFG)
+    plain = kernel.summary(lam, n, want_census=False)
+    assert plain.census is None
+    monkeypatch.setattr(sections, "_band_tridiagonal", forbidden)
+    with_census = kernel.summary(lam, n, want_census=True)
+    monkeypatch.undo()
+    assert with_census == PairKernel(x, e, f, CFG).summary(lam, n, want_census=True)
+    assert with_census.census is not None
+
+
+def test_ranksum_census_on_a_summarized_point_makes_no_arpack_call(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the census must not run ARPACK again")
+
+    x, e, f, kernel = _torus_delta_kernel()
+    lam, n = 0.3 + 0.5j, 128
+    kernel.summary(lam, n, want_census=False)
+    monkeypatch.setattr(sections, "_deterministic_sigma_max", forbidden)
+    with_census = kernel.summary(lam, n, want_census=True)
+    monkeypatch.undo()
+    assert with_census == PairKernel(x, e, f, CFG).summary(lam, n, want_census=True)
+
+
+@pytest.mark.parametrize("name", ["position", "torus-delta", "scale-generator"])
+def test_new_lambda_drops_the_memoized_summaries(name):
+    entry = registry()[name]
+    x, e, f = entry.operator, entry.family.space_at(1), entry.family.space_at(0)
+    kernel = PairKernel(x, e, f, CFG)
+    kernel.summary(0.3 + 0.5j, 256)
+    got = kernel.summary(-1.2 + 0.5j, 256)
+    assert got == PairKernel(x, e, f, CFG).summary(-1.2 + 0.5j, 256)
+
+
+def test_defect_number_summarizes_each_truncation_once(monkeypatch):
+    # regular_point and the two census summaries share one kernel
+    entry = registry()["multiplier[cos(t)]"]
+    x, e = entry.operator, entry.family.space_at(1)
+    summarized = []
+    banded_summary = PairKernel.banded_summary
+
+    def counted(kernel, lam, n):
+        summarized.append(n)
+        return banded_summary(kernel, lam, n)
+
+    monkeypatch.setattr(PairKernel, "banded_summary", counted)
+    report = defect_number(x, 0.3 + 0.5j, e, e, CFG)
+    assert report.defect == 0
+    assert set(Counter(summarized).values()) == {1}
