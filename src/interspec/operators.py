@@ -27,7 +27,7 @@ import scipy.sparse
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
-from .sections import _DENSE_ALWAYS, PairKernel
+from .sections import _DENSE_ALWAYS, LimitProfile, PairKernel
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
                      check_same_basis, dual_space, mode_to_position, modes, running_sup)
 
@@ -86,6 +86,11 @@ class Representation:
         """Diagonal symbol on the leading n slots, or None if not diagonal."""
         return None
 
+    def limit_profile(self, op: "CoefficientOperator", e: ScaleSpace, f: ScaleSpace,
+                      cfg: RunConfig) -> Optional[LimitProfile]:
+        """Limit data of W_F (X - lambda) W_E^{-1}, or None where it has no closed form."""
+        return None
+
 
 @dataclass(frozen=True)
 class Diagonal(Representation):
@@ -126,6 +131,9 @@ class Diagonal(Representation):
 
     def symbol(self, basis, n):
         return np.asarray(self.values(modes(basis, n).astype(float)), dtype=complex)
+
+    def limit_profile(self, op, e, f, cfg):
+        return LimitProfile.probe(op.basis, e, f, cfg, {0: self.values})
 
 
 @dataclass(frozen=True)
@@ -186,6 +194,11 @@ class Banded(Representation):
     def max_n(self, cfg):
         return cfg.scan_n_max
 
+    def limit_profile(self, op, e, f, cfg):
+        band = range(-self.bandwidth, self.bandwidth + 1)
+        return LimitProfile.probe(op.basis, e, f, cfg,
+                                  {k: lambda m, k=k: self.entry(m + k, m) for k in band})
+
 
 @dataclass(frozen=True)
 class RankSumTerm:
@@ -230,6 +243,10 @@ class RankSum(Representation):
         upper = float("inf") if any(math.isinf(t) or math.isnan(t) for t in term_norms) \
             else float(sum(term_norms))
         return replace(super().certify(op, e, f, cfg), upper_bound=upper)
+
+    def limit_profile(self, op, e, f, cfg):
+        # a bounded finite-rank operator is compact: no diagonal survives in the limit
+        return LimitProfile.probe(op.basis, e, f, cfg, {})
 
     def summary(self, kernel, lam, n):
         if n > _DENSE_ALWAYS:

@@ -5,9 +5,12 @@ Statuses attached to a point lambda for a pair (E, F) with E inside F:
 * ``resolvent``       both section views stay uniformly invertible across
                       doublings and the range census is stably zero;
 * ``regular-defect``  bounded below, with a stable positive range census;
-* ``not-regular``     the lower constant is numerically zero at some
+* ``not-regular``     the pair's limit operators bound the lower constant
+                      by numerically zero before any section is taken
+                      (`LimitProfile`; every compact pair lands here), the
+                      lower constant is numerically zero at some
                       truncation (conclusive, since tall sections only
-                      overestimate it) or shrinks steadily across three
+                      overestimate it), or it shrinks steadily across three
                       doublings (divergence proxy, reported as such);
 * ``no-extension``    no certified continuous extension on the pair;
 * ``inconclusive``    none of the above could be established by n_max.
@@ -127,6 +130,24 @@ def _scale(summary: SectionSummary, lam: complex) -> float:
     return max(summary.d_high, abs(lam), 1.0)
 
 
+def _limit_status(kernel: PairKernel, lam: complex, cert: ContinuityCertificate,
+                  cfg: RunConfig) -> Optional[CellStatus]:
+    """``not-regular`` from the pair's limit operators, with no section, or None.
+
+    Every limit operator bounds the lower norm of the weighted section from
+    above (see `LimitProfile`), so a bound that lies within ``regular_eps``
+    of zero together with its error bar is conclusive. The scale is
+    `_scale`'s, with the certificate's norm bound in place of d_high.
+    """
+    profile = kernel.limit_profile
+    if profile is None:
+        return None
+    bound, error = profile.bound(lam)
+    if bound + error > cfg.regular_eps * max(cert.norm_bound, abs(lam), 1.0):
+        return None
+    return CellStatus(STATUS_NOT_REGULAR, bound, witness_n=profile.witness_n)
+
+
 def point_status(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                  cfg: RunConfig = DEFAULT_CONFIG,
                  cert: Optional[ContinuityCertificate] = None,
@@ -137,6 +158,9 @@ def point_status(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSp
         status = STATUS_NO_EXTENSION if cert.method == CERT_FAILED else STATUS_INCONCLUSIVE
         return CellStatus(status, witness_n=cert.witness_n)
     kernel = kernel if kernel is not None else PairKernel(x, e, f, cfg)
+    decided = _limit_status(kernel, lam, cert, cfg)
+    if decided is not None:
+        return decided
     summaries = _summaries(kernel, lam, cfg, want_census=False)
     last = summaries[-1]
 

@@ -17,6 +17,8 @@ and only dense generators fall back to full SVDs. `PairKernel` holds the
 strategies; the operator's representation picks one for each truncation.
 `PairKernel.summary` keeps the summaries of the current lambda per
 truncation, and computes a census only when one is asked for.
+`PairKernel.limit_profile` holds the pair's limit operators, which bound the
+lower constant of the whole infinite section from above (`LimitProfile`).
 
 Each banded Gram matrix is reduced to tridiagonal form once (LAPACK
 zhbtrd), and its smallest and largest eigenvalues and its census all come
@@ -39,6 +41,7 @@ matrix instead of ARPACK.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -50,7 +53,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .config import RunConfig
-from .spaces import ScaleSpace, modes
+from .spaces import Basis, ScaleSpace, modes, slot_modes
 
 _DENSE_ALWAYS = 96  # below this size dense SVD beats the structured routes
 _ARPACK_MIN_N = 8  # smallest operator side served by the iterative sigma_max
@@ -211,6 +214,113 @@ def _gram_spectrum(a: scipy.sparse.spmatrix) -> _GramSpectrum:
     return _GramSpectrum(_herm_band_lower(gram))
 
 
+def _limit(values: np.ndarray, tails: list, growth: float) -> tuple:
+    """(limit, error bar) of a sampled sequence whose samples from ``tails[i]`` on
+    lie past the i-th checkpoint.
+
+    Tail sups that shrink by ``growth`` from each checkpoint to the next give
+    the decay verdict, and the limit is exactly 0. Otherwise the limit is read
+    at the deepest sample, and its error bar is the largest deviation from
+    that value past the middle checkpoint.
+    """
+    sups = [float(np.max(np.abs(values[t:]))) for t in tails]
+    if all(a >= growth * b for a, b in zip(sups, sups[1:])):
+        return 0.0, 0.0
+    return complex(values[-1]), float(np.max(np.abs(values[tails[1]:] - values[-1])))
+
+
+def _symbol_min(offsets: np.ndarray, limits: np.ndarray, shift: complex) -> float:
+    """min over theta of |sum_k L_k e^(i k theta) - shift|, approached from above.
+
+    A grid of 64 points per unit of bandwidth, then Newton steps on the
+    derivative of |a|^2 from every grid point. Each value met is |a| at some
+    theta, so the smallest of them never undershoots the minimum.
+    """
+    live = limits != 0
+    offsets, limits = offsets[live], limits[live]
+    width = int(np.max(np.abs(offsets), initial=0))
+    if width == 0:
+        return float(abs(np.sum(limits) - shift))
+    theta = np.linspace(0.0, 2.0 * np.pi, 64 * width, endpoint=False)
+    d1_coef, d2_coef = 1j * offsets * limits, -(offsets ** 2) * limits
+    best = float("inf")
+    for _ in range(8):
+        phase = np.exp(1j * np.outer(theta, offsets))
+        a = np.einsum("tk,k->t", phase, limits) - shift
+        d1 = np.einsum("tk,k->t", phase, d1_coef)
+        d2 = np.einsum("tk,k->t", phase, d2_coef)
+        best = min(best, float(np.min(np.abs(a))))
+        grad = 2.0 * np.real(np.conj(a) * d1)
+        curv = 2.0 * (np.abs(d1) ** 2 + np.real(np.conj(a) * d2))
+        convex = curv > 0
+        theta = np.where(convex, theta - grad / np.where(convex, curv, 1.0), theta)
+    return best
+
+
+class LimitProfile:
+    """The lambda-independent limit data of S(lambda) = W_F (X - lambda) W_E^{-1}.
+
+    Per mode direction (m -> +inf, and m -> -inf on the signed Fourier modes)
+    it holds the limits L_k of the diagonals k of W_F X W_E^{-1} (entries
+    (m + k, m)) and the limit rho of w_F / w_E. The limit operator of S in that
+    direction is the Laurent operator with symbol
+    a(theta) = sum_k L_k e^(i k theta) - lambda rho, and every limit operator
+    S_h satisfies nu(S) <= nu(S_h) = min_theta |a(theta)|, where nu is the
+    lower norm (Rabinovich, Roch & Silbermann 2004; Lindner 2006).
+
+    Entries are evaluated on a few dozen slots per dyadic block of the tail
+    up to ``symbol_probe``, never on every slot. Not a dataclass: generating
+    its methods would add about a millisecond to every import.
+    """
+
+    def __init__(self, directions: tuple, witness_n: int):
+        self.directions = directions  # (offsets, limits, summed error bar, rho, rho error bar)
+        self.witness_n = witness_n    # deepest probed slot
+
+    @classmethod
+    def probe(cls, basis: Basis, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig,
+              diagonals: dict) -> "LimitProfile":
+        """Profile from ``diagonals``, which maps each offset k to the function
+        of column modes m giving X[m + k, m]; an empty dict means that no
+        diagonal survives in the limit."""
+        probe = cfg.symbol_probe
+        checkpoints = (max(16, probe >> 9), max(32, probe >> 6), max(64, probe >> 3))
+        blocks = max(1, int(np.log2(probe / checkpoints[0])))
+        slots = np.unique(np.rint(np.geomspace(checkpoints[0], probe - 1, 32 * blocks))
+                          .astype(int))
+        slot_m = slot_modes(basis, slots).astype(float)
+        ks = sorted(diagonals)
+        offsets = np.array(ks, dtype=float)
+        directions = []
+        for sign in (1.0, -1.0):
+            pick = np.sign(slot_m) == sign
+            if not pick.any():
+                continue
+            m = slot_m[pick]
+            tails = [int(np.searchsorted(slots[pick], c)) for c in checkpoints]
+            w_e = e.weight_at(m)
+            seqs = [f.weight_at(m + k) * np.asarray(diagonals[k](m), dtype=complex) / w_e
+                    for k in ks]
+            limits = [_limit(v, tails, cfg.growth_threshold) for v in seqs]
+            rho, rho_error = _limit(f.weight_at(m) / w_e, tails, cfg.growth_threshold)
+            directions.append((offsets, np.array([lim for lim, _ in limits], dtype=complex),
+                               float(sum(err for _, err in limits)), rho, rho_error))
+        return cls(tuple(directions), int(slots[-1]))
+
+    def bound(self, lam: complex) -> tuple:
+        """(min_theta |a(theta)|, its error bar) in the direction where their
+        sum is smallest: an upper bound on the lower norm of S(lambda).
+        A direction whose sum is NaN is never chosen, and (inf, inf) means
+        that no direction gave a bound."""
+        best = (float("inf"), float("inf"))
+        for offsets, limits, error, rho, rho_error in self.directions:
+            value = _symbol_min(offsets, limits, lam * rho)
+            err = error + abs(lam) * rho_error
+            if value + err < best[0] + best[1]:
+                best = (value, err)
+        return best
+
+
 class PairKernel:
     """Singular-value summaries of W_F (X - lambda) W_E^{-1} for one pair."""
 
@@ -229,9 +339,9 @@ class PairKernel:
         if self._cache_len >= n:
             return
         self._symbol = self.x.rep.symbol(self.x.basis, n)
-        self._ratio = self.f.weights(n) / self.e.weights(n)
         self._wf = self.f.weights(n)
         self._we = self.e.weights(n)
+        self._ratio = self._wf / self._we
         self._cache_len = n
 
     def max_n(self) -> int:
@@ -257,6 +367,11 @@ class PairKernel:
     def norm_estimate(self, n: int) -> float:
         """Largest singular value of the unshifted weighted tall section."""
         return self.x.rep.norm_estimate(self, n)
+
+    @functools.cached_property
+    def limit_profile(self) -> Optional[LimitProfile]:
+        """The pair's `LimitProfile`, probed once; None when the representation has none."""
+        return self.x.rep.limit_profile(self.x, self.e, self.f, self.cfg)
 
     # -- strategies -----------------------------------------------------
     # Each returns the summary without its census, and the call that computes

@@ -48,7 +48,12 @@ class Basis(enum.Enum):
 
 def modes(basis: Basis, n: int) -> np.ndarray:
     """Mode numbers addressed by the first n coefficient slots."""
-    j = np.arange(n)
+    return slot_modes(basis, np.arange(n))
+
+
+def slot_modes(basis: Basis, j: np.ndarray) -> np.ndarray:
+    """Mode numbers addressed by the coefficient slots ``j``."""
+    j = np.asarray(j)
     if basis is Basis.FOURIER:
         return np.where(j % 2 == 1, (j + 1) // 2, -(j // 2))
     return j

@@ -201,17 +201,24 @@ def test_registry_names_and_serialization():
         assert "expected_spectrum" in data
 
 
-@pytest.mark.parametrize("name,grid", [
-    ("diagonal[1/(n+1)]", GridSpec(-0.3, 1.2, 7, -0.2, 0.2, 3)),
-    ("diagonal[n+1]", GridSpec(0.5, 3.5, 7, -0.5, 0.5, 3)),
-    ("scale-generator", GridSpec(0.5, 3.5, 7, -0.5, 0.5, 3)),
-    ("position", GridSpec(-1.0, 1.0, 3, -0.5, 0.5, 2)),
-    ("torus-delta", GridSpec(-1.0, 1.0, 3, -0.5, 0.5, 2)),
-    ("multiplier[cos(t)]", GridSpec(-1.5, 1.5, 5, -0.4, 0.4, 2)),
-])
-def test_scan_agrees_with_expected_spectrum(name, grid):
+SHORT_SCAN = {"scan_n0": 64, "scan_n_max": 1024}
+SCAN_CASES = [
+    ("diagonal[1/(n+1)]", GridSpec(-0.3, 1.2, 7, -0.2, 0.2, 3), SHORT_SCAN),
+    ("diagonal[n+1]", GridSpec(0.5, 3.5, 7, -0.5, 0.5, 3), SHORT_SCAN),
+    ("scale-generator", GridSpec(0.5, 3.5, 7, -0.5, 0.5, 3), SHORT_SCAN),
+    ("position", GridSpec(-1.0, 1.0, 3, -0.5, 0.5, 2), SHORT_SCAN),
+    ("torus-delta", GridSpec(-1.0, 1.0, 3, -0.5, 0.5, 2), SHORT_SCAN),
+    ("multiplier[cos(t)]", GridSpec(-1.5, 1.5, 5, -0.4, 0.4, 2), SHORT_SCAN),
+    # the default scan_n_max reaches the plateau of position's compact pairs
+    ("position", GridSpec(-1.5, 1.5, 5, 0.5, 0.5, 1), {}),
+]
+
+
+@pytest.mark.parametrize("name,grid,schedule", [
+    pytest.param(*case, id=f"{case[0]}-grid{i}") for i, case in enumerate(SCAN_CASES)])
+def test_scan_agrees_with_expected_spectrum(name, grid, schedule):
     entry = registry()[name]
-    cfg = CFG.with_updates(scan_n0=64, scan_n_max=1024, duality_check=False)
+    cfg = CFG.with_updates(duality_check=False, **schedule)
     smap = union_spectrum_scan(entry.operator, entry.family, grid, cfg)
     for li, lam in enumerate(smap.lambdas):
         statuses = [smap.cells[pi][li].status for pi in range(len(smap.pair_labels))]

@@ -1,5 +1,6 @@
 """Regular points, defects, solves, Neumann continuation, identities, scans."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,15 +11,18 @@ import scipy.sparse.linalg
 from interspec.config import GridSpec, RunConfig
 from interspec.errors import (NeumannRadiusError, NotCertifiedError,
                               NotInResolventError, NotRegularError)
-from interspec.operators import Banded, CoefficientOperator, operator_from_spec
+from interspec import sections
+from interspec.operators import Banded, CoefficientOperator, certify, operator_from_spec
 from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, CellStatus,
+                                 _limit_status,
                                  branch_report, defect_number, equivalent,
                                  neumann_continue, point_status, regular_point,
                                  resolvent_identity_residuals, resolvent_solve,
                                  solver_handle, truncated_resolvent_apply,
                                  union_spectrum_scan)
-from interspec.gallery import (hermite_position, scale_generator_entry, torus_delta,
-                               torus_multiplication)
+from interspec.gallery import (hermite_position, registry, scale_generator_entry,
+                               torus_delta, torus_multiplication)
+from interspec.sections import PairKernel
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily,
                               hilbert_scale_family, sequence_power_family,
                               sobolev_torus_family)
@@ -431,3 +435,89 @@ def test_point_mass_never_resolvent():
     grid = GridSpec(-2.0, 1.0, 4, 0.0, 1.0, 2)
     smap = union_spectrum_scan(entry.operator, entry.family, grid, cfg)
     assert all(not u for u in smap.union_resolvent)
+
+
+# -- the limit-operator rule --------------------------------------------------
+
+
+@pytest.mark.parametrize("ke,kf", [(3, 2), (-2, -3)])
+def test_compact_position_pairs_are_not_regular_at_default_config(scale, ke, kf):
+    # S(lambda) is compact here (entries ~ m^-1/2), yet its sections plateau at
+    # 2.3163e-4 for n = 512..2048 and only fall further past scan_n_max
+    status = point_status(hermite_position().operator, 0.3 + 0.5j, scale.space_at(ke),
+                          scale.space_at(kf), CFG)
+    assert status.status == STATUS_NOT_REGULAR
+
+
+def test_compact_cell_is_decided_without_any_section(monkeypatch):
+    entry = registry()["multiplier[cos(t)]"]
+    x, e, f = entry.operator, entry.family.space_at(1), entry.family.space_at(0)
+    cert = certify(x, e, f, CFG)
+    calls = []
+    monkeypatch.setattr(PairKernel, "summary", lambda *args, **kw: calls.append("summary"))
+    monkeypatch.setattr(sections, "_band_tridiagonal", lambda ab: calls.append("reduction"))
+    status = point_status(x, 0.3 + 0.5j, e, f, CFG, cert=cert)
+    assert calls == []
+    assert status.status == STATUS_NOT_REGULAR and status.c_low == 0.0
+    assert math.isnan(status.d_high) and not status.stabilized
+    assert status.witness_n == CFG.symbol_probe - 1
+
+
+def test_slowly_decaying_diagonal_gets_no_verdict_and_runs_its_sections(monkeypatch):
+    def entry(mr, mc):
+        return (np.asarray(mr) == np.asarray(mc)) / np.log(np.asarray(mc, dtype=float) + 2.0)
+
+    x = CoefficientOperator(Basis.HERMITE, Banded(0, entry), name="1/log(m+2) diagonal")
+    s = sequence_power_family(range(-1, 2)).space_at(0)
+    kernel = PairKernel(x, s, s, CFG)
+    bound, error = kernel.limit_profile.bound(0.0)
+    assert bound > 0 and error > 0  # no decay verdict: the limit is read, with its error bar
+    summarized = []
+    summary = PairKernel.summary
+
+    def counted(self, lam, n, want_census=True):
+        summarized.append(n)
+        return summary(self, lam, n, want_census)
+
+    monkeypatch.setattr(PairKernel, "summary", counted)
+    point_status(x, 0.0, s, s, CFG, kernel=kernel)
+    assert summarized[:2] == [CFG.scan_n0, 2 * CFG.scan_n0]
+
+
+def test_nan_entries_in_the_probed_tail_decide_nothing():
+    def entry(mr, mc):
+        mc = np.asarray(mc, dtype=float)
+        return (np.asarray(mr) == mc) * np.where(mc < 10_000, 1.0, np.nan)
+
+    x = CoefficientOperator(Basis.HERMITE, Banded(0, entry), name="NaN past 10000")
+    s = sequence_power_family(range(-1, 2)).space_at(0)
+    assert point_status(x, 2.0, s, s, CFG).status == STATUS_RESOLVENT
+
+
+def test_limit_rule_agrees_with_its_dual_on_the_gallery():
+    # criterion 12's points; the rule needs certificates but no section
+    rng = np.random.default_rng(CFG.seed + 3)
+    lams = [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(10)]
+    decided = 0
+    for name, entry in sorted(registry().items()):
+        family = entry.family
+        if not family.closed_under_duality:
+            continue
+        adj = entry.operator.adjoint()
+        for e, f in family.admissible_pairs():
+            cert = certify(entry.operator, e, f, CFG)
+            if not cert.certified:
+                continue
+            ed, fd = family.dual_of(f), family.dual_of(e)
+            cert_dual = certify(adj, ed, fd, CFG)
+            assert cert_dual.certified, (name, e.label, f.label)
+            kernel = PairKernel(entry.operator, e, f, CFG)
+            kernel_dual = PairKernel(adj, ed, fd, CFG)
+            for lam in lams:
+                primal = _limit_status(kernel, lam, cert, CFG)
+                dual = _limit_status(kernel_dual, lam.conjugate(), cert_dual, CFG)
+                assert (primal is None) == (dual is None), (name, e.label, f.label, lam)
+                if primal is not None:
+                    decided += 1
+                    assert primal.c_low == pytest.approx(dual.c_low, rel=1e-12, abs=1e-300)
+    assert decided > 0

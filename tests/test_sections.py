@@ -323,3 +323,41 @@ def test_defect_number_summarizes_each_truncation_once(monkeypatch):
     report = defect_number(x, 0.3 + 0.5j, e, e, CFG)
     assert report.defect == 0
     assert set(Counter(summarized).values()) == {1}
+
+
+# -- limit profiles -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [0.3 + 0.5j, -1.2 + 0.5j, 2.0])
+def test_cosine_limit_symbol_minimum_is_the_distance_to_its_range(lam):
+    entry = registry()["multiplier[cos(t)]"]
+    w0 = entry.family.space_at(0)
+    bound, error = PairKernel(entry.operator, w0, w0, CFG).limit_profile.bound(lam)
+    lam = complex(lam)
+    assert error == 0.0
+    assert abs(bound - abs(lam - min(max(lam.real, -1.0), 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [-2, 0, 3])
+def test_decaying_diagonal_limit_bound_is_the_shift(k):
+    entry = registry()["diagonal[1/(n+1)]"]
+    s = entry.family.space_at(k)
+    profile = PairKernel(entry.operator, s, s, CFG).limit_profile
+    for lam in (0.3 + 0.5j, -1.2, 0.0):
+        assert profile.bound(lam) == (abs(lam), 0.0)
+
+
+@pytest.mark.parametrize("name", ["torus-delta", "torus-comb-4"])
+def test_point_masses_into_the_dual_rung_are_compact(name):
+    entry = registry()[name]
+    e, f = entry.family.space_at(1), entry.family.space_at(-1)
+    profile = PairKernel(entry.operator, e, f, CFG).limit_profile
+    for lam in (0.3 + 0.5j, -1.2 + 0.5j, 2.0):
+        assert profile.bound(lam) == (0.0, 0.0)
+
+
+def test_dense_generator_has_no_limit_profile():
+    x = operator_from_spec({"basis": "hermite",
+                            "rep": {"type": "dense", "entry": "1/(1+n+m)"}})
+    s = registry()["diagonal[n+1]"].family.space_at(0)
+    assert PairKernel(x, s, s, CFG).limit_profile is None
