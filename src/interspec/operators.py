@@ -10,9 +10,19 @@ The rest of the library reaches a representation only through the
 
 ``certify`` decides membership in C(E, F) through a three-valued outcome:
 certified (analytic-exact or truncation-stabilized), failed (norm grows
-without bound across doublings), or inconclusive. A finite truncation can
-never prove unboundedness, so the failure rule is an explicit divergence
-proxy: growth by ``growth_threshold`` across three doublings.
+without bound), or inconclusive. A finite truncation can never prove
+unboundedness, so every failure rule is an explicit divergence proxy:
+growth by ``growth_threshold`` of a running sup from 1/64 to 1/8 to all of
+``symbol_probe`` slots (`spaces.running_sup`), or of the section norm across
+three doublings.
+
+A band matrix is bounded exactly when its diagonals are:
+sup |a_ij| <= ||A|| <= sum_k sup_m |d_k(m)| (Schur's test; Lindner, *Infinite
+Matrices and their Finite Sections*, 2006, section 1.3). So ``Banded.certify``
+first probes the weighted diagonals w_F(m + k) X[m + k, m] / w_E(m) on the
+sampled tail slots of the limit probes, and fails the pair, with no section,
+when their running sup grows. Bounded diagonals, or a NaN among them, decide
+nothing, and the doubling schedule gives the certificate and its norm.
 """
 
 from __future__ import annotations
@@ -27,9 +37,9 @@ import scipy.sparse
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
-from .sections import _DENSE_ALWAYS, LimitProfile, PairKernel
-from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
-                     check_same_basis, dual_space, mode_to_position, modes, running_sup)
+from .sections import _DENSE_ALWAYS, LimitProfile, PairKernel, tail_slots
+from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
+                     dual_space, mode_to_position, modes, running_sup, slot_modes)
 
 CERT_EXACT = "analytic-exact"
 CERT_STABILIZED = "truncation-stabilized"
@@ -180,6 +190,19 @@ class Banded(Representation):
 
     def slot_bandwidth(self, basis):
         return 2 * self.bandwidth + 1 if basis is Basis.FOURIER else self.bandwidth
+
+    def certify(self, op, e, f, cfg):
+        # no entry of W_F X W_E^{-1} exceeds its norm: growing weighted
+        # diagonals fail the pair with no section (see the module docstring)
+        slots = tail_slots(cfg.symbol_probe)
+        m = slot_modes(op.basis, slots).astype(float)
+        band = range(-self.bandwidth, self.bandwidth + 1)
+        mags = np.max([np.abs(f.weight_at(m + k) * np.asarray(self.entry(m + k, m), dtype=complex))
+                       for k in band], axis=0) / e.weight_at(m)
+        if running_sup(mags, cfg.growth_threshold, slots)[1]:
+            return ContinuityCertificate(op.describe(), e, f, float("inf"), CERT_FAILED,
+                                         cfg.symbol_probe)
+        return super().certify(op, e, f, cfg)
 
     def summary(self, kernel, lam, n):
         if n > _DENSE_ALWAYS:

@@ -257,6 +257,14 @@ def _symbol_min(offsets: np.ndarray, limits: np.ndarray, shift: complex) -> floa
     return best
 
 
+def tail_slots(probe: int) -> np.ndarray:
+    """The coefficient slots that tail probes sample: 32 per dyadic block,
+    geometrically spaced from max(16, probe / 512) up to probe - 1."""
+    first = max(16, probe >> 9)
+    blocks = max(1, int(np.log2(probe / first)))
+    return np.unique(np.rint(np.geomspace(first, probe - 1, 32 * blocks)).astype(int))
+
+
 class LimitProfile:
     """The lambda-independent limit data of S(lambda) = W_F (X - lambda) W_E^{-1}.
 
@@ -285,9 +293,7 @@ class LimitProfile:
         diagonal survives in the limit."""
         probe = cfg.symbol_probe
         checkpoints = (max(16, probe >> 9), max(32, probe >> 6), max(64, probe >> 3))
-        blocks = max(1, int(np.log2(probe / checkpoints[0])))
-        slots = np.unique(np.rint(np.geomspace(checkpoints[0], probe - 1, 32 * blocks))
-                          .astype(int))
+        slots = tail_slots(probe)
         slot_m = slot_modes(basis, slots).astype(float)
         ks = sorted(diagonals)
         offsets = np.array(ks, dtype=float)

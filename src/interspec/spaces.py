@@ -304,13 +304,20 @@ def dual_space(space: ScaleSpace) -> ScaleSpace:
     return ScaleSpace(space.basis, -space.index, space.family)
 
 
-def running_sup(values: np.ndarray, growth_threshold: float):
+def running_sup(values: np.ndarray, growth_threshold: float, slots=None):
     """Sup of |values| with a divergence verdict: the running maximum over the
-    first 1/64, 1/8 and all of the slots grows by ``growth_threshold``."""
-    n = len(values)
-    checkpoints = [max(16, n >> 6), max(32, n >> 3), n]
+    first 1/64, 1/8 and all of the probed slots grows by ``growth_threshold``.
+
+    ``values`` sits on the ascending coefficient slots ``slots`` (every slot
+    from 0 when None), and the probe ends just past the last of them. A NaN,
+    or a first checkpoint that holds no slot, gives no divergence verdict.
+    """
     mags = np.abs(values)
-    maxima = [float(np.max(mags[:c])) for c in checkpoints]
+    n = len(mags) if slots is None else int(slots[-1]) + 1
+    ends = [max(16, n >> 6), max(32, n >> 3), n]
+    if slots is not None:
+        ends = np.searchsorted(slots, ends)
+    maxima = [float(np.max(mags[:end])) if end else float("nan") for end in ends]
     diverged = maxima[-1] >= growth_threshold * max(maxima[0], 1e-300)
     return maxima[-1], diverged
 

@@ -1,20 +1,24 @@
 """Forms, adjoints, continuity certificates, and the partial product."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
+from interspec import sections
 from interspec.config import RunConfig
 from interspec.errors import BasisMismatchError, ProductUndefinedError
-from interspec.operators import (CERT_EXACT, CERT_FAILED, CoefficientOperator,
-                                 Diagonal, RankSum, RankSumTerm, certify,
-                                 find_product_triple, framework_product,
+from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOperator,
+                                 Diagonal, RankSum, RankSumTerm, _certify_by_truncation,
+                                 certify, find_product_triple, framework_product,
                                  operator_from_spec, sesq_form, weighted_norm_series)
-from interspec.gallery import hermite_position, torus_delta
+from interspec.gallery import hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
-from interspec.spaces import (Basis, CoefficientVector, dual_space,
-                              hilbert_scale_family, sobolev_torus_family)
+from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, dual_space,
+                              hilbert_scale_family, modes, sobolev_torus_family)
 
 CFG = RunConfig()
+SPECS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +168,93 @@ def test_truncated_estimates_monotone_from_below(scale):
     assert all(b >= a - 1e-15 for a, b in zip(estimates, estimates[1:]))
     exact = certify(op, e, f, CFG).norm_bound
     assert all(est <= exact + 1e-12 for est in estimates)
+
+
+def _banded_gallery_pairs():
+    gallery = registry()
+    cases = [(gallery[name].operator, gallery[name].family)
+             for name in ("position", "multiplier[cos(t)]", "multiplier[2+cos(t)]")]
+    cases.append((gallery["position"].operator, ScaleFamily.from_json(SPECS / "hermite-h23.json")))
+    torus_w1 = ScaleFamily.from_json(SPECS / "torus-w1.json")
+    cases += [(gallery[name].operator, torus_w1)
+              for name in ("multiplier[cos(t)]", "multiplier[2+cos(t)]")]
+    return [(op, e, f) for op, family in cases for e, f in family.admissible_pairs()]
+
+
+@pytest.fixture(scope="module")
+def banded_certificates():
+    return [(op, e, f, certify(op, e, f, CFG)) for op, e, f in _banded_gallery_pairs()]
+
+
+def test_failed_banded_certificates_build_no_section(scale, monkeypatch):
+    def no_section(*args, **kwargs):
+        raise AssertionError("a failed banded certificate built a section")
+
+    monkeypatch.setattr(sections, "_band_tridiagonal", no_section)
+    monkeypatch.setattr(PairKernel, "banded_norm", no_section)
+    pos = hermite_position().operator
+    for space in scale:
+        cert = certify(pos, space, space, CFG)
+        assert cert.method == CERT_FAILED
+        assert cert.norm_bound == np.inf
+        assert cert.witness_n == CFG.symbol_probe
+
+
+def test_banded_certify_matches_doubling_schedule(banded_certificates):
+    for op, e, f, cert in banded_certificates:
+        schedule = _certify_by_truncation(op, e, f, CFG)
+        assert cert.method == schedule.method, (op.describe(), e.label, f.label)
+        if cert.certified:
+            assert cert.norm_bound == schedule.norm_bound
+            assert cert.witness_n == schedule.witness_n
+
+
+def test_banded_probe_meeting_nan_runs_the_schedule(scale):
+    # growing weighted diagonals, but NaN on every mode past 50000: the probe
+    # decides nothing and the schedule (which never reaches those modes) fails it
+    pos = hermite_position().operator.rep.entry
+
+    def entry(mr, mc):
+        return np.where(np.maximum(mr, mc) > 50_000, np.nan, pos(mr, mc))
+
+    op = CoefficientOperator(Basis.HERMITE, Banded(1, entry), symmetric=True)
+    e = scale.space_at(1)
+    cert = certify(op, e, e, CFG)
+    assert cert == _certify_by_truncation(op, e, e, CFG)
+    assert cert.method == CERT_FAILED and cert.witness_n < CFG.symbol_probe
+
+
+@pytest.mark.parametrize("symbol", ["n+1", "1/(n+1)", "log(n+2)"])
+def test_zero_band_verdict_matches_diagonal(scale, symbol):
+    diagonal = diag_op(symbol)
+    values = diagonal.rep.values
+    banded = CoefficientOperator(Basis.HERMITE, Banded(0, lambda mr, mc: values(mc)),
+                                 symmetric=True)
+    e = scale.space_at(1)
+    expected = certify(diagonal, e, e, CFG).method == CERT_FAILED
+    assert (certify(banded, e, e, CFG).method == CERT_FAILED) == expected
+    assert expected == (symbol != "1/(n+1)")
+
+
+def test_certified_banded_norms_within_schur_sandwich(banded_certificates):
+    # max |entry| <= ||W_F X W_E^{-1}|| <= sum_k sup_m |d_k(m)| (Lindner 2006, 1.3),
+    # with both sups over every probed slot
+    slack = 1.0 + CFG.rel_tol
+    checked = 0
+    for op, e, f, cert in banded_certificates:
+        if not cert.certified:
+            continue
+        m = modes(op.basis, CFG.symbol_probe).astype(float)
+        band = range(-op.rep.bandwidth, op.rep.bandwidth + 1)
+        sups = []
+        for k in band:
+            mk = m if op.basis is Basis.FOURIER else m[m + k >= 0]
+            d_k = f.weight_at(mk + k) * np.asarray(op.rep.entry(mk + k, mk)) / e.weight_at(mk)
+            sups.append(float(np.max(np.abs(d_k))))
+        assert max(sups) <= cert.norm_bound * slack <= sum(sups) * slack, \
+            (op.describe(), e.label, f.label)
+        checked += 1
+    assert checked == 69
 
 
 LIST_RANK_ONE = {"basis": "fourier",
