@@ -28,9 +28,9 @@ from .expressions import compile_expression, format_complex, parse_complex
 from .extensions import (DeltaInteraction, UnitIntervalQuadrature,
                          bound_state_estimate, krein_difference_check,
                          momentum_union_resolvent)
-from .gallery import registry
+from .gallery import BUILDERS, GalleryEntry
 from .geneig import delta_eigenpair, expansion_check, parseval_gap
-from .operators import CoefficientOperator, operator_from_json
+from .operators import operator_from_json
 from .resolvent import (branch_report, neumann_continue, resolvent_solve,
                         union_spectrum_scan)
 from .spaces import Basis, CoefficientVector, ScaleFamily
@@ -40,25 +40,25 @@ _PRECONDITION_ERRORS = (NotCertifiedError, NotRegularError, NotInResolventError,
                         NoBoundStateError, ProductUndefinedError)
 
 
-def _load_operator(ref: str) -> CoefficientOperator:
-    if ref.startswith("gallery:"):
-        name = ref.split(":", 1)[1]
-        entries = registry()
-        if name not in entries:
-            raise SpecParseError(f"unknown gallery entry {name!r}; "
-                                 f"known: {sorted(entries)}")
-        return entries[name].operator
-    return operator_from_json(ref)
+def _load_operands(args) -> tuple:
+    """The operator and the family that ``args`` name. Only a named gallery
+    entry is built, and once when both name the same entry."""
+    built: dict = {}
 
-
-def _load_family(ref: str) -> ScaleFamily:
-    if ref.startswith("gallery:"):
+    def gallery_entry(ref: str) -> GalleryEntry:
         name = ref.split(":", 1)[1]
-        entries = registry()
-        if name not in entries:
-            raise SpecParseError(f"unknown gallery entry {name!r}")
-        return entries[name].family
-    return ScaleFamily.from_json(ref)
+        if name not in built:
+            if name not in BUILDERS:
+                raise SpecParseError(f"unknown gallery entry {name!r}; "
+                                     f"known: {sorted(BUILDERS)}")
+            built[name] = BUILDERS[name]()
+        return built[name]
+
+    op = gallery_entry(args.operator).operator if args.operator.startswith("gallery:") \
+        else operator_from_json(args.operator)
+    family = gallery_entry(args.family).family if args.family.startswith("gallery:") \
+        else ScaleFamily.from_json(args.family)
+    return op, family
 
 
 def _load_config(path: Optional[str]) -> RunConfig:
@@ -92,8 +92,7 @@ def _emit_json(data: dict, out: Optional[str]) -> None:
 
 def _cmd_scan(args) -> int:
     cfg = _load_config(args.config)
-    op = _load_operator(args.operator)
-    family = _load_family(args.family)
+    op, family = _load_operands(args)
     grid = GridSpec.parse(args.grid)
     smap = union_spectrum_scan(op, family, grid, cfg)
     os.makedirs(args.out, exist_ok=True)
@@ -120,8 +119,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_branches(args) -> int:
     cfg = _load_config(args.config)
-    op = _load_operator(args.operator)
-    family = _load_family(args.family)
+    op, family = _load_operands(args)
     lam = parse_complex(getattr(args, "lambda"))
     report = branch_report(op, family, lam, cfg)
     _emit_json(report.to_json_dict(), args.out)
@@ -130,8 +128,7 @@ def _cmd_branches(args) -> int:
 
 def _cmd_neumann(args) -> int:
     cfg = _load_config(args.config)
-    op = _load_operator(args.operator)
-    family = _load_family(args.family)
+    op, family = _load_operands(args)
     e_index, f_index = args.pair.split(",")
     e = family.space_at(e_index.strip())
     f = family.space_at(f_index.strip())
@@ -264,14 +261,13 @@ def _cmd_expansion(args) -> int:
 
 
 def _cmd_gallery(args) -> int:
-    entries = registry()
     if args.action == "list":
-        for name in sorted(entries):
+        for name in sorted(BUILDERS):
             sys.stdout.write(name + "\n")
         return 0
-    if args.name not in entries:
+    if args.name not in BUILDERS:
         raise SpecParseError(f"unknown gallery entry {args.name!r}")
-    _emit_json(entries[args.name].to_json_dict(), None)
+    _emit_json(BUILDERS[args.name]().to_json_dict(), None)
     return 0
 
 

@@ -289,18 +289,22 @@ def torus_multiplication(symbol: str, order: int = 2, samples: int = 10_000,
 # registry and family-contrast report
 
 
+# name -> builder of that entry alone; the names are the entries' own
+BUILDERS = {
+    "diagonal[1/(n+1)]": lambda: hermite_diagonal("1/(n+1)"),
+    "diagonal[n+1]": lambda: hermite_diagonal("n+1"),
+    "scale-generator": lambda: scale_generator_entry("n+1"),
+    "position": hermite_position,
+    "torus-delta": torus_delta,
+    "torus-comb-4": lambda: torus_comb(4),
+    "multiplier[cos(t)]": lambda: torus_multiplication("cos(t)"),
+    "multiplier[2+cos(t)]": lambda: torus_multiplication("2+cos(t)"),
+}
+
+
 def registry() -> dict:
-    entries = [
-        hermite_diagonal("1/(n+1)"),
-        hermite_diagonal("n+1"),
-        scale_generator_entry("n+1"),
-        hermite_position(),
-        torus_delta(),
-        torus_comb(4),
-        torus_multiplication("cos(t)"),
-        torus_multiplication("2+cos(t)"),
-    ]
-    return {entry.name: entry for entry in entries}
+    """Every gallery entry, built afresh, by name."""
+    return {name: build() for name, build in BUILDERS.items()}
 
 
 def position_family_contrast(cfg: RunConfig = DEFAULT_CONFIG) -> dict:

@@ -28,7 +28,7 @@ nothing, and the doubling schedule gives the certificate and its norm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -106,6 +106,7 @@ class Representation:
 class Diagonal(Representation):
     values: Callable[[np.ndarray], np.ndarray]
     source: Optional[str] = None
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entries(self, mr, mc):
         out = np.zeros((len(mr), len(mc)), dtype=complex)
@@ -126,7 +127,8 @@ class Diagonal(Representation):
 
     def certify(self, op, e, f, cfg):
         probe = cfg.symbol_probe
-        ratio = f.weights(probe) / e.weights(probe)
+        m = modes(op.basis, probe)
+        ratio = f.weight_at(m) / e.weight_at(m)
         bound, diverged = running_sup(self.symbol(op.basis, probe) * ratio,
                                       cfg.growth_threshold)
         return ContinuityCertificate(op.describe(), e, f, float("inf") if diverged else bound,
@@ -140,7 +142,16 @@ class Diagonal(Representation):
         return max(cfg.scan_n_max, 1 << 15)
 
     def symbol(self, basis, n):
-        return np.asarray(self.values(modes(basis, n).astype(float)), dtype=complex)
+        """Symbol on the first n slots of ``basis``, a read-only view into the one
+        array held per basis; only a longer prefix than any asked before is
+        evaluated. Certificates ask for ``symbol_probe`` slots, so once one is
+        taken the operator holds that many (2 MB at the default probe)."""
+        held = self._held.get(basis)
+        if held is None or len(held) < n:
+            held = np.array(self.values(modes(basis, n).astype(float)), dtype=complex)
+            held.flags.writeable = False
+            self._held[basis] = held
+        return held[:n]
 
     def limit_profile(self, op, e, f, cfg):
         return LimitProfile.probe(op.basis, e, f, cfg, {0: self.values})

@@ -16,7 +16,12 @@ Gram eigenvalues, rank sums use a Woodbury inverse inside a Lanczos loop,
 and only dense generators fall back to full SVDs. `PairKernel` holds the
 strategies; the operator's representation picks one for each truncation.
 `PairKernel.summary` keeps the summaries of the current lambda per
-truncation, and computes a census only when one is asked for.
+truncation, and computes a census only when one is asked for. A kernel
+holds no weights or symbol of its own, only the diagonal route's ratio
+w_F / w_E: it reads prefix views of the arrays that its spaces
+(`ScaleSpace.weights`) and a diagonal representation (`Diagonal.symbol`)
+hold, so all pairs that share a rung, and the duality pass, evaluate each
+weight sequence once.
 `PairKernel.limit_profile` holds the pair's limit operators, which bound the
 lower constant of the whole infinite section from above (`LimitProfile`).
 
@@ -283,7 +288,7 @@ class LimitProfile:
 
     def __init__(self, directions: tuple, witness_n: int):
         self.directions = directions  # (offsets, limits, summed error bar, rho, rho error bar)
-        self.witness_n = witness_n    # deepest probed slot
+        self.witness_n = witness_n    # slots probed: the last sampled slot plus one
 
     @classmethod
     def probe(cls, basis: Basis, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig,
@@ -311,7 +316,7 @@ class LimitProfile:
             rho, rho_error = _limit(f.weight_at(m) / w_e, tails, cfg.growth_threshold)
             directions.append((offsets, np.array([lim for lim, _ in limits], dtype=complex),
                                float(sum(err for _, err in limits)), rho, rho_error))
-        return cls(tuple(directions), int(slots[-1]))
+        return cls(tuple(directions), int(slots[-1]) + 1)
 
     def bound(self, lam: complex) -> tuple:
         """(min_theta |a(theta)|, its error bar) in the direction where their
@@ -335,20 +340,9 @@ class PairKernel:
         self.e = e
         self.f = f
         self.cfg = cfg
-        self._cache_len = 0  # symbol and weight caches: see _ensure_arrays
         self._lam: Optional[complex] = None
         self._memo: dict = {}  # n -> (summary, census call), at lambda = self._lam
-
-    # -- shared data ----------------------------------------------------
-
-    def _ensure_arrays(self, n: int) -> None:
-        if self._cache_len >= n:
-            return
-        self._symbol = self.x.rep.symbol(self.x.basis, n)
-        self._wf = self.f.weights(n)
-        self._we = self.e.weights(n)
-        self._ratio = self._wf / self._we
-        self._cache_len = n
+        self._ratio = np.empty(0)  # w_F / w_E, grown like the spaces' weights
 
     def max_n(self) -> int:
         return self.x.rep.max_n(self.cfg)
@@ -386,8 +380,11 @@ class PairKernel:
     # until the cyclic garbage collector runs.
 
     def diagonal_summary(self, lam: complex, n: int) -> tuple:
-        self._ensure_arrays(n)
-        vals = np.abs(self._symbol[:n] - lam) * self._ratio[:n]
+        # the ratio is held because every lambda of a scan reads it; dividing
+        # anew would add a fourth pass over n values to a route that has three
+        if len(self._ratio) < n:
+            self._ratio = self.f.weights(n) / self.e.weights(n)
+        vals = np.abs(self.x.rep.symbol(self.x.basis, n) - lam) * self._ratio[:n]
         d_high = float(np.max(vals))
         c_low = float(np.min(vals))
         return (SectionSummary(n, c_low, d_high, c_low, None),
@@ -395,10 +392,10 @@ class PairKernel:
 
     def _sparse_shifted(self, lam: complex, rows: int, cols: int) -> scipy.sparse.csr_matrix:
         sec = self.x.section(rows, cols)
-        self._ensure_arrays(max(rows, cols))
         i = np.repeat(np.arange(rows), np.diff(sec.indptr))
         j = sec.indices
-        vals = np.where(i == j, sec.data - lam, sec.data) * self._wf[i] / self._we[j]
+        vals = np.where(i == j, sec.data - lam, sec.data) * self.f.weights(rows)[i] \
+            / self.e.weights(cols)[j]
         return scipy.sparse.csr_matrix((vals, j, sec.indptr), shape=(rows, cols))
 
     def banded_summary(self, lam: complex, n: int) -> tuple:
@@ -422,9 +419,8 @@ class PairKernel:
         # square view: rank-sum columns have unbounded support, so margins
         # cannot make the tall view exact anyway
         rep = self.x.rep
-        self._ensure_arrays(n)
         m = modes(self.x.basis, n).astype(float)
-        wf, we = self._wf[:n], self._we[:n]
+        wf, we = self.f.weights(n), self.e.weights(n)
         vt = np.stack([np.asarray(t.v(m), dtype=complex) * wf for t in rep.terms], axis=1)
         ut = np.stack([np.asarray(t.u(m), dtype=complex) / we for t in rep.terms], axis=1)
         diag = -lam * (wf / we)
@@ -478,16 +474,16 @@ class PairKernel:
         pb = self.x.position_bandwidth()
         margin = pb if pb is not None else self.cfg.section_margin
         rows = n + margin
-        self._ensure_arrays(rows + margin)
+        wf, we = self.f.weights(rows), self.e.weights(rows)
         tall = self.x.matrix(rows, n).astype(complex)
         tall[np.arange(n), np.arange(n)] -= lam
-        tall *= self._wf[:rows, None]
-        tall /= self._we[None, :n]
+        tall *= wf[:, None]
+        tall /= we[None, :n]
         sv_tall = _svdvals(tall)
         wide = self.x.matrix(n, rows).astype(complex)
         wide[np.arange(n), np.arange(n)] -= lam
-        wide *= self._wf[:n, None]
-        wide /= self._we[None, :rows]
+        wide *= wf[:n, None]
+        wide /= we[None, :]
         sv_wide = _svdvals(wide)
         return (SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]), float(sv_wide[-1]), None),
                 lambda cfg: int(np.sum(sv_wide < cfg.defect_eps * sv_wide[0])))

@@ -16,6 +16,15 @@ Weight conventions:
 Index 0 always carries the flat weight so that the central space is exactly
 self-dual. Negative indices are stored as exact reciprocals of the positive
 ones, which makes the duality involution an identity on floats.
+
+Each space holds one read-only weight array, as long as the longest prefix
+asked of ``ScaleSpace.weights`` so far, and hands out prefix views of it: the
+norms, section summaries and solves of every pair that shares a rung read
+the same array. A prefix of an elementwise evaluation over contiguous modes
+is bit for bit the evaluation of the prefix, so holding changes no value.
+Tail probes over ``symbol_probe`` slots (`embedding_norm`, certificates,
+limit profiles) evaluate ``weight_at`` on their modes and hold nothing: at
+the default probe that would be 1 MB per rung.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -229,6 +238,7 @@ class ScaleSpace:
     index: Fraction
     family: object
     label: str = ""
+    _held: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = _as_index(self.index)
@@ -237,7 +247,13 @@ class ScaleSpace:
             object.__setattr__(self, "label", f"{self.family.prefix}_{index}")
 
     def weights(self, n: int) -> np.ndarray:
-        return np.asarray(self.family.weight(self.index, modes(self.basis, n)), dtype=float)
+        """Weights on the first n slots, a read-only view into the held array;
+        only a longer prefix than any asked before is evaluated."""
+        if self._held is None or len(self._held) < n:
+            held = self.weight_at(modes(self.basis, n))
+            held.flags.writeable = False
+            object.__setattr__(self, "_held", held)
+        return self._held[:n]
 
     def weight_at(self, m: np.ndarray) -> np.ndarray:
         return np.asarray(self.family.weight(self.index, m), dtype=float)
@@ -331,8 +347,8 @@ def embedding_norm(e: ScaleSpace, f: ScaleSpace, cfg: RunConfig = DEFAULT_CONFIG
     check_same_basis(e, f)
     if e == f:
         return 1.0
-    sup, diverged = running_sup(f.weights(cfg.symbol_probe) / e.weights(cfg.symbol_probe),
-                                cfg.growth_threshold)
+    m = modes(e.basis, cfg.symbol_probe)
+    sup, diverged = running_sup(f.weight_at(m) / e.weight_at(m), cfg.growth_threshold)
     return float("inf") if diverged else sup
 
 

@@ -3,8 +3,10 @@
 import csv
 import gc
 import json
+import pathlib
 import warnings
 
+from interspec import gallery
 from interspec.cli import main
 from interspec.expressions import parse_complex
 
@@ -165,3 +167,20 @@ def test_bad_arguments_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+def test_scan_builds_only_the_gallery_entry_it_names(tmp_path, capsys, monkeypatch):
+    built = []
+    for name, build in list(gallery.BUILDERS.items()):
+        monkeypatch.setitem(gallery.BUILDERS, name,
+                            lambda name=name, build=build: built.append(name) or build())
+    config = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs" / "smoke-config.json"
+    code, _, _ = run(capsys, "scan", "--operator", "gallery:torus-delta",
+                     "--family", "gallery:torus-delta", "--grid=0.5:0.7:2,0.5:0.5:1",
+                     "--config", str(config), "--out", str(tmp_path / "scan"))
+    assert code == 0
+    assert built == ["torus-delta"]
+    code, _, err = run(capsys, "scan", "--operator", "gallery:nonsense",
+                       "--family", "gallery:torus-delta", "--grid=0.5:0.7:2",
+                       "--out", str(tmp_path / "none"))
+    assert code == 2 and "nonsense" in err and "torus-delta" in err

@@ -195,7 +195,8 @@ def test_non_trig_polynomial_rejected():
 def test_registry_names_and_serialization():
     entries = registry()
     assert {"position", "torus-delta", "scale-generator"} <= set(entries)
-    for entry in entries.values():
+    for name, entry in entries.items():
+        assert entry.name == name  # each builder is filed under its entry's own name
         data = entry.to_json_dict()
         assert data["name"] == entry.name
         assert "expected_spectrum" in data

@@ -460,7 +460,7 @@ def test_compact_cell_is_decided_without_any_section(monkeypatch):
     assert calls == []
     assert status.status == STATUS_NOT_REGULAR and status.c_low == 0.0
     assert math.isnan(status.d_high) and not status.stabilized
-    assert status.witness_n == CFG.symbol_probe - 1
+    assert status.witness_n == CFG.symbol_probe
 
 
 def test_slowly_decaying_diagonal_gets_no_verdict_and_runs_its_sections(monkeypatch):

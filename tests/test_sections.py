@@ -10,13 +10,14 @@ import scipy.sparse
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from interspec import sections
-from interspec.config import RunConfig
+from interspec.config import GridSpec, RunConfig
 from interspec.gallery import (hermite_position, registry, scale_generator_entry, torus_comb,
                                torus_delta, torus_multiplication)
 from interspec.operators import certify, operator_from_spec
-from interspec.resolvent import STATUS_RESOLVENT, defect_number, point_status
+from interspec.resolvent import (STATUS_RESOLVENT, branch_report, defect_number,
+                                 point_status, union_spectrum_scan)
 from interspec.sections import _DENSE_ALWAYS, PairKernel, SectionSummary
-from interspec.spaces import modes
+from interspec.spaces import Basis, DiagonalScaleWeights, modes
 
 CFG = RunConfig()
 SHAPES = ((40, 37), (37, 40), (64, 64), (1, 5))
@@ -361,3 +362,61 @@ def test_dense_generator_has_no_limit_profile():
                             "rep": {"type": "dense", "entry": "1/(1+n+m)"}})
     s = registry()["diagonal[n+1]"].family.space_at(0)
     assert PairKernel(x, s, s, CFG).limit_profile is None
+
+
+# -- held symbols and weights ------------------------------------------------------
+
+HELD_ORDER = (7, 4096, 256, 32768, 1)
+
+
+@pytest.mark.parametrize("make", [lambda: scale_generator_entry().operator.rep,
+                                  lambda: registry()["diagonal[1/(n+1)]"].operator.rep,
+                                  lambda: operator_from_spec({
+                                      "basis": "fourier",
+                                      "rep": {"type": "diagonal",
+                                              "symbol": "1/(1+n^2) + i*sqrt(abs(n))"}}
+                                  ).rep.adjoint()],
+                         ids=["scale-generator", "decay", "complex-adjoint"])
+def test_held_symbol_is_bit_identical_to_a_fresh_evaluation(make):
+    rep = make()
+    for basis in (Basis.HERMITE, Basis.FOURIER):
+        for n in HELD_ORDER:
+            with np.errstate(divide="ignore"):  # 1/(n+1) at Fourier mode -1
+                fresh = np.asarray(rep.values(modes(basis, n).astype(float)), dtype=complex)
+                held = rep.symbol(basis, n)
+            assert np.array_equal(held, fresh), (basis, n)
+    with pytest.raises(ValueError):
+        rep.symbol(Basis.HERMITE, 8)[0] = 0.0
+
+
+def _count_weight_evaluations(monkeypatch, below: int) -> list:
+    counted = []
+    weight = DiagonalScaleWeights.weight
+
+    def counting(self, k, m):
+        if np.size(m) < below:
+            counted.append(np.size(m))
+        return weight(self, k, m)
+
+    monkeypatch.setattr(DiagonalScaleWeights, "weight", counting)
+    return counted
+
+
+def test_branch_report_evaluates_each_rung_weight_once_per_length(monkeypatch):
+    # every handle's 64 probe solves take norms in the finest rung, and every
+    # pair's sections read its two rungs: 10370 evaluations when each kernel
+    # and each norm evaluated its own weights
+    entry = scale_generator_entry()
+    counted = _count_weight_evaluations(monkeypatch, CFG.symbol_probe)
+    report = branch_report(entry.operator, entry.family, 3.3 + 0.6j, CFG)
+    assert report.equivalences and all(same for _, _, same in report.equivalences)
+    assert len(counted) < 200
+
+
+def test_scan_holds_no_tail_probe_length_array():
+    entry = scale_generator_entry()
+    union_spectrum_scan(entry.operator, entry.family, GridSpec.parse("1.5:2.5:2,0.5:0.5:1"),
+                        CFG)
+    for space in entry.family:
+        held = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+        assert held and all(len(v) < CFG.symbol_probe for v in held), space.label

@@ -1,11 +1,14 @@
 """Norms, duality, and embeddings of the weighted sequence spaces."""
 
+import pathlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from interspec.errors import BasisMismatchError
+from interspec.gallery import registry
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
                               DiagonalScaleWeights, SequencePowerWeights,
                               dual_space, embedding_norm, hilbert_scale_family,
@@ -157,3 +160,33 @@ def test_intersection_is_finer_space_on_chains(scale):
 def test_empty_family_allowed():
     fam = ScaleFamily(Basis.HERMITE, ())
     assert fam.admissible_pairs() == []
+
+
+# -- held weight arrays --------------------------------------------------------
+
+ORDER = (7, 4096, 256, 32768, 1)  # grow, shrink, grow past, shrink to one
+
+
+def _every_rung():
+    specs = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs"
+    families = [entry.family for entry in registry().values()]
+    families += [ScaleFamily.from_json(str(path)) for path in sorted(specs.glob("*.json"))
+                 if "basis" in path.read_text()]
+    return [space for family in families for space in family]
+
+
+def test_held_weights_are_bit_identical_to_a_fresh_evaluation():
+    rungs = _every_rung()
+    assert len(rungs) > 60
+    for space in rungs:
+        for n in ORDER:
+            fresh = space.family.weight(space.index, modes(space.basis, n))
+            assert np.array_equal(space.weights(n), fresh), (space.label, n)
+
+
+def test_held_weights_are_read_only(scale):
+    w = scale.space_at(2).weights(16)
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+    assert np.array_equal(scale.space_at(2).weights(16),
+                          scale.space_at(2).weight_at(modes(Basis.HERMITE, 16)))
