@@ -102,6 +102,9 @@ class RunConfig:
                 raise SpecParseError(f"tolerance {name} must be positive")
         if self.n0 > self.n_max or self.scan_n0 > self.scan_n_max:
             raise SpecParseError("n0 must not exceed n_max")
+        if self.dense_cap < self.scan_n0:
+            # dense scans stop at dense_cap and would walk no truncation
+            raise SpecParseError("dense_cap must not be below scan_n0")
         if self.growth_threshold <= 1:
             raise SpecParseError("growth_threshold must exceed 1")
 

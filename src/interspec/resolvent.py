@@ -15,6 +15,16 @@ Statuses attached to a point lambda for a pair (E, F) with E inside F:
 * ``no-extension``    no certified continuous extension on the pair;
 * ``inconclusive``    none of the above could be established by n_max.
 
+One decision colors a point. It applies its rules once each, first match
+wins: the certificate, the limit operators, a vanishing lower constant at
+some truncation, a vanishing wide-view constant plus census, a stabilized
+doubling walk plus census, sustained shrink, and otherwise inconclusive.
+Sections are taken along one doubling walk; the census compares the walk's
+last two truncations, and "vanishing" means at most ``regular_eps`` times
+max(d_high, |lambda|, 1). `point_status`, `regular_point` and
+`defect_number` are views of that decision: lambda is in the (E, F)
+resolvent set exactly when it is regular with defect 0.
+
 Grid scans never claim set equalities: they color grid points, and the
 acceptance layer compares colors against analytic membership predicates.
 """
@@ -60,10 +70,12 @@ class RegularPointReport:
     d_high: float
     stabilized: bool
     witness_n: int
+    defect: Optional[object] = None  # the decision's census, None when it never took one
 
     @property
     def regular(self) -> bool:
-        return self.stabilized and self.c_low > 0
+        """Did the decision get as far as its census step?"""
+        return self.defect is not None
 
 
 @dataclass(frozen=True)
@@ -103,31 +115,27 @@ def _s_low(summary: SectionSummary) -> float:
     return min(summary.c_low, summary.surj_low)
 
 
-def _summaries(kernel: PairKernel, lam: complex, cfg: RunConfig,
-               want_census: bool) -> list:
-    """Section summaries along the doubling schedule, stopping once decided."""
+def _walk(kernel: PairKernel, lam: complex, cfg: RunConfig) -> tuple:
+    """Summaries along the doubling schedule, and why the walk stopped.
+
+    It stops at "stabilized" when the last two lower constants agree within
+    ``rel_tol``, at "shrink" when they fell at every doubling and by
+    ``growth_threshold`` overall across at least three, and otherwise (None)
+    when the truncations run out.
+    """
     out = []
     n = cfg.scan_n0
     top = kernel.max_n()
     while n <= top and len(out) < 9:
-        out.append(kernel.summary(lam, n, want_census=want_census))
-        if len(out) >= 2 and _stabilized(out, cfg):
-            break
+        out.append(kernel.summary(lam, n, want_census=False))
         lows = [_s_low(s) for s in out]
+        if len(lows) >= 2 and abs(lows[-1] - lows[-2]) <= cfg.rel_tol * max(lows[-1], 1e-300):
+            return out, "stabilized"
         if (len(lows) >= 4 and all(b <= a for a, b in zip(lows, lows[1:]))
                 and lows[0] >= cfg.growth_threshold * lows[-1]):
-            break  # sustained shrink: the trend rule below will classify it
+            return out, "shrink"
         n *= 2
-    return out
-
-
-def _stabilized(summaries: Sequence[SectionSummary], cfg: RunConfig) -> bool:
-    prev, last = _s_low(summaries[-2]), _s_low(summaries[-1])
-    return abs(last - prev) <= cfg.rel_tol * max(last, 1e-300)
-
-
-def _scale(summary: SectionSummary, lam: complex) -> float:
-    return max(summary.d_high, abs(lam), 1.0)
+    return out, None
 
 
 def _limit_status(kernel: PairKernel, lam: complex, cert: ContinuityCertificate,
@@ -136,8 +144,9 @@ def _limit_status(kernel: PairKernel, lam: complex, cert: ContinuityCertificate,
 
     Every limit operator bounds the lower norm of the weighted section from
     above (see `LimitProfile`), so a bound that lies within ``regular_eps``
-    of zero together with its error bar is conclusive. The scale is
-    `_scale`'s, with the certificate's norm bound in place of d_high.
+    of zero together with its error bar is conclusive. The scale is the
+    sections' max(d_high, |lambda|, 1), with the certificate's norm bound in
+    place of d_high.
     """
     profile = kernel.limit_profile
     if profile is None:
@@ -148,101 +157,95 @@ def _limit_status(kernel: PairKernel, lam: complex, cert: ContinuityCertificate,
     return CellStatus(STATUS_NOT_REGULAR, bound, witness_n=profile.witness_n)
 
 
+def _decide(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
+            cfg: RunConfig, cert: Optional[ContinuityCertificate],
+            kernel: Optional[PairKernel]) -> tuple:
+    """The one classification of lambda on (E, F), and the summaries it walked
+    (none when the certificate or the limit operators decide)."""
+    cert = cert if cert is not None else certify(x, e, f, cfg)
+    if not cert.certified:
+        status = STATUS_NO_EXTENSION if cert.method == CERT_FAILED else STATUS_INCONCLUSIVE
+        return CellStatus(status, witness_n=cert.witness_n), []
+    kernel = kernel if kernel is not None else PairKernel(x, e, f, cfg)
+    decided = _limit_status(kernel, lam, cert, cfg)
+    if decided is not None:
+        return decided, []
+    summaries, stop = _walk(kernel, lam, cfg)
+    last = summaries[-1]
+    eps = lambda s: cfg.regular_eps * max(s.d_high, abs(lam), 1.0)
+    # a vanishing lower bound at any truncation is conclusive
+    vanishing = next((s for s in summaries if _s_low(s) <= eps(s)), None)
+    if vanishing is not None and vanishing.c_low <= eps(vanishing):
+        return CellStatus(STATUS_NOT_REGULAR, vanishing.c_low, vanishing.d_high,
+                          witness_n=vanishing.n, stabilized=True), summaries
+    if vanishing is None and stop != "stabilized":
+        status = STATUS_NOT_REGULAR if stop == "shrink" else STATUS_INCONCLUSIVE
+        return CellStatus(status, last.c_low, last.d_high, witness_n=last.n), summaries
+    # bounded below, and injective but visibly non-surjective or stabilized:
+    # the census must agree at the walk's last two truncations
+    lo = kernel.summary(lam, summaries[-2].n, want_census=True) if len(summaries) >= 2 else None
+    hi = kernel.summary(lam, last.n, want_census=True)
+    defect = hi.census if lo is not None and lo.census is not None \
+        and lo.census == hi.census else "unstable"
+    if defect == "unstable" or (defect == 0 and vanishing is not None):
+        status = STATUS_INCONCLUSIVE
+    else:
+        status = STATUS_RESOLVENT if defect == 0 else STATUS_REGULAR_DEFECT
+    return CellStatus(status, last.c_low, last.d_high, defect, witness_n=last.n,
+                      stabilized=stop == "stabilized"), summaries
+
+
 def point_status(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                  cfg: RunConfig = DEFAULT_CONFIG,
                  cert: Optional[ContinuityCertificate] = None,
                  kernel: Optional[PairKernel] = None) -> CellStatus:
     """Classify one grid point for one pair."""
-    cert = cert if cert is not None else certify(x, e, f, cfg)
-    if not cert.certified:
-        status = STATUS_NO_EXTENSION if cert.method == CERT_FAILED else STATUS_INCONCLUSIVE
-        return CellStatus(status, witness_n=cert.witness_n)
-    kernel = kernel if kernel is not None else PairKernel(x, e, f, cfg)
-    decided = _limit_status(kernel, lam, cert, cfg)
-    if decided is not None:
-        return decided
-    summaries = _summaries(kernel, lam, cfg, want_census=False)
-    last = summaries[-1]
-
-    def census_pair():
-        # censuses are fetched lazily; most cells never need one
-        lo = kernel.summary(lam, summaries[-2].n, want_census=True) \
-            if len(summaries) >= 2 else None
-        hi = kernel.summary(lam, last.n, want_census=True)
-        stable = (lo is not None and lo.census is not None
-                  and lo.census == hi.census)
-        return (hi.census if stable else "unstable")
-
-    # a vanishing lower bound at any truncation is conclusive
-    for s in summaries:
-        if min(s.c_low, s.surj_low) <= cfg.regular_eps * _scale(s, lam):
-            if s.c_low <= cfg.regular_eps * _scale(s, lam):
-                return CellStatus(STATUS_NOT_REGULAR, s.c_low, s.d_high,
-                                  witness_n=s.n, stabilized=True)
-            # injective but visibly non-surjective: report the census
-            defect = census_pair()
-            status = STATUS_REGULAR_DEFECT if defect not in (0, "unstable") \
-                else STATUS_INCONCLUSIVE
-            return CellStatus(status, last.c_low, last.d_high, defect,
-                              witness_n=last.n, stabilized=_stabilized(summaries, cfg))
-
-    if len(summaries) >= 2 and _stabilized(summaries, cfg):
-        defect = census_pair()
-        if defect == 0:
-            return CellStatus(STATUS_RESOLVENT, last.c_low, last.d_high, 0,
-                              witness_n=last.n, stabilized=True)
-        if defect == "unstable":
-            return CellStatus(STATUS_INCONCLUSIVE, last.c_low, last.d_high, defect,
-                              witness_n=last.n, stabilized=True)
-        return CellStatus(STATUS_REGULAR_DEFECT, last.c_low, last.d_high, defect,
-                          witness_n=last.n, stabilized=True)
-
-    lows = [_s_low(s) for s in summaries]
-    if (len(lows) >= 4 and all(b <= a for a, b in zip(lows, lows[1:]))
-            and lows[0] >= cfg.growth_threshold * lows[-1]):
-        return CellStatus(STATUS_NOT_REGULAR, last.c_low, last.d_high,
-                          witness_n=last.n, stabilized=False)
-    return CellStatus(STATUS_INCONCLUSIVE, last.c_low, last.d_high,
-                      witness_n=last.n, stabilized=False)
+    return _decide(x, lam, e, f, cfg, cert, kernel)[0]
 
 
 def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                   cfg: RunConfig = DEFAULT_CONFIG,
                   cert: Optional[ContinuityCertificate] = None,
                   kernel: Optional[PairKernel] = None) -> RegularPointReport:
-    """Best two-sided constants of the weighted section of X - lambda on (E, F)."""
+    """The decision's two-sided constants of the weighted section of X - lambda
+    on (E, F), checked against the certificate whenever sections were taken."""
     cert = cert if cert is not None else certify(x, e, f, cfg)
     if not cert.certified:
         raise NotCertifiedError(
             f"regular_point requires a certified extension on ({e.label}, {f.label})")
-    kernel = kernel if kernel is not None else PairKernel(x, e, f, cfg)
-    summaries = _summaries(kernel, lam, cfg, want_census=False)
-    last = summaries[-1]
-    stabilized = len(summaries) >= 2 and _stabilized(summaries, cfg)
-    if math.isfinite(cert.norm_bound):
+    status, summaries = _decide(x, lam, e, f, cfg, cert, kernel)
+    if summaries and math.isfinite(cert.norm_bound):
+        last = summaries[-1]
         bound = cert.norm_bound + abs(lam) * embedding_norm(e, f, cfg)
         if not last.d_high <= bound * (1 + 1e-9) + 1e-12:
             raise CertificateBoundError(
                 f"section norm {last.d_high:.6g} at n={last.n} exceeds the certificate "
                 f"bound {bound:.6g} on ({e.label}, {f.label})")
-    return RegularPointReport(lam, e, f, last.c_low, last.d_high, stabilized, last.n)
+    return RegularPointReport(lam, e, f, status.c_low, status.d_high, status.stabilized,
+                              status.witness_n, status.defect)
 
 
 def defect_number(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                   cfg: RunConfig = DEFAULT_CONFIG) -> DefectReport:
-    """Stable census of near-kernel directions of the wide section in F."""
+    """The decision's census of near-kernel directions of the wide section in F."""
     kernel = PairKernel(x, e, f, cfg)
     report = regular_point(x, lam, e, f, cfg, kernel=kernel)
-    if not report.regular or report.c_low <= cfg.regular_eps * max(report.d_high, 1.0):
-        raise NotRegularError("defect defined only at regular points")
-    s1 = kernel.summary(lam, report.witness_n, want_census=True)
-    s2 = kernel.summary(lam, min(2 * report.witness_n, kernel.max_n()), want_census=True)
-    if s1.census is None or s2.census is None or s1.census != s2.census:
-        defect: object = "unstable"
-    else:
-        defect = s2.census
-    gap = s2.surj_low / max(cfg.defect_eps * s2.d_high, 1e-300)
-    return DefectReport(lam, e, f, defect, float(gap))
+    if not report.regular:
+        raise NotRegularError(
+            f"defect defined only at regular points; lambda={lam} on ({e.label}, {f.label})")
+    last = kernel.summary(lam, report.witness_n, want_census=False)
+    gap = last.surj_low / max(cfg.defect_eps * last.d_high, 1e-300)
+    return DefectReport(lam, e, f, report.defect, float(gap))
+
+
+def _require_resolvent(status: CellStatus, lam: complex, e: ScaleSpace,
+                       f: ScaleSpace) -> CellStatus:
+    """``status``, after raising `NotInResolventError` unless it is ``resolvent``."""
+    if status.status != STATUS_RESOLVENT:
+        raise NotInResolventError(
+            f"lambda={lam} has status {status.status!r} on ({e.label}, {f.label})",
+            report=status)
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +292,8 @@ def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Sca
                      factors: dict) -> SolveResult:
     """``resolvent_solve`` drawing on ``factors``: n -> (solve, residual section)."""
     check_same_basis(x, e, f, eta)
-    status = status if status is not None else point_status(x, lam, e, f, cfg)
-    if status.status != STATUS_RESOLVENT:
-        raise NotInResolventError(
-            f"lambda={lam} has status {status.status!r} on ({e.label}, {f.label})",
-            report=status)
+    status = _require_resolvent(status if status is not None
+                                else point_status(x, lam, e, f, cfg), lam, e, f)
     eta_f = norm(eta, f)
     n = max(status.witness_n, eta.n)
     while True:
@@ -367,12 +367,7 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
     """
     if not math.isfinite(embedding_norm(e, f, cfg)):
         raise NotCertifiedError("Neumann continuation requires E embedded in F")
-    status = point_status(x, lam0, e, f, cfg)
-    if status.status != STATUS_RESOLVENT:
-        raise NotInResolventError(
-            f"center lambda0={lam0} not in the ({e.label}, {f.label}) resolvent set",
-            report=status)
-    n = status.witness_n
+    n = _require_resolvent(point_status(x, lam0, e, f, cfg), lam0, e, f).witness_n
     probe = max(n, 4096)
     entries = _diagonal_inverse(x, lam0, probe)
     if entries is not None:
@@ -452,11 +447,7 @@ def resolvent_identity_residuals(x: CoefficientOperator, y: CoefficientOperator,
                                  n: Optional[int] = None) -> IdentityResiduals:
     """Residuals of both resolvent identities at the working truncation."""
     for op, point in ((x, lam), (y, lam), (x, mu)):
-        status = point_status(op, point, e, f, cfg)
-        if status.status != STATUS_RESOLVENT:
-            raise NotInResolventError(
-                f"point {point} not in the pair resolvent set of {op.describe()}",
-                report=status)
+        _require_resolvent(point_status(op, point, e, f, cfg), point, e, f)
     n = n if n is not None else cfg.n0
     rx = _resolvent_matrix(x, lam, n)
     ry = _resolvent_matrix(y, lam, n)

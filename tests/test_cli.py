@@ -184,3 +184,15 @@ def test_scan_builds_only_the_gallery_entry_it_names(tmp_path, capsys, monkeypat
                        "--family", "gallery:torus-delta", "--grid=0.5:0.7:2",
                        "--out", str(tmp_path / "none"))
     assert code == 2 and "nonsense" in err and "torus-delta" in err
+
+
+def test_scan_with_a_dense_cap_below_scan_n0_exits_two(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dense_cap": 64}))
+    operator = tmp_path / "op.json"
+    operator.write_text(json.dumps({"basis": "hermite",
+                                    "rep": {"type": "dense", "entry": "1/(1+(n-m)**2)"}}))
+    code, _, err = run(capsys, "scan", "--operator", str(operator),
+                       "--family", "gallery:position", "--grid=-1:1:2,0.5:0.5:1",
+                       "--config", str(config), "--out", str(tmp_path / "scan"))
+    assert code == 2 and "dense_cap" in err

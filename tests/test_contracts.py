@@ -152,3 +152,10 @@ def test_section_norm_above_certificate_raises_typed_error():
 def test_config_rejects_removed_quad_tol():
     with pytest.raises(SpecParseError, match="quad_tol"):
         RunConfig.from_dict({"quad_tol": 1e-8})
+
+
+def test_config_rejects_a_dense_cap_below_the_first_scan_truncation():
+    # a dense scan would otherwise walk no truncation at all
+    with pytest.raises(SpecParseError, match="dense_cap"):
+        RunConfig(dense_cap=64)
+    assert RunConfig(dense_cap=256).dense_cap == RunConfig().scan_n0

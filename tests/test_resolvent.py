@@ -1,6 +1,7 @@
 """Regular points, defects, solves, Neumann continuation, identities, scans."""
 
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from interspec.config import GridSpec, RunConfig
 from interspec.errors import (NeumannRadiusError, NotCertifiedError,
                               NotInResolventError, NotRegularError)
 from interspec import sections
-from interspec.operators import Banded, CoefficientOperator, certify, operator_from_spec
+from interspec.operators import (Banded, CoefficientOperator, DenseGenerator, certify,
+                                 operator_from_spec)
 from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, CellStatus,
                                  _limit_status,
                                  branch_report, defect_number, equivalent,
@@ -447,6 +449,12 @@ def test_compact_position_pairs_are_not_regular_at_default_config(scale, ke, kf)
     status = point_status(hermite_position().operator, 0.3 + 0.5j, scale.space_at(ke),
                           scale.space_at(kf), CFG)
     assert status.status == STATUS_NOT_REGULAR
+    # the other two views answer from the same decision
+    assert not regular_point(hermite_position().operator, 0.3 + 0.5j, scale.space_at(ke),
+                             scale.space_at(kf), CFG).regular
+    with pytest.raises(NotRegularError):
+        defect_number(hermite_position().operator, 0.3 + 0.5j, scale.space_at(ke),
+                      scale.space_at(kf), CFG)
 
 
 def test_compact_cell_is_decided_without_any_section(monkeypatch):
@@ -521,3 +529,87 @@ def test_limit_rule_agrees_with_its_dual_on_the_gallery():
                     decided += 1
                     assert primal.c_low == pytest.approx(dual.c_low, rel=1e-12, abs=1e-300)
     assert decided > 0
+
+
+# -- one decision, three views ------------------------------------------------
+
+SMALL = CFG.with_updates(n0=32, scan_n0=32, n_max=256, scan_n_max=256, dense_cap=256)
+
+
+def _dense(entry, name):
+    return CoefficientOperator(Basis.HERMITE, DenseGenerator(entry), name=name)
+
+
+def _rule_cells():
+    """One cell per section rule: (operator, lambda, E, F, config, expected
+    (status, defect, witness_n, stabilized))."""
+    h = hilbert_scale_family("n+1", range(-3, 4))
+    s0 = sequence_power_family(range(-1, 2)).space_at(0)
+    log_diagonal = CoefficientOperator(
+        Basis.HERMITE, Banded(0, lambda mr, mc: 1.0 / np.log(np.asarray(mc, dtype=float) + 2.0)),
+        name="1/log(m+2) diagonal")
+    return {
+        "vanishing c_low": (diag_op("n+1"), 1.0, h.space_at(1), h.space_at(0), CFG,
+                            ("not-regular", None, 256, True)),
+        "vanishing surj_low + census": (right_shift(), 0.0, h.space_at(0), h.space_at(0), CFG,
+                                        ("regular-defect", 1, 512, True)),
+        "sustained shrink": (_dense(lambda mr, mc: (mr == mc) / (mc + 1.0), "1/(m+1) dense"),
+                             0.0, s0, s0, SMALL, ("not-regular", None, 256, False)),
+        "stabilized + census": (_dense(lambda mr, mc: 1.0 * (mr == mc), "dense identity"),
+                                0.5, s0, s0, SMALL, ("resolvent", 0, 64, True)),
+        "inconclusive": (log_diagonal, 0.0, s0, s0, CFG, ("inconclusive", None, 2048, False)),
+    }
+
+
+@pytest.mark.parametrize("rule", list(_rule_cells()))
+def test_each_section_rule_colors_its_cell(rule):
+    x, lam, e, f, cfg, expected = _rule_cells()[rule]
+    status = point_status(x, lam, e, f, cfg)
+    assert (status.status, status.defect, status.witness_n, status.stabilized) == expected
+
+
+@pytest.mark.parametrize("rule", list(_rule_cells()))
+def test_regular_point_and_defect_number_are_views_of_point_status(rule):
+    x, lam, e, f, cfg, _ = _rule_cells()[rule]
+    status = point_status(x, lam, e, f, cfg)
+    report = regular_point(x, lam, e, f, cfg)
+    assert (report.c_low, report.d_high, report.witness_n, report.stabilized) == \
+        (status.c_low, status.d_high, status.witness_n, status.stabilized)
+    assert report.regular == (status.defect is not None)
+    if status.defect is None:
+        with pytest.raises(NotRegularError):
+            defect_number(x, lam, e, f, cfg)
+    else:
+        assert defect_number(x, lam, e, f, cfg).defect == status.defect
+
+
+def test_regular_point_keeps_to_the_certificates_of_the_rank_sum_comb():
+    # compact pairs are decided by their limit operators, before the rank-sum
+    # section norm (a triangle-inequality bound) is compared with the certificate
+    cfg = RunConfig.from_json(str(pathlib.Path(__file__).resolve().parents[1]
+                                  / "bench" / "specs" / "smoke-config.json"))
+    entry = registry()["torus-comb-4"]
+    lams = list(GridSpec.parse("-1.5:1.5:3,0.5:0.5:1").points())
+    checked = 0
+    for e, f in entry.family.admissible_pairs():
+        cert = certify(entry.operator, e, f, cfg)
+        if not cert.certified:
+            continue
+        kernel = PairKernel(entry.operator, e, f, cfg)
+        for lam in lams:
+            regular_point(entry.operator, lam, e, f, cfg, cert=cert, kernel=kernel)
+            checked += 1
+    assert checked == 27
+
+
+def test_every_resolvent_precondition_names_lambda_pair_and_status(scale):
+    x, e, f = diag_op("n+1"), scale.space_at(1), scale.space_at(0)
+    eta = CoefficientVector.unit(Basis.HERMITE, 0, 8)
+    calls = [lambda: resolvent_solve(x, 1.0, e, f, eta, CFG),
+             lambda: neumann_continue(x, 1.0, 1.05, e, f, CFG),
+             lambda: resolvent_identity_residuals(x, x, 1.0, -1.0, e, f, CFG)]
+    for call in calls:
+        with pytest.raises(NotInResolventError) as err:
+            call()
+        assert str(err.value) == "lambda=1.0 has status 'not-regular' on (H_1, H_0)"
+        assert err.value.report.status == STATUS_NOT_REGULAR
