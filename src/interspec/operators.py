@@ -16,6 +16,12 @@ growth by ``growth_threshold`` of a running sup from 1/64 to 1/8 to all of
 ``symbol_probe`` slots (`spaces.running_sup`), or of the section norm across
 three doublings.
 
+``certify_pairs`` certifies many pairs of one operator in one call. A
+diagonal representation takes them all in one pass over its probe, in
+blocks of slots (`spaces.probe_sups`): each rung's weights are evaluated
+once per block whatever the number of pairs, and no probe-length weight
+array is built. The values are bit for bit those of one pair at a time.
+
 A band matrix is bounded exactly when its diagonals are:
 sup |a_ij| <= ||A|| <= sum_k sup_m |d_k(m)| (Schur's test; Lindner, *Infinite
 Matrices and their Finite Sections*, 2006, section 1.3). So ``Banded.certify``
@@ -39,7 +45,7 @@ from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
 from .sections import _DENSE_ALWAYS, LimitProfile, PairKernel, tail_slots
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
-                     dual_space, mode_to_position, modes, running_sup, slot_modes)
+                     dual_space, mode_to_position, modes, probe_sups, running_sup, slot_modes)
 
 CERT_EXACT = "analytic-exact"
 CERT_STABILIZED = "truncation-stabilized"
@@ -79,6 +85,10 @@ class Representation:
                 cfg: RunConfig) -> "ContinuityCertificate":
         """Closed-form certificate where one exists, else the doubling schedule."""
         return _certify_by_truncation(op, e, f, cfg)
+
+    def certify_pairs(self, op: "CoefficientOperator", pairs: list, cfg: RunConfig) -> list:
+        """``certify`` of every (E, F) in ``pairs``, in order."""
+        return [self.certify(op, e, f, cfg) for e, f in pairs]
 
     def summary(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
         """Section summary, and its census call, through the strategy that
@@ -126,13 +136,16 @@ class Diagonal(Representation):
         return 0
 
     def certify(self, op, e, f, cfg):
+        return self.certify_pairs(op, [(e, f)], cfg)[0]
+
+    def certify_pairs(self, op, pairs, cfg):
+        # one blocked pass over the probe for all pairs (see the module docstring)
         probe = cfg.symbol_probe
-        m = modes(op.basis, probe)
-        ratio = f.weight_at(m) / e.weight_at(m)
-        bound, diverged = running_sup(self.symbol(op.basis, probe) * ratio,
-                                      cfg.growth_threshold)
-        return ContinuityCertificate(op.describe(), e, f, float("inf") if diverged else bound,
-                                     CERT_FAILED if diverged else CERT_EXACT, probe)
+        sups = probe_sups(op.basis, probe, pairs, cfg.growth_threshold,
+                          self.symbol(op.basis, probe))
+        return [ContinuityCertificate(op.describe(), e, f, float("inf") if diverged else bound,
+                                      CERT_FAILED if diverged else CERT_EXACT, probe)
+                for (e, f), (bound, diverged) in zip(pairs, sups)]
 
     def summary(self, kernel, lam, n):
         return kernel.diagonal_summary(lam, n)
@@ -408,6 +421,13 @@ def certify(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
     """Certify (or refute, or give up on) membership of X in C(E, F)."""
     check_same_basis(x, e, f)
     return x.rep.certify(x, e, f, cfg)
+
+
+def certify_pairs(x: CoefficientOperator, pairs: list,
+                  cfg: RunConfig = DEFAULT_CONFIG) -> list:
+    """`certify` of every (E, F) in ``pairs``, through one call to the representation."""
+    check_same_basis(x, *(space for pair in pairs for space in pair))
+    return x.rep.certify_pairs(x, pairs, cfg)
 
 
 def _certify_by_truncation(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,

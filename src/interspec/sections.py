@@ -234,18 +234,14 @@ def _limit(values: np.ndarray, tails: list, growth: float) -> tuple:
     return complex(values[-1]), float(np.max(np.abs(values[tails[1]:] - values[-1])))
 
 
-def _symbol_min(offsets: np.ndarray, limits: np.ndarray, shift: complex) -> float:
-    """min over theta of |sum_k L_k e^(i k theta) - shift|, approached from above.
+def _symbol_min(offsets: np.ndarray, limits: np.ndarray, width: int, shift: complex) -> float:
+    """min over theta of |sum_k L_k e^(i k theta) - shift|, approached from above,
+    for nonzero ``limits`` whose largest |offset| is ``width`` > 0.
 
     A grid of 64 points per unit of bandwidth, then Newton steps on the
     derivative of |a|^2 from every grid point. Each value met is |a| at some
     theta, so the smallest of them never undershoots the minimum.
     """
-    live = limits != 0
-    offsets, limits = offsets[live], limits[live]
-    width = int(np.max(np.abs(offsets), initial=0))
-    if width == 0:
-        return float(abs(np.sum(limits) - shift))
     theta = np.linspace(0.0, 2.0 * np.pi, 64 * width, endpoint=False)
     d1_coef, d2_coef = 1j * offsets * limits, -(offsets ** 2) * limits
     best = float("inf")
@@ -282,13 +278,18 @@ class LimitProfile:
     lower norm (Rabinovich, Roch & Silbermann 2004; Lindner 2006).
 
     Entries are evaluated on a few dozen slots per dyadic block of the tail
-    up to ``symbol_probe``, never on every slot. Not a dataclass: generating
-    its methods would add about a millisecond to every import.
+    up to ``symbol_probe``, never on every slot. Zero limits are dropped once
+    per direction, and a direction of bandwidth 0 keeps its constant symbol
+    sum_k L_k, so ``bound`` costs a few scalar operations on diagonal and
+    compact pairs. Not a dataclass: generating its methods would add about a
+    millisecond to every import.
     """
 
     def __init__(self, directions: tuple, witness_n: int):
-        self.directions = directions  # (offsets, limits, summed error bar, rho, rho error bar)
-        self.witness_n = witness_n    # slots probed: the last sampled slot plus one
+        # per direction: (nonzero offsets, their limits, bandwidth, constant
+        # symbol or None, summed error bar, rho, rho error bar)
+        self.directions = directions
+        self.witness_n = witness_n  # slots probed: the last sampled slot plus one
 
     @classmethod
     def probe(cls, basis: Basis, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig,
@@ -314,7 +315,11 @@ class LimitProfile:
                     for k in ks]
             limits = [_limit(v, tails, cfg.growth_threshold) for v in seqs]
             rho, rho_error = _limit(f.weight_at(m) / w_e, tails, cfg.growth_threshold)
-            directions.append((offsets, np.array([lim for lim, _ in limits], dtype=complex),
+            values = np.array([lim for lim, _ in limits], dtype=complex)
+            live = values != 0
+            width = int(np.max(np.abs(offsets[live]), initial=0))
+            directions.append((offsets[live], values[live], width,
+                               np.sum(values[live]) if width == 0 else None,
                                float(sum(err for _, err in limits)), rho, rho_error))
         return cls(tuple(directions), int(slots[-1]) + 1)
 
@@ -324,8 +329,10 @@ class LimitProfile:
         A direction whose sum is NaN is never chosen, and (inf, inf) means
         that no direction gave a bound."""
         best = (float("inf"), float("inf"))
-        for offsets, limits, error, rho, rho_error in self.directions:
-            value = _symbol_min(offsets, limits, lam * rho)
+        for offsets, limits, width, constant, error, rho, rho_error in self.directions:
+            shift = lam * rho
+            value = float(abs(constant - shift)) if width == 0 else \
+                _symbol_min(offsets, limits, width, shift)
             err = error + abs(lam) * rho_error
             if value + err < best[0] + best[1]:
                 best = (value, err)

@@ -24,7 +24,9 @@ the same array. A prefix of an elementwise evaluation over contiguous modes
 is bit for bit the evaluation of the prefix, so holding changes no value.
 Tail probes over ``symbol_probe`` slots (`embedding_norm`, certificates,
 limit profiles) evaluate ``weight_at`` on their modes and hold nothing: at
-the default probe that would be 1 MB per rung.
+the default probe that would be 1 MB per rung. `probe_sups` walks the probe
+in blocks of at most ``PROBE_BLOCK`` slots, evaluating each rung once per
+block for all the pairs it serves, so no probe-length array is built.
 """
 
 from __future__ import annotations
@@ -320,6 +322,15 @@ def dual_space(space: ScaleSpace) -> ScaleSpace:
     return ScaleSpace(space.basis, -space.index, space.family)
 
 
+PROBE_BLOCK = 1 << 15  # slots per block of `probe_sups`
+_PAIR_CHUNK = 1 << 14  # slots per product in `probe_sups`
+
+
+def _checkpoints(n: int) -> tuple:
+    """Ends of the three prefixes whose maxima `running_sup` compares."""
+    return max(16, n >> 6), max(32, n >> 3), n
+
+
 def running_sup(values: np.ndarray, growth_threshold: float, slots=None):
     """Sup of |values| with a divergence verdict: the running maximum over the
     first 1/64, 1/8 and all of the probed slots grows by ``growth_threshold``.
@@ -330,7 +341,7 @@ def running_sup(values: np.ndarray, growth_threshold: float, slots=None):
     """
     mags = np.abs(values)
     n = len(mags) if slots is None else int(slots[-1]) + 1
-    ends = [max(16, n >> 6), max(32, n >> 3), n]
+    ends = _checkpoints(n)
     if slots is not None:
         ends = np.searchsorted(slots, ends)
     maxima = [float(np.max(mags[:end])) if end else float("nan") for end in ends]
@@ -338,17 +349,45 @@ def running_sup(values: np.ndarray, growth_threshold: float, slots=None):
     return maxima[-1], diverged
 
 
+def probe_sups(basis: Basis, probe: int, pairs: list, growth_threshold: float,
+               symbol: Optional[np.ndarray] = None) -> list:
+    """`running_sup` of ``symbol`` * w_F / w_E (of w_F / w_E when ``symbol`` is
+    None) over the first ``probe`` slots, one (sup, diverged) per (E, F) in
+    ``pairs``.
+
+    The slots are walked in blocks of at most ``PROBE_BLOCK`` whose edges
+    include the checkpoints, and each rung is evaluated once per block. Every
+    value is the elementwise expression of a whole-probe evaluation, and the
+    maximum of chunk maxima is the maximum, so the result is bit for bit that
+    of `running_sup` over the whole probe, NaN included.
+    """
+    edges = sorted({*range(0, probe, PROBE_BLOCK), *(min(c, probe) for c in _checkpoints(probe))})
+    rungs = dict.fromkeys(space for pair in pairs for space in pair)
+    maxima, ends = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        m = slot_modes(basis, np.arange(lo, hi)).astype(float)
+        w = {space: space.weight_at(m) for space in rungs}
+        del m  # here and below: at most one block of weights is alive
+        # products in chunks of a block keep the complex temporaries small
+        for a, b in ((a, min(a + _PAIR_CHUNK, hi)) for a in range(lo, hi, _PAIR_CHUNK)):
+            ratios = (w[f][a - lo:b - lo] / w[e][a - lo:b - lo] for e, f in pairs)
+            maxima.append([np.max(np.abs(r if symbol is None else symbol[a:b] * r)) for r in ratios])
+            ends.append(b - 1)
+        del w
+    maxima = np.array(maxima)
+    return [running_sup(maxima[:, p], growth_threshold, np.array(ends)) for p in range(len(pairs))]
+
+
 def embedding_norm(e: ScaleSpace, f: ScaleSpace, cfg: RunConfig = DEFAULT_CONFIG) -> float:
     """sup_n w_F(n)/w_E(n); finite iff E embeds continuously into F.
 
     The supremum is probed on the first ``cfg.symbol_probe`` coefficient
-    slots; an unbounded ratio is reported as inf (see `running_sup`).
+    slots; an unbounded ratio is reported as inf (see `probe_sups`).
     """
     check_same_basis(e, f)
     if e == f:
         return 1.0
-    m = modes(e.basis, cfg.symbol_probe)
-    sup, diverged = running_sup(f.weight_at(m) / e.weight_at(m), cfg.growth_threshold)
+    [(sup, diverged)] = probe_sups(e.basis, cfg.symbol_probe, [(e, f)], cfg.growth_threshold)
     return float("inf") if diverged else sup
 
 

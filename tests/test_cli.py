@@ -85,6 +85,18 @@ def test_scan_outputs_and_determinism(tmp_path, capsys):
     assert payload["duality"]["checked"] is True
 
 
+def test_scan_json_is_one_compact_line(tmp_path, capsys):
+    # unindented, so that CPython's C encoder writes it
+    code, _, _ = run(capsys, "scan", "--operator", "gallery:scale-generator",
+                     "--family", "gallery:scale-generator", "--grid=0.5:1.5:2,0.5:0.5:1",
+                     "--config", str(pathlib.Path(__file__).resolve().parents[1] / "bench"
+                                     / "specs" / "smoke-config.json"),
+                     "--out", str(tmp_path))
+    assert code == 0
+    text = (tmp_path / "spectrum.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
 def test_branches_reports_equivalent_pairs(tmp_path, capsys):
     code, out, _ = run(capsys, "branches", "--operator", "gallery:scale-generator",
                        "--family", "gallery:scale-generator", "--lambda=-1+0i")

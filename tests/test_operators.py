@@ -1,21 +1,24 @@
 """Forms, adjoints, continuity certificates, and the partial product."""
 
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from interspec import sections
-from interspec.config import RunConfig
+from interspec import resolvent, sections
+from interspec.config import GridSpec, RunConfig
 from interspec.errors import BasisMismatchError, ProductUndefinedError
 from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOperator,
-                                 Diagonal, RankSum, RankSumTerm, _certify_by_truncation,
-                                 certify, find_product_triple, framework_product,
-                                 operator_from_spec, sesq_form, weighted_norm_series)
+                                 ContinuityCertificate, Diagonal, RankSum, RankSumTerm,
+                                 _certify_by_truncation, certify, certify_pairs,
+                                 find_product_triple, framework_product, operator_from_spec,
+                                 sesq_form, weighted_norm_series)
 from interspec.gallery import hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
-from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, dual_space,
-                              hilbert_scale_family, modes, sobolev_torus_family)
+from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, dual_space,
+                              hilbert_scale_family, modes, running_sup, sequence_power_family,
+                              sobolev_torus_family)
 
 CFG = RunConfig()
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs"
@@ -342,3 +345,108 @@ def test_symmetric_flag_matches_truncations():
     for n in (17, 64):
         mat = pos.matrix(n)
         assert np.array_equal(mat, mat.conj().T)
+
+
+# ---------------------------------------------------------------------------
+# batched diagonal certificates
+
+
+def _whole_probe_certificate(op, e, f, cfg):
+    """One diagonal pair certified over the whole probe at once: the expression
+    that `Diagonal.certify` evaluated before certificates went through blocks."""
+    probe = cfg.symbol_probe
+    m = modes(op.basis, probe)
+    ratio = f.weight_at(m) / e.weight_at(m)
+    bound, diverged = running_sup(op.rep.symbol(op.basis, probe) * ratio,
+                                  cfg.growth_threshold)
+    return ContinuityCertificate(op.describe(), e, f, float("inf") if diverged else bound,
+                                 CERT_FAILED if diverged else CERT_EXACT, probe)
+
+
+def _diagonal_cases():
+    """(operator, pairs) for every diagonal gallery entry on its family and for
+    diagonal operators on the families of ``bench/specs``."""
+    cases = [(entry.operator, entry.family.admissible_pairs())
+             for entry in registry().values() if isinstance(entry.operator.rep, Diagonal)]
+    h23 = ScaleFamily.from_json(str(SPECS / "hermite-h23.json"))
+    w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
+    cases.append((registry()["scale-generator"].operator, h23.admissible_pairs()))
+    cases.append((diag_op("n+1"), h23.admissible_pairs()))
+    cases.append((diag_op("n^2", Basis.FOURIER), w1.admissible_pairs()))
+    # complex and not symmetric, on the signed Fourier modes, and its adjoint's dual pairs
+    skew = operator_from_spec({"basis": "fourier", "name": "skew",
+                               "rep": {"type": "diagonal",
+                                       "symbol": "(0.5+2*i)*n/(abs(n)+1) + i/(n^2+1)"}})
+    cases.append((skew, w1.admissible_pairs()))
+    cases.append((skew.adjoint(), [(w1.dual_of(f), w1.dual_of(e))
+                                   for e, f in w1.admissible_pairs()]))
+    # NaN past slot 16384: no divergence verdict, a NaN bound
+    nan_tail = CoefficientOperator(Basis.HERMITE, Diagonal(
+        lambda m: np.where(m > 20000, np.nan, 1.0 / (m + 1.0)).astype(complex)), name="nan tail")
+    cases.append((nan_tail, sequence_power_family(range(-2, 3)).admissible_pairs()))
+    return cases
+
+
+def _same(a, b) -> bool:
+    # repr tells every float apart, NaN from NaN included
+    return repr(a.to_dict()) == repr(b.to_dict()) and (a.e, a.f) == (b.e, b.f)
+
+
+@pytest.mark.parametrize("probe", [CFG.symbol_probe, 100_000, 3000, 40])
+def test_batched_diagonal_certificates_equal_whole_probe_ones(probe):
+    cfg = RunConfig(symbol_probe=probe)
+    methods = set()
+    for op, pairs in _diagonal_cases():
+        batched = certify_pairs(op, pairs, cfg)
+        assert len(batched) == len(pairs)
+        for (e, f), cert in zip(pairs, batched):
+            assert _same(cert, _whole_probe_certificate(op, e, f, cfg)), (op.describe(), e, f)
+            assert _same(certify(op, e, f, cfg), cert)
+            methods.add(cert.method if not np.isnan(cert.norm_bound) else "nan")
+    assert {CERT_EXACT, CERT_FAILED} | ({"nan"} if probe > 20001 else set()) <= methods
+
+
+def test_batched_diagonal_certificates_hold_one_block_per_rung():
+    # nine rungs, one 2^15-slot block each: 2.25 MB of weights; the whole-probe
+    # expression peaks at about 5 MB
+    entry = registry()["diagonal[1/(n+1)]"]
+    op, pairs = entry.operator, entry.family.admissible_pairs()
+    assert len(pairs) == 45
+    op.rep.symbol(op.basis, CFG.symbol_probe)  # the held symbol is not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        certify_pairs(op, pairs, CFG)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
+
+def test_scan_certificates_evaluate_each_rung_once_per_block(monkeypatch):
+    # one certificate at a time evaluated both rungs over the whole probe, so
+    # each rung took part twice per pair; the blocked pass takes each rung once
+    # per block: 2048, 16384, then 2^15 slots at a time up to 2^17
+    entry = registry()["diagonal[1/(n+1)]"]
+    evaluated, inside = [], []
+    weight_at, batched = ScaleSpace.weight_at, resolvent.certify_pairs
+
+    def counting(self, m):
+        if inside:
+            evaluated.append(self.label)
+        return weight_at(self, m)
+
+    def tracking(*args, **kwargs):
+        inside.append(True)
+        try:
+            return batched(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ScaleSpace, "weight_at", counting)
+    monkeypatch.setattr(resolvent, "certify_pairs", tracking)
+    scan = resolvent.union_spectrum_scan(entry.operator, entry.family,
+                                         GridSpec.parse("0.5:1.5:2,0.5:0.5:1"), CFG)
+    assert scan.duality_checked and len(scan.certificates) == 45
+    counts = {label: evaluated.count(label) for label in set(evaluated)}
+    assert counts == {space.label: 6 for space in entry.family}

@@ -16,7 +16,7 @@ from interspec.gallery import (hermite_position, registry, scale_generator_entry
 from interspec.operators import certify, operator_from_spec
 from interspec.resolvent import (STATUS_RESOLVENT, branch_report, defect_number,
                                  point_status, union_spectrum_scan)
-from interspec.sections import _DENSE_ALWAYS, PairKernel, SectionSummary
+from interspec.sections import _DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary
 from interspec.spaces import Basis, DiagonalScaleWeights, modes
 
 CFG = RunConfig()
@@ -355,6 +355,51 @@ def test_point_masses_into_the_dual_rung_are_compact(name):
     profile = PairKernel(entry.operator, e, f, CFG).limit_profile
     for lam in (0.3 + 0.5j, -1.2 + 0.5j, 2.0):
         assert profile.bound(lam) == (0.0, 0.0)
+
+
+def _constant_symbol_bound(profile, lam):
+    """``LimitProfile.bound`` as it read before profiles kept their constant
+    symbols: zero limits dropped on every call, then |sum_k L_k - lambda rho|."""
+    best = (float("inf"), float("inf"))
+    for offsets, limits, _, _, error, rho, rho_error in profile.directions:
+        live = limits != 0
+        assert int(np.max(np.abs(offsets[live]), initial=0)) == 0
+        value = float(abs(np.sum(limits[live]) - lam * rho))
+        err = error + abs(lam) * rho_error
+        if value + err < best[0] + best[1]:
+            best = (value, err)
+    return best
+
+
+def test_constant_limit_symbols_are_read_without_a_grid(monkeypatch):
+    hermite = scale_generator_entry().family
+    power = registry()["diagonal[1/(n+1)]"].family
+    torus = registry()["torus-delta"].family
+    const = lambda c: (lambda m: np.full(np.shape(m), c, dtype=complex))
+    nan_deep = lambda m: np.where(m > 40000, np.nan, 0.5 + 0.0 * m).astype(complex)
+    cases = [
+        (Basis.HERMITE, power.space_at(1), power.space_at(1), {0: lambda m: 1.0 / (m + 1.0)}),
+        (Basis.HERMITE, power.space_at(2), power.space_at(-1), {}),  # compact: no limits
+        (Basis.HERMITE, hermite.space_at(1), hermite.space_at(0), {0: lambda m: m + 1.0}),
+        (Basis.FOURIER, torus.space_at(0), torus.space_at(0), {0: const(0.3 - 1.2j)}),
+        (Basis.FOURIER, torus.space_at(1), torus.space_at(1),
+         {-1: const(0.0), 0: const(-0.7 + 0.1j), 1: const(0.0)}),  # zero side diagonals
+        (Basis.HERMITE, power.space_at(0), power.space_at(0), {0: nan_deep}),
+    ]
+    profiles = [LimitProfile.probe(basis, e, f, CFG, diagonals)
+                for basis, e, f, diagonals in cases]
+    assert all(width == 0 for p in profiles for _, _, width, *_ in p.directions)
+    assert np.isnan(profiles[-1].directions[0][3])
+
+    def no_grid(*args):
+        raise AssertionError("a constant symbol needs no grid")
+
+    monkeypatch.setattr(sections, "_symbol_min", no_grid)
+    rng = np.random.default_rng(5)
+    lams = [0.0, 1.0, -0.7 + 0.1j, 0.3 - 1.2j] + list(rng.normal(size=40) + 1j * rng.normal(size=40))
+    for profile in profiles:
+        for lam in lams:
+            assert repr(profile.bound(lam)) == repr(_constant_symbol_bound(profile, lam))
 
 
 def test_dense_generator_has_no_limit_profile():

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from interspec.errors import BasisMismatchError
 from interspec.gallery import registry
-from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
+from interspec.config import RunConfig
+from interspec.spaces import (PROBE_BLOCK, Basis, CoefficientVector, ScaleFamily, ScaleSpace,
                               DiagonalScaleWeights, SequencePowerWeights,
-                              dual_space, embedding_norm, hilbert_scale_family,
-                              intersection, modes, norm, pairing,
+                              dual_space, embedding_norm, exp_sqrt_pair, hilbert_scale_family,
+                              intersection, modes, norm, pairing, running_sup,
                               sequence_power_family, sobolev_torus_family)
 
 
@@ -182,6 +183,32 @@ def test_held_weights_are_bit_identical_to_a_fresh_evaluation():
         for n in ORDER:
             fresh = space.family.weight(space.index, modes(space.basis, n))
             assert np.array_equal(space.weights(n), fresh), (space.label, n)
+
+
+def _whole_probe_embedding_norm(e, f, cfg):
+    """`embedding_norm` as one evaluation over the whole probe."""
+    m = modes(e.basis, cfg.symbol_probe)
+    sup, diverged = running_sup(f.weight_at(m) / e.weight_at(m), cfg.growth_threshold)
+    return float("inf") if diverged else sup
+
+
+@pytest.mark.parametrize("probe", [1 << 17, 100_000, 40])
+def test_embedding_norm_is_the_whole_probe_sup_without_a_probe_length_array(monkeypatch, probe):
+    cfg = RunConfig(symbol_probe=probe)
+    families = [entry.family for entry in registry().values()]
+    pairs = [(e, f) for family in families for e in family for f in family if e != f]
+    pairs.append(exp_sqrt_pair())
+    expected = [_whole_probe_embedding_norm(e, f, cfg) for e, f in pairs]
+    assert np.inf in expected and any(np.isfinite(expected))
+    weight_at = ScaleSpace.weight_at
+
+    def bounded(self, m):
+        assert np.size(m) <= PROBE_BLOCK
+        return weight_at(self, m)
+
+    monkeypatch.setattr(ScaleSpace, "weight_at", bounded)
+    got = [embedding_norm(e, f, cfg) for e, f in pairs]
+    assert repr(got) == repr(expected)
 
 
 def test_held_weights_are_read_only(scale):
