@@ -1,7 +1,7 @@
 """Run configuration: truncation schedule, tolerances, grids, output options.
 
-Identical config plus seed gives bit-identical outputs; every tolerance is
-pinned here rather than scattered through call sites.
+Identical configs give bit-identical outputs; every tolerance is pinned
+here rather than scattered through call sites.
 """
 
 from __future__ import annotations
@@ -93,13 +93,15 @@ class RunConfig:
     eig_tol: float = 1e-12
     equiv_probes: int = 64
     duality_check: bool = True
-    seed: int = 12345
 
     def __post_init__(self) -> None:
         for name in ("rel_tol", "solve_tol", "series_tol", "id_tol", "eq_tol",
                      "ge_tol", "defect_eps", "regular_eps", "eig_tol"):
             if getattr(self, name) <= 0:
                 raise SpecParseError(f"tolerance {name} must be positive")
+        for name in ("n0", "scan_n0", "symbol_probe"):
+            if getattr(self, name) < 1:
+                raise SpecParseError(f"size {name} must be positive")
         if self.n0 > self.n_max or self.scan_n0 > self.scan_n_max:
             raise SpecParseError("n0 must not exceed n_max")
         if self.dense_cap < self.scan_n0:

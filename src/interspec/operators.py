@@ -455,8 +455,7 @@ def _certify_by_truncation(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
 
 
 def find_product_triple(x: CoefficientOperator, y: CoefficientOperator,
-                        family: ScaleFamily, cfg: RunConfig = DEFAULT_CONFIG,
-                        certifier=certify):
+                        family: ScaleFamily, cfg: RunConfig = DEFAULT_CONFIG):
     """First admissible (E, F, G) with Y in C(E, F) and X in C(F, G)."""
     check_same_basis(x, y, *family.spaces)
     cache = {}
@@ -464,7 +463,7 @@ def find_product_triple(x: CoefficientOperator, y: CoefficientOperator,
     def cert(op, a, b):
         key = (id(op), a.index, b.index)
         if key not in cache:
-            cache[key] = certifier(op, a, b, cfg)
+            cache[key] = certify(op, a, b, cfg)
         return cache[key]
 
     for f_mid in family:

@@ -12,9 +12,9 @@ what makes a small value conclusive evidence against regularity.
 
 Per-representation strategies keep scans affordable: diagonal sections have
 closed-form singular values, banded sections go through Hermitian banded
-Gram eigenvalues, rank sums use a Woodbury inverse inside a Lanczos loop,
-and only dense generators fall back to full SVDs. `PairKernel` holds the
-strategies; the operator's representation picks one for each truncation.
+Gram eigenvalues, and rank sums and dense generators take full SVDs.
+`PairKernel` holds the strategies; the operator's representation picks one
+for each truncation.
 `PairKernel.summary` keeps the summaries of the current lambda per
 truncation, and computes a census only when one is asked for. A kernel
 holds no weights or symbol of its own, only the diagonal route's ratio
@@ -34,13 +34,12 @@ scipy.linalg.cython_lapack exports, with the arguments, pre-scaling and
 dstebz settings that zhbevx uses. Every value and count is therefore bit for
 bit what eigvals_banded returns.
 
-The Woodbury operator applies its n x r factors with ``np.einsum`` rather
-than ``@``: ARPACK calls it hundreds of times per summary, and each ``@``
-with an n-length operand is a BLAS level-2 call that threaded OpenBLAS
-hands to its worker threads, which costs milliseconds where the arithmetic
-takes microseconds. When the shifted weight ratio is constant (E = F) the
-Woodbury inverse is a I - P Q^H, and its norm comes exactly from a 2r x 2r
-matrix instead of ARPACK.
+A rank-sum section S = diag(d) + V U^H is square. Its lower constant comes
+from one dense SVD, and its census counts over the same singular values, so
+a census asked for later runs no second SVD. When the shifted weight ratio d
+is constant (E = F), the Woodbury inverse of S is a I - P Q^H, and its norm
+comes exactly from a 2r x 2r matrix: S is decomposed only if a census is
+asked for.
 """
 
 from __future__ import annotations
@@ -55,13 +54,11 @@ import scipy.linalg
 import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .config import RunConfig
 from .spaces import Basis, ScaleSpace, modes, slot_modes
 
 _DENSE_ALWAYS = 96  # below this size dense SVD beats the structured routes
-_ARPACK_MIN_N = 8  # smallest operator side served by the iterative sigma_max
 
 
 @dataclass(frozen=True)
@@ -77,34 +74,6 @@ def _svdvals(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mat, compute_uv=False)
 
 
-def _deterministic_sigma_max(op: scipy.sparse.linalg.LinearOperator) -> float:
-    k = min(op.shape)
-    if k < _ARPACK_MIN_N:
-        raise ValueError("too small for iterative sigma_max")
-    v0 = np.full(k, 1.0 / np.sqrt(k))
-    vals = scipy.sparse.linalg.svds(op, k=1, v0=v0, return_singular_vectors=False,
-                                    maxiter=600, tol=1e-10)
-    return float(vals[0])
-
-
-def _diag_minus_low_rank(a: np.ndarray, p: np.ndarray,
-                         q: np.ndarray) -> scipy.sparse.linalg.LinearOperator:
-    """diag(a) - P Q^H, with its n x r products in np.einsum (no BLAS call)."""
-    p_conj, q_conj = p.conj(), q.conj()
-
-    def matvec(z):
-        z = np.asarray(z).ravel()
-        return a * z - np.einsum("ik,k->i", p, np.einsum("ik,i->k", q_conj, z))
-
-    def rmatvec(z):
-        z = np.asarray(z).ravel()
-        return np.conj(a) * z - np.einsum("ik,k->i", q, np.einsum("ik,i->k", p_conj, z))
-
-    n = len(a)
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec,
-                                              dtype=complex)
-
-
 def _scalar_minus_low_rank_norm(a: complex, p: np.ndarray, q: np.ndarray) -> float:
     """2-norm (largest singular value) of a I - P Q^H, exactly, in O(n r^2).
 
@@ -118,6 +87,27 @@ def _scalar_minus_low_rank_norm(a: complex, p: np.ndarray, q: np.ndarray) -> flo
     small = a * np.eye(b.shape[1]) - np.einsum("ik,il->kl", b.conj(), p) \
         @ np.einsum("ik,il->kl", b.conj(), q).conj().T
     return float(scipy.linalg.svdvals(small)[0])
+
+
+def _constant_shift_sigma_min(diag: np.ndarray, vt: np.ndarray,
+                              ut: np.ndarray) -> Optional[float]:
+    """Smallest singular value of diag(d) + V U^H for a constant d (E = F),
+    exactly, as 1 / ||S^{-1}|| from the Woodbury inverse. None when d is not
+    constant or the capacitance matrix is singular."""
+    # Woodbury: S^{-1} = diag(a) - P Q^H with a = 1/d, P = a V C^{-1},
+    # Q = conj(a) U and C = I + U^H diag(a) V
+    a = 1.0 / diag
+    if not np.all(a == a[0]):
+        return None
+    core = np.eye(vt.shape[1], dtype=complex) + np.einsum("ik,i,il->kl", ut.conj(), a, vt)
+    try:
+        core_inv = np.linalg.inv(core)
+    except np.linalg.LinAlgError:
+        return None
+    p = np.einsum("ik,kl->il", a[:, None] * vt, core_inv)
+    q = np.conj(a)[:, None] * ut
+    inv_norm = _scalar_minus_low_rank_norm(a[0], p, q)
+    return 1.0 / inv_norm if inv_norm > 0 else float("inf")
 
 
 def _herm_band_lower(g: scipy.sparse.spmatrix) -> np.ndarray:
@@ -260,10 +250,10 @@ def _symbol_min(offsets: np.ndarray, limits: np.ndarray, width: int, shift: comp
 
 def tail_slots(probe: int) -> np.ndarray:
     """The coefficient slots that tail probes sample: 32 per dyadic block,
-    geometrically spaced from max(16, probe / 512) up to probe - 1."""
+    geometrically spaced from max(16, probe / 512) to max(probe - 1, 1)."""
     first = max(16, probe >> 9)
     blocks = max(1, int(np.log2(probe / first)))
-    return np.unique(np.rint(np.geomspace(first, probe - 1, 32 * blocks)).astype(int))
+    return np.unique(np.rint(np.geomspace(first, max(probe - 1, 1), 32 * blocks)).astype(int))
 
 
 class LimitProfile:
@@ -310,6 +300,8 @@ class LimitProfile:
                 continue
             m = slot_m[pick]
             tails = [int(np.searchsorted(slots[pick], c)) for c in checkpoints]
+            if tails[-1] >= len(m):
+                continue  # no sample past the deepest checkpoint: no limit to read
             w_e = e.weight_at(m)
             seqs = [f.weight_at(m + k) * np.asarray(diagonals[k](m), dtype=complex) / w_e
                     for k in ks]
@@ -434,48 +426,26 @@ class PairKernel:
         # triangle-inequality bound, exactly invariant under the duality swap
         d_high = float(np.max(np.abs(diag))
                        + np.sum(np.linalg.norm(vt, axis=0) * np.linalg.norm(ut, axis=0)))
+        sv = None  # the square section's singular values, shared with the census
+
+        def square_svdvals() -> np.ndarray:
+            return _svdvals(np.diag(diag).astype(complex) + vt @ ut.conj().T)
+
         if lam == 0:
             c_low = 0.0 if n > len(rep.terms) else float("nan")
         else:
-            c_low = self._ranksum_sigma_min(diag, vt, ut, n)
+            c_low = _constant_shift_sigma_min(diag, vt, ut)
+            if c_low is None:
+                sv = square_svdvals()
+                c_low = float(sv[-1])
 
         def census(cfg: RunConfig) -> Optional[int]:
             if n > cfg.dense_cap:
                 return None
-            sv = _svdvals(np.diag(diag).astype(complex) + vt @ ut.conj().T)
-            return int(np.sum(sv < cfg.defect_eps * sv[0]))
+            vals = square_svdvals() if sv is None else sv
+            return int(np.sum(vals < cfg.defect_eps * vals[0]))
 
         return SectionSummary(n, c_low, d_high, c_low, None), census
-
-    def _ranksum_sigma_min(self, diag: np.ndarray, vt: np.ndarray, ut: np.ndarray,
-                           n: int) -> float:
-        def dense_sigma_min() -> float:
-            dense = np.diag(diag).astype(complex) + vt @ ut.conj().T
-            return float(_svdvals(dense)[-1])
-
-        if n < _ARPACK_MIN_N:
-            return dense_sigma_min()
-        # Woodbury: S^{-1} = diag(a) - P Q^H with a = 1/diag, P = a V C^{-1},
-        # Q = conj(a) U and C = I + U^H diag(a) V
-        r = vt.shape[1]
-        a = 1.0 / diag
-        core = np.eye(r, dtype=complex) + np.einsum("ik,i,il->kl", ut.conj(), a, vt)
-        try:
-            core_inv = np.linalg.inv(core)
-        except np.linalg.LinAlgError:
-            return dense_sigma_min()
-        p = np.einsum("ik,kl->il", a[:, None] * vt, core_inv)
-        q = np.conj(a)[:, None] * ut
-        if np.all(a == a[0]):
-            # constant shift (E = F): the Krylov space is invariant with
-            # dimension <= 2r + 1, where ARPACK can apply no shifts
-            inv_norm = _scalar_minus_low_rank_norm(a[0], p, q)
-        else:
-            try:
-                inv_norm = _deterministic_sigma_max(_diag_minus_low_rank(a, p, q))
-            except scipy.sparse.linalg.ArpackError:  # includes ArpackNoConvergence
-                return dense_sigma_min()
-        return 1.0 / inv_norm if inv_norm > 0 else float("inf")
 
     def dense_summary(self, lam: complex, n: int) -> tuple:
         pb = self.x.position_bandwidth()

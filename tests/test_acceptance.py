@@ -87,7 +87,7 @@ def test_criterion_02_scale_generator_union():
 
 
 def test_criterion_03_resolvent_identities():
-    rng = np.random.default_rng(CFG.seed)
+    rng = np.random.default_rng(12345)
     family = hilbert_scale_family("n+1", range(-1, 2))
     e = f = family.space_at(0)
     worst_ratio = 0.0
@@ -129,7 +129,7 @@ def test_criterion_04_neumann_series():
     family = hilbert_scale_family("n+1", range(-2, 3))
     e, f = family.space_at(1), family.space_at(0)
     op = diag_op("n+1")
-    rng = np.random.default_rng(CFG.seed + 1)
+    rng = np.random.default_rng(12345 + 1)
     worst = 0.0
     for _ in range(20):
         lam0 = complex(rng.uniform(-3.0, -0.5), rng.uniform(-1.0, 1.0))
@@ -267,7 +267,7 @@ def test_criterion_10_cosine_multiplier():
 def test_criterion_11_generalized_eigenvectors():
     worst_residual = max(delta_eigenpair(lam, 1, 1024, cfg=CFG).residual
                          for lam in (-2.0, -1.0, 0.0, 1.0, 2.0))
-    rng = np.random.default_rng(CFG.seed + 2)
+    rng = np.random.default_rng(12345 + 2)
     worst_expansion = 0.0
     worst_parseval = 0.0
     for _ in range(3):
@@ -286,7 +286,7 @@ def test_criterion_11_generalized_eigenvectors():
 
 def test_criterion_12_duality_of_statuses():
     from interspec.sections import PairKernel
-    rng = np.random.default_rng(CFG.seed + 3)
+    rng = np.random.default_rng(12345 + 3)
     lams = [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(10)]
     cfg_fast = CFG.with_updates(scan_n0=64, scan_n_max=512)
     mismatches = []

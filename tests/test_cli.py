@@ -8,6 +8,7 @@ import warnings
 
 from interspec import gallery
 from interspec.cli import main
+from interspec.config import RunConfig
 from interspec.expressions import parse_complex
 
 
@@ -81,7 +82,7 @@ def test_scan_outputs_and_determinism(tmp_path, capsys):
     header = csv_a.decode().splitlines()[0]
     assert header.startswith("re_lambda,im_lambda,pair,status")
     payload = json.loads((out_a / "spectrum.json").read_text())
-    assert payload["config"]["seed"] == 12345
+    assert payload["config"] == RunConfig().to_dict()
     assert payload["duality"]["checked"] is True
 
 

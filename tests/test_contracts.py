@@ -72,7 +72,7 @@ def test_truncations_are_nested():
 
 def test_neumann_matches_direct_across_gallery():
     # random centers and targets inside 0.9 of the certified disk
-    rng = np.random.default_rng(CFG.seed + 4)
+    rng = np.random.default_rng(12345 + 4)
     jobs = [
         (hermite_diagonal("1/(n+1)"), 1, 1, -0.4 - 0.6j, CFG),
         (hermite_diagonal("n+1"), 1, 0, -1.0 + 0.4j, CFG),
@@ -150,8 +150,25 @@ def test_section_norm_above_certificate_raises_typed_error():
 
 
 def test_config_rejects_removed_quad_tol():
-    with pytest.raises(SpecParseError, match="quad_tol"):
-        RunConfig.from_dict({"quad_tol": 1e-8})
+    for key, value in (("quad_tol", 1e-8), ("seed", 12345)):
+        with pytest.raises(SpecParseError, match=key):
+            RunConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["n0", "scan_n0", "symbol_probe"])
+def test_config_rejects_non_positive_sizes(name, value):
+    with pytest.raises(SpecParseError, match=f"size {name} "):
+        RunConfig(**{name: value})
+
+
+def test_scan_with_a_zero_first_truncation_is_a_spec_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n0": 0}))
+    assert main(["scan", "--operator", "gallery:multiplier[cos(t)]",
+                 "--family", "gallery:multiplier[cos(t)]", "--grid=-1.5:1.5:3,0.5:0.5:1",
+                 "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "n0 must be positive" in capsys.readouterr().err
 
 
 def test_config_rejects_a_dense_cap_below_the_first_scan_truncation():

@@ -504,7 +504,7 @@ def test_nan_entries_in_the_probed_tail_decide_nothing():
 
 def test_limit_rule_agrees_with_its_dual_on_the_gallery():
     # criterion 12's points; the rule needs certificates but no section
-    rng = np.random.default_rng(CFG.seed + 3)
+    rng = np.random.default_rng(12345 + 3)
     lams = [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(10)]
     decided = 0
     for name, entry in sorted(registry().items()):

@@ -1,25 +1,26 @@
 """Sparse sections against dense blocks, and structured lower constants
 against a dense SVD of the identical section."""
 
+import pathlib
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from interspec import sections
 from interspec.config import GridSpec, RunConfig
 from interspec.gallery import (hermite_position, registry, scale_generator_entry, torus_comb,
                                torus_delta, torus_multiplication)
-from interspec.operators import certify, operator_from_spec
-from interspec.resolvent import (STATUS_RESOLVENT, branch_report, defect_number,
-                                 point_status, union_spectrum_scan)
+from interspec.operators import certify, operator_from_json, operator_from_spec
+from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, branch_report,
+                                 defect_number, point_status, union_spectrum_scan)
 from interspec.sections import _DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary
-from interspec.spaces import Basis, DiagonalScaleWeights, modes
+from interspec.spaces import Basis, DiagonalScaleWeights, ScaleFamily, modes
 
 CFG = RunConfig()
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 SHAPES = ((40, 37), (37, 40), (64, 64), (1, 5))
 
 
@@ -46,8 +47,8 @@ def test_default_section_is_the_dense_block():
 
 
 def test_ranksum_lower_constant_matches_dense_svd():
-    # W_4 -> W_2 has a non-constant weight ratio, where a wrong adjoint
-    # matvec in the Lanczos loop shows up
+    # W_4 -> W_2 has a non-constant weight ratio, so the route takes the
+    # dense SVD of the square section, not the E = F reduction
     entry = torus_delta()
     x, e, f = entry.operator, entry.family.space_at(4), entry.family.space_at(2)
     lam, n = -2.0, 128
@@ -68,11 +69,7 @@ def _dense_square_sigma_min(x, e, f, lam, n):
 # two terms with decaying complex vectors: the section norm stays O(1), so a dense
 # SVD is a reference to ~1e-15 relative (the all-ones section of torus-delta
 # has norm n, and a dense SVD of it is only good to ~2e-11 at n = 1024)
-DECAYING_PAIR = operator_from_spec({"basis": "fourier", "rep": {"type": "ranksum", "terms": [
-    {"u": {"kind": "expr", "source": "1/(1+n^2)"}, "v": {"kind": "expr", "source": "1/(1+n^2)"}},
-    {"u": {"kind": "expr", "source": "n*exp(-2*i*n)/(1+n^4)"},
-     "v": {"kind": "expr", "source": "exp(i*n)/(2+n^2)"}},
-]}})
+DECAYING_PAIR = operator_from_json(str(DATA / "ranksum-decaying.json"))
 
 
 @pytest.mark.parametrize("case", [("torus-comb-4", 1, -1), ("torus-comb-4", 1, 0),
@@ -97,15 +94,14 @@ def test_multi_term_ranksum_lower_constant_matches_dense_svd(case, lam, n):
 @pytest.mark.parametrize("lam", [0.3 + 0.5j, 1.5 + 0.05j])
 @pytest.mark.parametrize("n", [256, 1024])
 def test_constant_shift_route_is_exact_without_dense_svd(monkeypatch, index, lam, n):
-    # E = F: the shifted diagonal is constant, ARPACK's Krylov space is
-    # invariant, and the k x k reduction gives the answer in O(n r^2)
+    # E = F: the shifted diagonal is constant, and the k x k reduction of
+    # the Woodbury inverse gives the answer in O(n r^2)
     def forbidden(*args, **kwargs):
         raise AssertionError("the constant-shift route must not reach this")
 
     space = torus_delta().family.space_at(index)
     kernel = PairKernel(DECAYING_PAIR, space, space, CFG)
     monkeypatch.setattr(sections, "_svdvals", forbidden)
-    monkeypatch.setattr(sections, "_deterministic_sigma_max", forbidden)
     got = kernel.summary(lam, n, want_census=False).c_low
     monkeypatch.undo()
     ref = _dense_square_sigma_min(DECAYING_PAIR, space, space, lam, n)
@@ -143,34 +139,20 @@ def test_constant_shift_route_matches_high_precision_on_wide_weights():
     assert abs(got - ref) <= 1e-12 * ref
 
 
-def _torus_delta_kernel():
-    entry = torus_delta()
-    e, f = entry.family.space_at(1), entry.family.space_at(0)
-    return entry.operator, e, f, PairKernel(entry.operator, e, f, CFG)
+BOUNDED_SCALE = ScaleFamily.from_json(str(DATA / "bounded-scale.json"))
 
 
-def test_ranksum_fault_in_lanczos_loop_propagates(monkeypatch):
-    def broken(op):
-        raise RuntimeError("matvec bug")
-
-    _, _, _, kernel = _torus_delta_kernel()
-    monkeypatch.setattr(sections, "_deterministic_sigma_max", broken)
-    with pytest.raises(RuntimeError, match="matvec bug"):
-        kernel.summary(0.3 + 0.5j, 128, want_census=False)
-
-
-def test_ranksum_arpack_failure_falls_back_to_dense_svd(monkeypatch):
-    def no_convergence(op):
-        raise ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-
-    x, e, f, kernel = _torus_delta_kernel()
-    lam, n = 0.3 + 0.5j, 128
-    monkeypatch.setattr(sections, "_deterministic_sigma_max", no_convergence)
-    got = kernel.summary(lam, n, want_census=False).c_low
-    assert abs(got - _dense_square_sigma_min(x, e, f, lam, n)) <= 1e-12 * got
-    # below ARPACK's size floor the route goes dense without calling it
-    assert abs(kernel.ranksum_summary(lam, 6)[0].c_low
-               - _dense_square_sigma_min(x, e, f, lam, 6)) <= 1e-12
+@pytest.mark.parametrize("index", [1, 0], ids=["H1-H0", "H0-H0"])
+def test_ranksum_point_status_at_a_shifted_point_matches_dense_svd(index):
+    # the bounded family's weight ratios have nonzero limits, so the limit rule
+    # leaves these cells to the sections: H_1 -> H_0 takes the dense SVD of the
+    # square section, H_0 -> H_0 the E = F reduction
+    e, f = BOUNDED_SCALE.space_at(index), BOUNDED_SCALE.space_at(0)
+    lam = 0.5j
+    status = point_status(DECAYING_PAIR, lam, e, f, CFG)
+    assert (status.status, status.witness_n) == (STATUS_RESOLVENT, 512)
+    ref = _dense_square_sigma_min(DECAYING_PAIR, e, f, lam, status.witness_n)
+    assert abs(status.c_low - ref) <= 1e-12 * ref
 
 
 # -- banded route: one band reduction per Gram matrix ---------------------------
@@ -286,17 +268,26 @@ def test_census_on_a_summarized_point_reuses_the_reductions(monkeypatch):
     assert with_census.census is not None
 
 
-def test_ranksum_census_on_a_summarized_point_makes_no_arpack_call(monkeypatch):
+def _torus_delta_kernel():
+    entry = torus_delta()
+    e, f = entry.family.space_at(1), entry.family.space_at(0)
+    return entry.operator, e, f, PairKernel(entry.operator, e, f, CFG)
+
+
+def test_ranksum_census_on_a_summarized_point_reuses_its_singular_values(monkeypatch):
+    # E != F: the summary took the dense SVD of the square section, and the
+    # census counts over the same singular values
     def forbidden(*args, **kwargs):
-        raise AssertionError("the census must not run ARPACK again")
+        raise AssertionError("the census must reuse the summary's singular values")
 
     x, e, f, kernel = _torus_delta_kernel()
     lam, n = 0.3 + 0.5j, 128
     kernel.summary(lam, n, want_census=False)
-    monkeypatch.setattr(sections, "_deterministic_sigma_max", forbidden)
+    monkeypatch.setattr(sections, "_svdvals", forbidden)
     with_census = kernel.summary(lam, n, want_census=True)
     monkeypatch.undo()
     assert with_census == PairKernel(x, e, f, CFG).summary(lam, n, want_census=True)
+    assert with_census.census is not None
 
 
 @pytest.mark.parametrize("name", ["position", "torus-delta", "scale-generator"])
@@ -400,6 +391,23 @@ def test_constant_limit_symbols_are_read_without_a_grid(monkeypatch):
     for profile in profiles:
         for lam in lams:
             assert repr(profile.bound(lam)) == repr(_constant_symbol_bound(profile, lam))
+
+
+@pytest.mark.parametrize("probe", [40, 1])
+@pytest.mark.parametrize("name, status, witness_n", [
+    ("multiplier[cos(t)]", STATUS_NOT_REGULAR, 2048),
+    ("scale-generator", STATUS_RESOLVENT, 512),
+])
+def test_a_probe_with_no_deep_tail_gives_no_limit_bound(name, status, witness_n, probe):
+    # short probes hold no sample past the deepest checkpoint (64), so no
+    # direction reads a limit, and the cells on (E_0, E_-1) run their sections
+    cfg = RunConfig(symbol_probe=probe)
+    entry = registry()[name]
+    e, f = entry.family.space_at(0), entry.family.space_at(-1)
+    assert PairKernel(entry.operator, e, f, cfg).limit_profile.bound(0.5 + 0.5j) \
+        == (float("inf"), float("inf"))
+    got = point_status(entry.operator, 0.5 + 0.5j, e, f, cfg)
+    assert (got.status, got.witness_n) == (status, witness_n)
 
 
 def test_dense_generator_has_no_limit_profile():
