@@ -37,12 +37,20 @@ class UnitIntervalQuadrature:
         self.n = n
         self.nodes = 0.5 * (t + 1.0)
         self.weights = 0.5 * w
-        vander = legendre.legvander(t, n - 1)
-        self._lu = scipy.linalg.lu_factor(vander)
+        # Gauss discrete orthogonality, exact up to degree 2n - 1: the coefficients
+        # of degree < n are c_k = (2k + 1)/2 sum_j w_j P_k(t_j) f_j, with no solve
+        self._vander = legendre.legvander(t, n - 1)
+        self._project = self._vander.T * w * (np.arange(n) + 0.5)[:, None]
         self._t = t
 
     def coefficients(self, samples: np.ndarray) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu, np.asarray(samples, dtype=complex))
+        """Legendre coefficients of the interpolant of ``samples``: the Gauss
+        projection, plus the projection of its interpolation residual. Alone it
+        errs by about k eps |f| in coefficient k, which `derivative` scales by k^2."""
+        times = lambda mat, vec: mat @ vec.real + 1j * (mat @ vec.imag)  # mat stays real
+        f = np.asarray(samples, dtype=complex)
+        coeffs = times(self._project, f)
+        return coeffs + times(self._project, f - times(self._vander, coeffs))
 
     def integrate(self, samples: np.ndarray) -> complex:
         return complex(np.sum(self.weights * np.asarray(samples, dtype=complex)))

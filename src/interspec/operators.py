@@ -43,7 +43,7 @@ import scipy.sparse
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
-from .sections import _DENSE_ALWAYS, LimitProfile, PairKernel, tail_slots
+from .sections import _DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary, tail_slots
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
                      dual_space, mode_to_position, modes, probe_sups, running_sup, slot_modes)
 
@@ -90,10 +90,21 @@ class Representation:
         """``certify`` of every (E, F) in ``pairs``, in order."""
         return [self.certify(op, e, f, cfg) for e, f in pairs]
 
+    walks_rows = False  # may a row of lambda walk in lock step? (see `summaries`)
+
     def summary(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
         """Section summary, and its census call, through the strategy that
         suits this structure."""
         return kernel.dense_summary(lam, n)
+
+    def summaries(self, kernel: PairKernel, lams: np.ndarray, n: int) -> tuple:
+        """(c_low, d_high, surj_low, census) arrays at truncation n over ``lams``,
+        here from one `PairKernel.summary` each and with no census (None): it
+        is computed only when asked for. Unless ``walks_rows`` is set, a decision
+        asks for one lambda at a time and walks it to its census before the next."""
+        found = [kernel.summary(lam, n, want_census=False) for lam in lams.tolist()]
+        return tuple(np.array([getattr(s, name) for s in found])
+                     for name in ("c_low", "d_high", "surj_low")) + (None,)
 
     def norm_estimate(self, kernel: PairKernel, n: int) -> float:
         return kernel.summary(0.0, n, want_census=False).d_high
@@ -147,8 +158,16 @@ class Diagonal(Representation):
                                       CERT_FAILED if diverged else CERT_EXACT, probe)
                 for (e, f), (bound, diverged) in zip(pairs, sups)]
 
+    walks_rows = True
+
     def summary(self, kernel, lam, n):
-        return kernel.diagonal_summary(lam, n)
+        c_low, d_high, _, census = (v[0].item() for v in kernel.diagonal_summaries(
+            np.array([lam], dtype=complex), n))
+        # counted at kernel.cfg, the configuration `PairKernel.summary` hands the call
+        return SectionSummary(n, c_low, d_high, c_low, None), lambda cfg: census
+
+    def summaries(self, kernel, lams, n):
+        return kernel.diagonal_summaries(lams, n)
 
     def max_n(self, cfg):
         # closed-form singular values: deep truncations are nearly free

@@ -15,15 +15,20 @@ Statuses attached to a point lambda for a pair (E, F) with E inside F:
 * ``no-extension``    no certified continuous extension on the pair;
 * ``inconclusive``    none of the above could be established by n_max.
 
-One decision colors a point. It applies its rules once each, first match
-wins: the certificate, the limit operators, a vanishing lower constant at
-some truncation, a vanishing wide-view constant plus census, a stabilized
-doubling walk plus census, sustained shrink, and otherwise inconclusive.
-Sections are taken along one doubling walk; the census compares the walk's
-last two truncations, and "vanishing" means at most ``regular_eps`` times
-max(d_high, |lambda|, 1). `point_status`, `regular_point` and
-`defect_number` are views of that decision: lambda is in the (E, F)
-resolvent set exactly when it is regular with defect 0.
+One decision colors a pair's row of points. It applies its rules once
+each per point, first match wins: the certificate, the limit operators, a
+vanishing lower constant at some truncation, a vanishing wide-view constant
+plus census, a stabilized doubling walk plus census, sustained shrink, and
+otherwise inconclusive. Sections are taken along one doubling walk per
+point; the census compares the walk's last two truncations, and "vanishing"
+means at most ``regular_eps`` times max(d_high, |lambda|, 1). The
+certificate and the limit operators answer for the whole row at once. A
+diagonal operator's walks run in lock step, each doubling summarizing every
+point still walking from blocks of the row (`PairKernel.diagonal_summaries`);
+other representations walk one point at a time. Scans decide rows, and
+`point_status`, `regular_point` and `defect_number` are views of the
+one-point row: lambda is in the (E, F) resolvent set exactly when it is
+regular with defect 0.
 
 Grid scans never claim set equalities: they color grid points, and the
 acceptance layer compares colors against analytic membership predicates.
@@ -47,7 +52,7 @@ from .errors import (CertificateBoundError, NeumannRadiusError, NotCertifiedErro
                      NotInResolventError, NotRegularError, SolveToleranceError)
 from .operators import (CERT_FAILED, CoefficientOperator, ContinuityCertificate, certify,
                         certify_pairs)
-from .sections import PairKernel, SectionSummary
+from .sections import PairKernel
 from .spaces import (CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
                      embedding_norm, norm)
 
@@ -110,98 +115,128 @@ class SolveResult:
 # point statuses
 
 
-def _s_low(summary: SectionSummary) -> float:
-    """Duality-symmetric lower constant: tall and wide views swap under the
-    adjoint-and-dual-pair move, so decisions built on the min stay symmetric."""
-    return min(summary.c_low, summary.surj_low)
+_STABILIZED, _SHRINK = 1, 2  # why a doubling walk stopped; 0 when its truncations ran out
 
 
-def _walk(kernel: PairKernel, lam: complex, cfg: RunConfig) -> tuple:
-    """Summaries along the doubling schedule, and why the walk stopped.
-
-    It stops at "stabilized" when the last two lower constants agree within
-    ``rel_tol``, at "shrink" when they fell at every doubling and by
-    ``growth_threshold`` overall across at least three, and otherwise (None)
-    when the truncations run out.
-    """
-    out = []
-    n = cfg.scan_n0
-    top = kernel.max_n()
-    while n <= top and len(out) < 9:
-        out.append(kernel.summary(lam, n, want_census=False))
-        lows = [_s_low(s) for s in out]
-        if len(lows) >= 2 and abs(lows[-1] - lows[-2]) <= cfg.rel_tol * max(lows[-1], 1e-300):
-            return out, "stabilized"
-        if (len(lows) >= 4 and all(b <= a for a, b in zip(lows, lows[1:]))
-                and lows[0] >= cfg.growth_threshold * lows[-1]):
-            return out, "shrink"
-        n *= 2
-    return out, None
-
-
-def _limit_status(kernel: PairKernel, lam: complex, cert: ContinuityCertificate,
-                  cfg: RunConfig) -> Optional[CellStatus]:
-    """``not-regular`` from the pair's limit operators, with no section, or None.
+def _limit_status(kernel: PairKernel, lams: np.ndarray, cert: ContinuityCertificate,
+                  cfg: RunConfig) -> list:
+    """For each lambda of ``lams``: ``not-regular`` from the pair's limit
+    operators, with no section, or None.
 
     Every limit operator bounds the lower norm of the weighted section from
     above (see `LimitProfile`), so a bound that lies within ``regular_eps``
     of zero together with its error bar is conclusive. The scale is the
     sections' max(d_high, |lambda|, 1), with the certificate's norm bound in
-    place of d_high.
+    place of d_high. One `LimitProfile.bound` call serves the whole row.
     """
     profile = kernel.limit_profile
     if profile is None:
-        return None
-    bound, error = profile.bound(lam)
-    if bound + error > cfg.regular_eps * max(cert.norm_bound, abs(lam), 1.0):
-        return None
-    return CellStatus(STATUS_NOT_REGULAR, bound, witness_n=profile.witness_n)
+        return [None] * len(lams)
+    bound, error = profile.bound(lams)
+    scale = np.maximum(np.maximum(cert.norm_bound, np.hypot(lams.real, lams.imag)), 1.0)
+    undecided = bound + error > cfg.regular_eps * scale
+    made: dict = {}  # one cell per bound: a compact pair's row is all zeros
+    return [None if skip else made.get(value) or made.setdefault(
+                value, CellStatus(STATUS_NOT_REGULAR, value, witness_n=profile.witness_n))
+            for skip, value in zip(undecided.tolist(), bound.tolist())]
 
 
-def _decide(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
+def _walk(kernel: PairKernel, lams: np.ndarray, cfg: RunConfig) -> tuple:
+    """The cells of ``lams`` decided by doubling walks in lock step, and for
+    each the (n, d_high) of its last summary.
+
+    A walk stops at "stabilized" when its last two lower constants agree within
+    ``rel_tol``, at "shrink" when they fell at every doubling and by
+    ``growth_threshold`` overall across at least three, and otherwise when the
+    truncations run out. The lower constant is min(c_low, surj_low): tall and
+    wide views swap under the adjoint-and-dual-pair move, so decisions built
+    on it stay symmetric.
+    """
+    count, abs_lam = len(lams), np.hypot(lams.real, lams.imag)
+    stop, last_n, vanish_n = np.zeros((3, count), dtype=int)  # vanish_n 0: nothing vanished
+    last_c, last_d, vanish_c, vanish_d, first, prev = np.zeros((6, count))
+    vanish_tall, falling = np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
+    censuses, given = np.zeros((2, count), dtype=int), True  # at the last two truncations
+    live, n, top, taken = np.arange(count), cfg.scan_n0, kernel.max_n(), 0
+    while n <= top and taken < 9 and live.size:
+        c_low, d_high, surj_low, census = kernel.x.rep.summaries(kernel, lams[live], n)
+        low = np.where(surj_low < c_low, surj_low, c_low)  # min(), NaN and all
+        eps = cfg.regular_eps * np.maximum(np.maximum(d_high, abs_lam[live]), 1.0)
+        new = (vanish_n[live] == 0) & (low <= eps)
+        hit = live[new]
+        vanish_n[hit], vanish_c[hit], vanish_d[hit] = n, c_low[new], d_high[new]
+        vanish_tall[hit] = c_low[new] <= eps[new]
+        if not taken:
+            first[live] = prev[live] = low
+        was = prev[live]
+        stable = (np.abs(low - was) <= cfg.rel_tol * np.maximum(low, 1e-300)) & (taken > 0)
+        falling[live] &= low <= was
+        shrink = ~stable & falling[live] & (first[live] >= cfg.growth_threshold * low) \
+            & (taken >= 3)
+        prev[live], last_n[live], last_c[live], last_d[live] = low, n, c_low, d_high
+        if census is None:
+            given = False
+        else:
+            censuses[0, live], censuses[1, live] = censuses[1, live], census
+        stop[live[stable]], stop[live[shrink]] = _STABILIZED, _SHRINK
+        live = live[~(stable | shrink)]
+        n, taken = 2 * n, taken + 1
+    cells = []
+    for lam, why, n, c, d, v_n, v_c, v_d, v_tall, lo, hi in zip(
+            lams.tolist(), *(a.tolist() for a in (stop, last_n, last_c, last_d, vanish_n,
+                                                 vanish_c, vanish_d, vanish_tall)),
+            *censuses.tolist()):
+        if v_n and v_tall:  # a vanishing lower bound at any truncation is conclusive
+            cells.append(CellStatus(STATUS_NOT_REGULAR, v_c, v_d, witness_n=v_n, stabilized=True))
+            continue
+        if not v_n and why != _STABILIZED:
+            status = STATUS_NOT_REGULAR if why == _SHRINK else STATUS_INCONCLUSIVE
+            cells.append(CellStatus(status, c, d, witness_n=n))
+            continue
+        # bounded below, and injective but visibly non-surjective or stabilized:
+        # the census must agree at the walk's last two truncations (of which a
+        # walk of one summary has one)
+        if not given:  # the kernel's memo holds this lambda's walk
+            lo = kernel.summary(lam, n // 2, want_census=True).census if n > cfg.scan_n0 else None
+            hi = kernel.summary(lam, n, want_census=True).census
+        defect = hi if n > cfg.scan_n0 and lo is not None and lo == hi else "unstable"
+        status = STATUS_INCONCLUSIVE if defect == "unstable" or (defect == 0 and v_n) else \
+            STATUS_RESOLVENT if defect == 0 else STATUS_REGULAR_DEFECT
+        cells.append(CellStatus(status, c, d, defect, witness_n=n, stabilized=why == _STABILIZED))
+    return cells, list(zip(last_n.tolist(), last_d.tolist()))
+
+
+def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace,
             cfg: RunConfig, cert: Optional[ContinuityCertificate],
             kernel: Optional[PairKernel]) -> tuple:
-    """The one classification of lambda on (E, F), and the summaries it walked
-    (none when the certificate or the limit operators decide)."""
+    """The one classification of each lambda of ``lams`` on (E, F), and for each
+    the (n, d_high) of the last summary it walked (None when the certificate or
+    the limit operators decide, each once for the whole row). The rest walks in
+    lock step where the representation ``walks_rows``, else one lambda at a time.
+    """
+    lams = np.asarray(lams, dtype=complex)
     cert = cert if cert is not None else certify(x, e, f, cfg)
     if not cert.certified:
         status = STATUS_NO_EXTENSION if cert.method == CERT_FAILED else STATUS_INCONCLUSIVE
-        return CellStatus(status, witness_n=cert.witness_n), []
+        return [CellStatus(status, witness_n=cert.witness_n)] * len(lams), [None] * len(lams)
     kernel = kernel if kernel is not None else PairKernel(x, e, f, cfg)
-    decided = _limit_status(kernel, lam, cert, cfg)
-    if decided is not None:
-        return decided, []
-    summaries, stop = _walk(kernel, lam, cfg)
-    last = summaries[-1]
-    eps = lambda s: cfg.regular_eps * max(s.d_high, abs(lam), 1.0)
-    # a vanishing lower bound at any truncation is conclusive
-    vanishing = next((s for s in summaries if _s_low(s) <= eps(s)), None)
-    if vanishing is not None and vanishing.c_low <= eps(vanishing):
-        return CellStatus(STATUS_NOT_REGULAR, vanishing.c_low, vanishing.d_high,
-                          witness_n=vanishing.n, stabilized=True), summaries
-    if vanishing is None and stop != "stabilized":
-        status = STATUS_NOT_REGULAR if stop == "shrink" else STATUS_INCONCLUSIVE
-        return CellStatus(status, last.c_low, last.d_high, witness_n=last.n), summaries
-    # bounded below, and injective but visibly non-surjective or stabilized:
-    # the census must agree at the walk's last two truncations
-    lo = kernel.summary(lam, summaries[-2].n, want_census=True) if len(summaries) >= 2 else None
-    hi = kernel.summary(lam, last.n, want_census=True)
-    defect = hi.census if lo is not None and lo.census is not None \
-        and lo.census == hi.census else "unstable"
-    if defect == "unstable" or (defect == 0 and vanishing is not None):
-        status = STATUS_INCONCLUSIVE
-    else:
-        status = STATUS_RESOLVENT if defect == 0 else STATUS_REGULAR_DEFECT
-    return CellStatus(status, last.c_low, last.d_high, defect, witness_n=last.n,
-                      stabilized=stop == "stabilized"), summaries
+    cells = _limit_status(kernel, lams, cert, cfg)
+    lasts = [None] * len(lams)
+    walking = [i for i, cell in enumerate(cells) if cell is None]
+    width = len(walking) if kernel.x.rep.walks_rows else 1
+    for a in range(0, len(walking), max(width, 1)):
+        group = walking[a:a + width]
+        for i, cell, last in zip(group, *_walk(kernel, lams[group], cfg)):
+            cells[i], lasts[i] = cell, last
+    return cells, lasts
 
 
 def point_status(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                  cfg: RunConfig = DEFAULT_CONFIG,
                  cert: Optional[ContinuityCertificate] = None,
                  kernel: Optional[PairKernel] = None) -> CellStatus:
-    """Classify one grid point for one pair."""
-    return _decide(x, lam, e, f, cfg, cert, kernel)[0]
+    """Classify one grid point for one pair: the one-point row of the decision."""
+    return _decide(x, [lam], e, f, cfg, cert, kernel)[0][0]
 
 
 def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
@@ -214,13 +249,13 @@ def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
     if not cert.certified:
         raise NotCertifiedError(
             f"regular_point requires a certified extension on ({e.label}, {f.label})")
-    status, summaries = _decide(x, lam, e, f, cfg, cert, kernel)
-    if summaries and math.isfinite(cert.norm_bound):
-        last = summaries[-1]
+    [status], [last] = _decide(x, [lam], e, f, cfg, cert, kernel)
+    if last is not None and math.isfinite(cert.norm_bound):
+        n, d_high = last
         bound = cert.norm_bound + abs(lam) * embedding_norm(e, f, cfg)
-        if not last.d_high <= bound * (1 + 1e-9) + 1e-12:
+        if not d_high <= bound * (1 + 1e-9) + 1e-12:
             raise CertificateBoundError(
-                f"section norm {last.d_high:.6g} at n={last.n} exceeds the certificate "
+                f"section norm {d_high:.6g} at n={n} exceeds the certificate "
                 f"bound {bound:.6g} on ({e.label}, {f.label})")
     return RegularPointReport(lam, e, f, status.c_low, status.d_high, status.stabilized,
                               status.witness_n, status.defect)
@@ -590,50 +625,53 @@ def union_spectrum_scan(x: CoefficientOperator, family: ScaleFamily, grid: GridS
                         cfg: RunConfig = DEFAULT_CONFIG) -> SpectrumMap:
     """Color every admissible pair at every grid point; union over pairs.
 
+    Each pair's row of grid points is decided at once (see `_decide`).
     When the family is closed under duality the scan also verifies, per cell,
     that resolvent membership of lambda for (E, F) matches membership of
-    conj(lambda) for (F^x, E^x) with the adjoint operator.
+    conj(lambda) for (F^x, E^x) with the adjoint operator. A self-adjoint
+    operator's dual pairs are primal pairs, so each dual row is decided, at
+    conj(lambda) and from its own summaries, right after the primal row of
+    its pair, with that pair's kernel, certificate and limit profile.
     """
     lambdas = list(grid.points())
+    lams = np.array(lambdas, dtype=complex)
     pairs = family.admissible_pairs()
     certs = certify_pairs(x, pairs, cfg)
-    cells = []
-    labels = []
+    labels = [f"{e.label}->{f.label}" for e, f in pairs]
+    checked = bool(cfg.duality_check and family.closed_under_duality and pairs)
+    adj = x.adjoint() if checked else None
+    dual_pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs] if checked else []
+    # with adj is x, dual row shared[pair] is decided on the primal pair ``pair``
+    shared = {pair: i for i, pair in enumerate(dual_pairs)} if adj is x else {}
+    cells, dual_rows = [], [None] * len(dual_pairs)
     for (e, f), cert in zip(pairs, certs):
-        labels.append(f"{e.label}->{f.label}")
         kernel = PairKernel(x, e, f, cfg)
-        row = [point_status(x, lam, e, f, cfg, cert=cert, kernel=kernel)
-               for lam in lambdas]
-        cells.append(row)
+        cells.append(_decide(x, lams, e, f, cfg, cert, kernel)[0])
+        if (e, f) in shared:
+            dual_rows[shared[e, f]] = [cell.status for cell in
+                                       _decide(x, lams.conj(), e, f, cfg, cert, kernel)[0]]
 
     union = [any(cells[pi][li].status == STATUS_RESOLVENT for pi in range(len(pairs)))
              for li in range(len(lambdas))]
 
     mismatches = None
-    checked = False
-    if cfg.duality_check and family.closed_under_duality and pairs:
-        checked = True
+    if checked:
         mismatches = []
-        adj = x.adjoint()
-        dual_pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs]
-        if adj is x:
-            by_pair = dict(zip(pairs, certs))
-            dual_certs = [by_pair[pair] for pair in dual_pairs]
-        else:
-            dual_certs = certify_pairs(adj, dual_pairs, cfg)
-        for pi, ((ed, fd), cert) in enumerate(zip(dual_pairs, dual_certs)):
-            kernel = PairKernel(adj, ed, fd, cfg)
+        if adj is not x:
+            for pi, cert in enumerate(certify_pairs(adj, dual_pairs, cfg)):
+                ed, fd = dual_pairs[pi]
+                dual_rows[pi] = [cell.status for cell in _decide(
+                    adj, lams.conj(), ed, fd, cfg, cert, PairKernel(adj, ed, fd, cfg))[0]]
+        for pi, row in enumerate(dual_rows):
             for li, lam in enumerate(lambdas):
-                dual_status = point_status(adj, lam.conjugate(), ed, fd, cfg,
-                                           cert=cert, kernel=kernel)
                 primal = cells[pi][li].status == STATUS_RESOLVENT
-                dual = dual_status.status == STATUS_RESOLVENT
+                dual = row[li] == STATUS_RESOLVENT
                 if primal != dual:
                     mismatches.append({
                         "lambda": [lam.real, lam.imag],
                         "pair": labels[pi],
                         "primal": cells[pi][li].status,
-                        "dual": dual_status.status,
+                        "dual": row[li],
                     })
 
     return SpectrumMap(grid, labels, certs, cells, union, lambdas,

@@ -16,7 +16,11 @@ Gram eigenvalues, and rank sums and dense generators take full SVDs.
 `PairKernel` holds the strategies; the operator's representation picks one
 for each truncation.
 `PairKernel.summary` keeps the summaries of the current lambda per
-truncation, and computes a census only when one is asked for. A kernel
+truncation, and computes a census only when one is asked for.
+`PairKernel.diagonal_summaries` summarizes a whole row of lambda at one
+truncation, censuses included, from blocks of at most 2^15 entries that
+live one at a time; nothing of a block is kept but its three numbers per
+lambda. A kernel
 holds no weights or symbol of its own, only the diagonal route's ratio
 w_F / w_E: it reads prefix views of the arrays that its spaces
 (`ScaleSpace.weights`) and a diagonal representation (`Diagonal.symbol`)
@@ -59,6 +63,7 @@ from .config import RunConfig
 from .spaces import Basis, ScaleSpace, modes, slot_modes
 
 _DENSE_ALWAYS = 96  # below this size dense SVD beats the structured routes
+_ROW_BLOCK = 1 << 15  # entries per block of `PairKernel.diagonal_summaries`
 
 
 @dataclass(frozen=True)
@@ -250,10 +255,12 @@ def _symbol_min(offsets: np.ndarray, limits: np.ndarray, width: int, shift: comp
 
 def tail_slots(probe: int) -> np.ndarray:
     """The coefficient slots that tail probes sample: 32 per dyadic block,
-    geometrically spaced from max(16, probe / 512) to max(probe - 1, 1)."""
-    first = max(16, probe >> 9)
+    geometrically spaced from max(16, probe / 512), or probe - 1 if less, to
+    max(probe - 1, 1), and never at or past ``probe``."""
+    first = min(max(16, probe >> 9), max(probe - 1, 1))
     blocks = max(1, int(np.log2(probe / first)))
-    return np.unique(np.rint(np.geomspace(first, max(probe - 1, 1), 32 * blocks)).astype(int))
+    slots = np.rint(np.geomspace(first, max(probe - 1, 1), 32 * blocks)).astype(int)
+    return np.unique(np.minimum(slots, probe - 1))
 
 
 class LimitProfile:
@@ -315,20 +322,29 @@ class LimitProfile:
                                float(sum(err for _, err in limits)), rho, rho_error))
         return cls(tuple(directions), int(slots[-1]) + 1)
 
-    def bound(self, lam: complex) -> tuple:
+    def bound(self, lams) -> tuple:
         """(min_theta |a(theta)|, its error bar) in the direction where their
         sum is smallest: an upper bound on the lower norm of S(lambda).
         A direction whose sum is NaN is never chosen, and (inf, inf) means
-        that no direction gave a bound."""
-        best = (float("inf"), float("inf"))
+        that no direction gave a bound. One lambda gives two floats, an array
+        of them two arrays. Width-0 directions take the array at once, with
+        lambda rho and |.| formed as Python's complex product and abs form them:
+        numpy's vectorized ones may round differently in the last bit."""
+        lams = np.asarray(lams, dtype=complex)
+        re, im = lams.real, lams.imag
+        best, best_err = np.full(lams.shape, np.inf), np.full(lams.shape, np.inf)
         for offsets, limits, width, constant, error, rho, rho_error in self.directions:
-            shift = lam * rho
-            value = float(abs(constant - shift)) if width == 0 else \
-                _symbol_min(offsets, limits, width, shift)
-            err = error + abs(lam) * rho_error
-            if value + err < best[0] + best[1]:
-                best = (value, err)
-        return best
+            rho = complex(rho)
+            if width == 0:
+                value = np.hypot(constant.real - (re * rho.real - im * rho.imag),
+                                 constant.imag - (re * rho.imag + im * rho.real))
+            else:
+                value = np.reshape([_symbol_min(offsets, limits, width, lam * rho)
+                                    for lam in np.ravel(lams).tolist()], lams.shape)
+            err = error + np.hypot(re, im) * rho_error
+            better = value + err < best + best_err
+            best, best_err = np.where(better, value, best), np.where(better, err, best_err)
+        return (best, best_err) if lams.ndim else (float(best), float(best_err))
 
 
 class PairKernel:
@@ -378,16 +394,25 @@ class PairKernel:
     # -> memo -> call -> kernel cycle would keep dead kernels' arrays alive
     # until the cyclic garbage collector runs.
 
-    def diagonal_summary(self, lam: complex, n: int) -> tuple:
+    def diagonal_summaries(self, lams: np.ndarray, n: int) -> tuple:
+        """`Representation.summaries` of a diagonal operator, censuses included,
+        from blocks of |symbol - lambda| w_F / w_E over all n slots of at most
+        ``_ROW_BLOCK`` / n lambda. Each entry is the one-lambda expression, and
+        min, max and counts do not depend on the order of evaluation."""
         # the ratio is held because every lambda of a scan reads it; dividing
         # anew would add a fourth pass over n values to a route that has three
         if len(self._ratio) < n:
             self._ratio = self.f.weights(n) / self.e.weights(n)
-        vals = np.abs(self.x.rep.symbol(self.x.basis, n) - lam) * self._ratio[:n]
-        d_high = float(np.max(vals))
-        c_low = float(np.min(vals))
-        return (SectionSummary(n, c_low, d_high, c_low, None),
-                lambda cfg: int(np.sum(vals < cfg.defect_eps * d_high)))
+        symbol = self.x.rep.symbol(self.x.basis, n)[:, None]
+        ratio = self._ratio[:n, None]
+        c_low, d_high, census = np.empty(len(lams)), np.empty(len(lams)), np.empty(len(lams), int)
+        width = max(1, _ROW_BLOCK // n)
+        for block in (slice(a, a + width) for a in range(0, len(lams), width)):
+            vals = np.abs(symbol - lams[None, block])
+            vals *= ratio
+            c_low[block], d_high[block] = vals.min(axis=0), vals.max(axis=0)
+            census[block] = np.count_nonzero(vals < self.cfg.defect_eps * d_high[block], axis=0)
+        return c_low, d_high, c_low, census
 
     def _sparse_shifted(self, lam: complex, rows: int, cols: int) -> scipy.sparse.csr_matrix:
         sec = self.x.section(rows, cols)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from numpy.polynomial import legendre
 
 from interspec.config import RunConfig
 from interspec.errors import EigenvalueCollisionError, NoBoundStateError
@@ -25,6 +27,29 @@ def test_quadrature_integrates_polynomials_exactly():
     assert np.allclose(cumulative, QUAD.nodes ** 3, atol=1e-13)
     derivative = QUAD.derivative(QUAD.nodes ** 4)
     assert np.allclose(derivative, 4.0 * QUAD.nodes ** 3, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 128, 256])
+def test_quadrature_coefficients_match_the_vandermonde_solve(n):
+    # discrete orthogonality against the LU solve of the Legendre Vandermonde system
+    quad = UnitIntervalQuadrature(n)
+    t = 2.0 * quad.nodes - 1.0
+    lu = scipy.linalg.lu_factor(legendre.legvander(t, n - 1))
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = scipy.linalg.lu_solve(lu, samples)
+        got = quad.coefficients(samples)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [8, 128, 256])
+def test_quadrature_recovers_a_legendre_series_of_degree_below_n(n):
+    quad = UnitIntervalQuadrature(n)
+    rng = np.random.default_rng(n + 1)
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = quad.coefficients(legendre.legval(2.0 * quad.nodes - 1.0, coeffs))
+    assert np.max(np.abs(got - coeffs)) <= 1e-11 * np.max(np.abs(coeffs))
 
 
 def test_resolvent_closed_form_for_exponential_input():

@@ -14,9 +14,9 @@ from interspec.errors import (NeumannRadiusError, NotCertifiedError,
                               NotInResolventError, NotRegularError)
 from interspec import sections
 from interspec.operators import (Banded, CoefficientOperator, DenseGenerator, certify,
-                                 operator_from_spec)
+                                 certify_pairs, operator_from_spec)
 from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, CellStatus,
-                                 _limit_status,
+                                 _decide, _limit_status,
                                  branch_report, defect_number, equivalent,
                                  neumann_continue, point_status, regular_point,
                                  resolvent_identity_residuals, resolvent_solve,
@@ -385,6 +385,78 @@ def test_scan_duality_boolean_symmetry_banded(scale):
     assert smap.duality_mismatches == []
 
 
+# spectrum points of diagonal[1/(n+1)] (0.5, 1.0, and 0 in the closure), points
+# within 1e-3 of them, and points off the spectrum
+ROW = [0.0, 0.5, 1.0, 0.5 + 7e-4j, 1.0 - 1e-3, 8e-4 - 6e-4j, 0.3 + 0.5j, -1.2 + 0.2j, 2.5]
+
+
+def _row_against_points(x, family, lams, cfg):
+    pairs = family.admissible_pairs()
+    for (e, f), cert in zip(pairs, certify_pairs(x, pairs, cfg)):
+        kernel = PairKernel(x, e, f, cfg)
+        row = _decide(x, lams, e, f, cfg, cert, kernel)[0]
+        points = [point_status(x, lam, e, f, cfg, cert=cert, kernel=kernel) for lam in lams]
+        assert [repr(c) for c in row] == [repr(c) for c in points], (e.label, f.label)
+
+
+@pytest.mark.parametrize("name", sorted(registry()))
+def test_a_row_decision_is_its_points_decisions(name):
+    # banded walks stop at 512 to keep the test short; diagonal ones still
+    # reach 32768
+    entry = registry()[name]
+    _row_against_points(entry.operator, entry.family, ROW, CFG.with_updates(scan_n_max=512))
+
+
+@pytest.mark.parametrize("name", ["diagonal[1/(n+1)]", "scale-generator"])
+def test_a_long_diagonal_row_spans_blocks_and_deep_walks(name):
+    # 300 points fill more than one block at every truncation, and the points
+    # near 0 walk to 32768, where a block holds one lambda
+    entry = registry()[name]
+    rng = np.random.default_rng(7)
+    lams = ROW + list(rng.uniform(-0.05, 1.5, 291) + 1j * rng.uniform(-0.05, 0.05, 291))
+    _row_against_points(entry.operator, entry.family, lams, CFG)
+
+
+def test_a_row_of_dense_and_small_banded_sections_is_its_points_decisions():
+    # at n <= 96 banded and rank-sum kernels take the dense route
+    x = _dense(lambda mr, mc: (mr == mc) / (mr + 1.0) + 0.01 / (1.0 + mr + mc), "dense decay")
+    _row_against_points(x, sequence_power_family(range(0, 2)), ROW[::3], SMALL)
+    for name in ("multiplier[cos(t)]", "torus-comb-4"):
+        entry = registry()[name]
+        _row_against_points(entry.operator, entry.family, ROW[:6], SMALL)
+
+
+def test_a_symmetric_scan_probes_each_limit_profile_once(monkeypatch):
+    # the duality pass of a self-adjoint operator reuses the primal kernels
+    entry = registry()["diagonal[1/(n+1)]"]
+    probes = []
+    probe = sections.LimitProfile.probe.__func__
+
+    def counted(cls, *args):
+        probes.append(args)
+        return probe(cls, *args)
+
+    monkeypatch.setattr(sections.LimitProfile, "probe", classmethod(counted))
+    smap = union_spectrum_scan(entry.operator, entry.family,
+                               GridSpec.parse("-0.5:1.5:4,-0.5:0.5:3"), CFG)
+    assert smap.duality_checked and not smap.duality_mismatches
+    assert 0 < len(probes) <= len(smap.pair_labels)
+
+
+@pytest.mark.parametrize("grid", ["-0.5:1.5:12,-0.5:0.5:9", "-0.02:0.02:5,-0.02:0.02:3"])
+def test_a_diagonal_scan_allocates_a_few_mib(grid):
+    # blocks of at most 2^15 entries, nothing kept per lambda: the held symbol
+    # (2 MiB at the default probe) is most of the peak
+    entry = registry()["diagonal[1/(n+1)]"]
+    tracemalloc.start()
+    try:
+        union_spectrum_scan(entry.operator, entry.family, GridSpec.parse(grid), CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
+
+
 def test_weighted_sections_share_singular_values_under_duality(scale):
     # conjugate transpose with swapped inverted weights: same singular values
     from interspec.spaces import dual_space
@@ -522,8 +594,8 @@ def test_limit_rule_agrees_with_its_dual_on_the_gallery():
             kernel = PairKernel(entry.operator, e, f, CFG)
             kernel_dual = PairKernel(adj, ed, fd, CFG)
             for lam in lams:
-                primal = _limit_status(kernel, lam, cert, CFG)
-                dual = _limit_status(kernel_dual, lam.conjugate(), cert_dual, CFG)
+                [primal] = _limit_status(kernel, np.array([lam]), cert, CFG)
+                [dual] = _limit_status(kernel_dual, np.array([lam.conjugate()]), cert_dual, CFG)
                 assert (primal is None) == (dual is None), (name, e.label, f.label, lam)
                 if primal is not None:
                     decided += 1

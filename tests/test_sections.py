@@ -16,7 +16,8 @@ from interspec.gallery import (hermite_position, registry, scale_generator_entry
 from interspec.operators import certify, operator_from_json, operator_from_spec
 from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, branch_report,
                                  defect_number, point_status, union_spectrum_scan)
-from interspec.sections import _DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary
+from interspec.sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary,
+                                tail_slots)
 from interspec.spaces import Basis, DiagonalScaleWeights, ScaleFamily, modes
 
 CFG = RunConfig()
@@ -356,7 +357,7 @@ def _constant_symbol_bound(profile, lam):
         live = limits != 0
         assert int(np.max(np.abs(offsets[live]), initial=0)) == 0
         value = float(abs(np.sum(limits[live]) - lam * rho))
-        err = error + abs(lam) * rho_error
+        err = float(error + abs(lam) * rho_error)
         if value + err < best[0] + best[1]:
             best = (value, err)
     return best
@@ -408,6 +409,20 @@ def test_a_probe_with_no_deep_tail_gives_no_limit_bound(name, status, witness_n,
         == (float("inf"), float("inf"))
     got = point_status(entry.operator, 0.5 + 0.5j, e, f, cfg)
     assert (got.status, got.witness_n) == (status, witness_n)
+
+
+def test_tail_slots_stay_below_the_probe():
+    for probe in range(1, 65):
+        slots = tail_slots(probe)
+        assert len(slots) and 0 <= slots.min() and slots.max() < probe, probe
+
+
+def test_tail_slots_of_probes_past_16_start_at_slot_16():
+    for probe in [*range(17, 600), 4096, 40000, 1 << 17, (1 << 20) + 3]:
+        first = max(16, probe >> 9)
+        want = np.unique(np.rint(np.geomspace(
+            first, probe - 1, 32 * max(1, int(np.log2(probe / first))))).astype(int))
+        assert np.array_equal(tail_slots(probe), want), probe
 
 
 def test_dense_generator_has_no_limit_profile():
