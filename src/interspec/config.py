@@ -99,7 +99,7 @@ class RunConfig:
                      "ge_tol", "defect_eps", "regular_eps", "eig_tol"):
             if getattr(self, name) <= 0:
                 raise SpecParseError(f"tolerance {name} must be positive")
-        for name in ("n0", "scan_n0", "symbol_probe"):
+        for name in ("n0", "scan_n0", "symbol_probe", "equiv_probes"):
             if getattr(self, name) < 1:
                 raise SpecParseError(f"size {name} must be positive")
         if self.n0 > self.n_max or self.scan_n0 > self.scan_n_max:

@@ -54,7 +54,7 @@ from .operators import (CERT_FAILED, CoefficientOperator, ContinuityCertificate,
                         certify_pairs)
 from .sections import PairKernel
 from .spaces import (CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
-                     embedding_norm, norm)
+                     embedding_norm)
 
 STATUS_RESOLVENT = "resolvent"
 STATUS_REGULAR_DEFECT = "regular-defect"
@@ -290,69 +290,94 @@ def _require_resolvent(status: CellStatus, lam: complex, e: ScaleSpace,
 
 def _factorize(x: CoefficientOperator, lam: complex, square) -> Callable:
     """Factor X_n - lambda once, from the n x n ``square`` section of X;
-    returns b -> (X_n - lambda)^(-1) b.
+    returns B -> (X_n - lambda)^(-1) B for an n x m block B of right-hand sides.
 
     Diagonal representations divide by the shifted symbol (the same floating
-    expression as the analytic inverse), sparse sections go through SuperLU
-    and dense ones through LAPACK LU.
+    expression as the analytic inverse), dense sections go through LAPACK LU
+    and sparse ones through SuperLU, column by column: SuperLU solves a block
+    of 64 columns several times slower than the 64 columns one by one.
     """
     n = square.shape[0]
     symbol = x.rep.symbol(x.basis, n)
     if symbol is not None:
-        shifted = symbol - lam
+        shifted = (symbol - lam)[:, None]
         return lambda b: b / shifted
     if scipy.sparse.issparse(square):
-        return scipy.sparse.linalg.splu((square - lam * scipy.sparse.identity(n)).tocsc()).solve
+        solve = scipy.sparse.linalg.splu((square - lam * scipy.sparse.identity(n)).tocsc()).solve
+        return lambda b: np.column_stack([solve(col) for col in b.T])
     mat = square.astype(complex)
     mat[np.arange(n), np.arange(n)] -= lam
     lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
     return lambda b: scipy.linalg.lu_solve(lu, b)
 
 
+def _column_norms(block: np.ndarray, space: Optional[ScaleSpace]) -> np.ndarray:
+    """The norm in ``space`` (plain l2 when None) of each column of ``block``, bit
+    for bit its `norm`: each sums as a contiguous row of the transpose."""
+    weights = space.weights(len(block)) if space is not None else 1.0
+    return np.sqrt(np.sum(np.abs(np.ascontiguousarray(block.T)) ** 2 * weights * weights, axis=1))
+
+
 def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
                               eta: CoefficientVector, n: int) -> CoefficientVector:
     """Solve the square truncated system (X_n - lambda) xi = eta."""
     check_same_basis(x, eta)
-    return CoefficientVector(x.basis, _factorize(x, lam, x.section(n))(eta.padded(n)))
+    xi = _factorize(x, lam, x.section(n))(eta.padded(n)[:, None])
+    return CoefficientVector(x.basis, xi[:, 0])
 
 
 def resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                     eta: CoefficientVector, cfg: RunConfig = DEFAULT_CONFIG,
                     status: Optional[CellStatus] = None) -> SolveResult:
-    """Apply the per-pair resolvent to eta with a residual contract in F."""
-    return _resolvent_solve(x, lam, e, f, eta, cfg, status, {})
+    """Apply the per-pair resolvent to eta with a residual contract in F: the
+    one-column view of the block solve `_resolvent_solve`."""
+    check_same_basis(x, eta)
+    return _resolvent_solve(x, lam, e, f, eta.coeffs[:, None], cfg, status, {})[0]
 
 
 def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
-                     eta: CoefficientVector, cfg: RunConfig, status: Optional[CellStatus],
-                     factors: dict) -> SolveResult:
-    """``resolvent_solve`` drawing on ``factors``: n -> (solve, residual section)."""
-    check_same_basis(x, e, f, eta)
+                     eta: np.ndarray, cfg: RunConfig, status: Optional[CellStatus],
+                     factors: dict) -> list:
+    """The `SolveResult` of each column of ``eta`` (rows are coefficient slots),
+    drawing on ``factors``: n -> (solve, residual section). Each column stops at
+    the first truncation where its F-residual is at most ``solve_tol`` times its
+    F-norm; only the columns that miss go on to the next doubling."""
+    check_same_basis(x, e, f)
     status = _require_resolvent(status if status is not None
                                 else point_status(x, lam, e, f, cfg), lam, e, f)
-    eta_f = norm(eta, f)
-    n = max(status.witness_n, eta.n)
+    eta_f = _column_norms(eta, f)
+    results, todo = [None] * eta.shape[1], np.arange(eta.shape[1])
+    n = max(status.witness_n, len(eta))
     while True:
         if n not in factors:
             block = x.section(n + (x.position_bandwidth() or 0), n)
             factors[n] = (_factorize(x, lam, block[:n]), block)
         solve, block = factors[n]
-        rows = block.shape[0]
-        xi = CoefficientVector(x.basis, solve(eta.padded(n)))
-        resid_vec = block @ xi.coeffs - lam * xi.padded(rows) - eta.padded(rows)
-        residual = norm(CoefficientVector(x.basis, resid_vec), f)
-        if residual <= cfg.solve_tol * max(eta_f, 1e-300):
-            return SolveResult(xi, norm(xi, e), residual, n)
+        rhs = eta[:, todo]
+        xi = solve(np.pad(rhs, ((0, n - len(rhs)), (0, 0))))
+        resid = block @ xi
+        resid[:n] -= lam * xi
+        resid[:len(rhs)] -= rhs
+        residual = _column_norms(resid, f)
+        met = residual <= cfg.solve_tol * np.maximum(eta_f[todo], 1e-300)
+        done = xi[:, met]
+        for j, vec, e_norm, r in zip(todo[met].tolist(), done.T, _column_norms(done, e).tolist(),
+                                     residual[met].tolist()):
+            results[j] = SolveResult(CoefficientVector(x.basis, vec.copy()), e_norm, r, n)
+        todo = todo[~met]
+        if not todo.size:
+            return results
         if n >= cfg.n_max:
-            raise SolveToleranceError(
-                f"residual {residual:.3e} above solve_tol*|eta|_F at n_max={cfg.n_max}")
+            raise SolveToleranceError(f"residual {float(np.max(residual[~met])):.3e} above "
+                                      f"solve_tol*|eta|_F at n_max={cfg.n_max}")
         n = min(2 * n, cfg.n_max)
 
 
 def solver_handle(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                   cfg: RunConfig = DEFAULT_CONFIG,
                   status: Optional[CellStatus] = None) -> Callable:
-    """Closure applying R_lambda^(E,F)(X) to coefficient vectors.
+    """Closure applying R_lambda^(E,F)(X) to coefficient vectors, each the
+    one-column view of the block solve `_resolvent_solve`.
 
     The handle keeps the factorization of each truncation it visits, so every
     vector it is applied to shares one factorization per n.
@@ -361,7 +386,9 @@ def solver_handle(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
     factors: dict = {}
 
     def apply(vec: CoefficientVector) -> CoefficientVector:
-        return _resolvent_solve(x, lam, e, f, vec, cfg, frozen_status, factors).vector
+        check_same_basis(x, vec)
+        return _resolvent_solve(x, lam, e, f, vec.coeffs[:, None], cfg, frozen_status,
+                                factors)[0].vector
 
     apply.pair = (e, f)  # type: ignore[attr-defined]
     apply.lam = lam      # type: ignore[attr-defined]
@@ -501,36 +528,42 @@ def resolvent_identity_residuals(x: CoefficientOperator, y: CoefficientOperator,
                              cfg.id_tol * max(second_scale, 1.0))
 
 
+def _agree(out_b: np.ndarray, out_c: np.ndarray, cfg: RunConfig,
+           norm_space: Optional[ScaleSpace]) -> np.ndarray:
+    """The rule of `equivalent` for each column of two output blocks, zero past
+    their ends: is the difference within ``eq_tol`` times max(1, norm of the
+    column of ``out_b``), in ``norm_space`` (plain l2 when None)?"""
+    n = max(len(out_b), len(out_c))
+    out_b, out_c = (np.pad(out, ((0, n - len(out)), (0, 0))) for out in (out_b, out_c))
+    size = _column_norms(out_b - out_c, norm_space)
+    return ~(size > cfg.eq_tol * np.maximum(_column_norms(out_b, norm_space), 1.0))
+
+
 def equivalent(b: Callable, c: Callable, cfg: RunConfig = DEFAULT_CONFIG,
                probes: Optional[Sequence] = None,
                norm_space: Optional[ScaleSpace] = None) -> bool:
     """Do two solver handles agree on the probe vectors?
 
-    Probes default to the first ``equiv_probes`` coefficient basis vectors;
-    agreement is measured in the finest available norm (``norm_space``) or
-    the plain l2 norm, relative to the larger output.
+    Probes default to the first ``equiv_probes`` coefficient basis vectors.
+    Coefficient vectors are compared by `_agree`, the rule `branch_report`
+    applies to its held blocks: in the finest available norm (``norm_space``)
+    or plain l2, relative to max(1, norm of b's output). Other outputs compare
+    by their largest entry.
     """
     if probes is None:
         pair = getattr(b, "pair", None)
         if pair is None:
             raise ValueError("handles without .pair need explicit probes")
-        basis = pair[0].basis
-        n = cfg.equiv_probes
-        probes = [CoefficientVector.unit(basis, j, n) for j in range(cfg.equiv_probes)]
+        basis, n = pair[0].basis, cfg.equiv_probes
+        probes = [CoefficientVector.unit(basis, j, n) for j in range(n)]
     for probe in probes:
         out_b = b(probe)
         out_c = c(probe)
         if isinstance(out_b, CoefficientVector):
-            n = max(out_b.n, out_c.n)
-            diff = CoefficientVector(out_b.basis, out_b.padded(n) - out_c.padded(n))
-            size = norm(diff, norm_space) if norm_space is not None else \
-                float(np.linalg.norm(diff.coeffs))
-            ref = norm(out_b, norm_space) if norm_space is not None else \
-                float(np.linalg.norm(out_b.padded(n)))
-        else:
-            size = float(np.max(np.abs(np.asarray(out_b) - np.asarray(out_c))))
-            ref = float(np.max(np.abs(np.asarray(out_b))))
-        if size > cfg.eq_tol * max(ref, 1.0):
+            if not _agree(out_b.coeffs[:, None], out_c.coeffs[:, None], cfg, norm_space)[0]:
+                return False
+        elif np.max(np.abs(np.asarray(out_b) - np.asarray(out_c))) > \
+                cfg.eq_tol * max(float(np.max(np.abs(np.asarray(out_b)))), 1.0):
             return False
     return True
 
@@ -698,19 +731,25 @@ class BranchReport:
 
 def branch_report(x: CoefficientOperator, family: ScaleFamily, lam: complex,
                   cfg: RunConfig = DEFAULT_CONFIG) -> BranchReport:
-    """Solver handles for every pair containing lambda, with pairwise equivalence."""
-    handles = []
-    labels = []
+    """Every pair containing lambda, with the pairwise equivalence of their
+    resolvent branches: that of `equivalent` over `solver_handle`s in the
+    finest norm, with no branch applied twice to a probe. Each branch solves
+    the ``equiv_probes`` unit probes as one block (`_resolvent_solve`), and
+    every two held output blocks are compared column by column by `_agree`.
+    """
+    branches, labels = [], []
     pairs = family.admissible_pairs()
     for (e, f), cert in zip(pairs, certify_pairs(x, pairs, cfg)):
         status = point_status(x, lam, e, f, cfg, cert=cert)
         if status.status == STATUS_RESOLVENT:
-            handles.append(solver_handle(x, lam, e, f, cfg, status=status))
+            branches.append((e, f, status))
             labels.append(f"{e.label}->{f.label}")
+    held, probes = [], np.eye(cfg.equiv_probes, dtype=complex)
+    for e, f, status in branches if len(branches) > 1 else ():
+        results = _resolvent_solve(x, lam, e, f, probes, cfg, status, {})
+        top = max(r.witness_n for r in results)
+        held.append(np.column_stack([r.vector.padded(top) for r in results]))
     finest = family.finest if len(family) else None
-    equivalences = []
-    for i in range(len(handles)):
-        for j in range(i + 1, len(handles)):
-            same = equivalent(handles[i], handles[j], cfg, norm_space=finest)
-            equivalences.append([i, j, bool(same)])
+    equivalences = [[i, j, bool(np.all(_agree(held[i], held[j], cfg, finest)))]
+                    for i in range(len(held)) for j in range(i + 1, len(held))]
     return BranchReport(lam, labels, equivalences)

@@ -156,7 +156,7 @@ def test_config_rejects_removed_quad_tol():
 
 
 @pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("name", ["n0", "scan_n0", "symbol_probe"])
+@pytest.mark.parametrize("name", ["n0", "scan_n0", "symbol_probe", "equiv_probes"])
 def test_config_rejects_non_positive_sizes(name, value):
     with pytest.raises(SpecParseError, match=f"size {name} "):
         RunConfig(**{name: value})

@@ -1,5 +1,6 @@
 """Regular points, defects, solves, Neumann continuation, identities, scans."""
 
+import json
 import math
 import pathlib
 import tracemalloc
@@ -16,7 +17,7 @@ from interspec import sections
 from interspec.operators import (Banded, CoefficientOperator, DenseGenerator, certify,
                                  certify_pairs, operator_from_spec)
 from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, CellStatus,
-                                 _decide, _limit_status,
+                                 _agree, _decide, _limit_status, _resolvent_solve,
                                  branch_report, defect_number, equivalent,
                                  neumann_continue, point_status, regular_point,
                                  resolvent_identity_residuals, resolvent_solve,
@@ -230,6 +231,87 @@ def test_resolvent_solve_deep_witness_stays_sparse():
     assert peak < 64 * 2 ** 20
 
 
+TORUS_W1 = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs" / "torus-w1.json"
+
+
+def _block_and_vector_solves(x, lam, e, f, eta, status):
+    """`_resolvent_solve` of the columns of ``eta`` as one block and one by one,
+    after checking that each column stops at the same truncation both ways."""
+    block = _resolvent_solve(x, lam, e, f, eta, CFG, status, {})
+    singles = [resolvent_solve(x, lam, e, f, CoefficientVector(x.basis, eta[:, j].copy()), CFG,
+                               status=status) for j in range(eta.shape[1])]
+    assert [r.witness_n for r in block] == [r.witness_n for r in singles]
+    return list(zip(block, singles))
+
+
+def _probes_and_noise(rows, noisy, seed):
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(rows, noisy)) + 1j * rng.normal(size=(rows, noisy))
+    return np.hstack([np.eye(rows, dtype=complex), noise])
+
+
+def test_block_solve_is_one_vector_solves_bit_for_bit_on_a_diagonal_operator():
+    entry = scale_generator_entry()
+    e, f = entry.family.space_at(1), entry.family.space_at(0)
+    for lam in (3.3 + 0.6j, -1.0):
+        status = point_status(entry.operator, lam, e, f, CFG)
+        assert status.status == STATUS_RESOLVENT
+        eta = _probes_and_noise(CFG.equiv_probes, 8, 21)
+        for one, single in _block_and_vector_solves(entry.operator, lam, e, f, eta, status):
+            assert np.array_equal(one.vector.coeffs, single.vector.coeffs)
+
+
+@pytest.mark.parametrize("make,family", [
+    (lambda: torus_multiplication("cos(t)").operator,
+     lambda: ScaleFamily.from_spec(json.loads(TORUS_W1.read_text()))),
+    (lambda: torus_delta().operator, lambda: sobolev_torus_family(range(-1, 2))),
+], ids=["splu", "lu_factor"])
+def test_block_solve_is_one_vector_solves_on_factored_routes(make, family):
+    x, family = make(), family()
+    e, f = family.space_at(1), family.space_at(0)
+    status = CellStatus(STATUS_RESOLVENT, witness_n=256)
+    eta = _probes_and_noise(CFG.equiv_probes, 8, 22)
+    for one, single in _block_and_vector_solves(x, 0.3 + 0.5j, e, f, eta, status):
+        gap = np.max(np.abs(one.vector.coeffs - single.vector.coeffs))
+        assert gap <= 1e-13 * np.max(np.abs(single.vector.coeffs))
+
+
+def test_block_solve_columns_stop_at_their_own_truncations():
+    # from n = 8 the probes nearest the edge of the section need more doublings
+    x = torus_multiplication("cos(t)").operator
+    torus = sobolev_torus_family(range(-1, 2))
+    e, f = torus.space_at(1), torus.space_at(0)
+    status = CellStatus(STATUS_RESOLVENT, witness_n=8)
+    pairs = _block_and_vector_solves(x, 2.5 + 0.5j, e, f, _probes_and_noise(8, 2, 23), status)
+    assert len({one.witness_n for one, _ in pairs}) > 1
+    for one, single in pairs:
+        assert np.array_equal(one.vector.coeffs, single.vector.coeffs)
+
+
+def test_branch_report_solves_each_probe_once_per_branch(monkeypatch):
+    # the pairwise route solved every probe twice per comparison: 2 * C(k, 2) * 64
+    factored, solved = [], []
+
+    class CountingLU:
+        def __init__(self, mat, *args, **kwargs):
+            factored.append(mat.shape[0])
+            self.lu = splu(mat, *args, **kwargs)
+
+        def solve(self, b):
+            solved.append(b.shape)
+            return self.lu.solve(b)
+
+    splu = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
+    family = ScaleFamily.from_spec(json.loads(TORUS_W1.read_text()))
+    report = branch_report(torus_multiplication("cos(t)").operator, family, 0.3 + 0.5j, CFG)
+    handles = len(report.pair_labels)
+    assert handles >= 2 and all(same for _, _, same in report.equivalences)
+    assert len(factored) == handles  # every column met its contract at the first truncation
+    assert len(solved) == handles * CFG.equiv_probes
+    assert all(shape == (factored[0],) for shape in solved)
+
+
 # -- Neumann continuation ----------------------------------------------------
 
 
@@ -321,6 +403,53 @@ def test_equivalent_nested_pairs(scale):
     h1 = solver_handle(op, -1.0, scale.space_at(1), scale.space_at(0), CFG)
     h2 = solver_handle(op, -1.0, scale.space_at(2), scale.space_at(1), CFG)
     assert equivalent(h1, h2, CFG, norm_space=scale.finest)
+
+
+def _pairwise_report(x, family, lam, cfg):
+    """The branch report computed pair by pair, as `branch_report` once did:
+    `equivalent` over `solver_handle`s, solving every probe again per comparison."""
+    handles, labels = [], []
+    pairs = family.admissible_pairs()
+    for (e, f), cert in zip(pairs, certify_pairs(x, pairs, cfg)):
+        status = point_status(x, lam, e, f, cfg, cert=cert)
+        if status.status == STATUS_RESOLVENT:
+            handles.append(solver_handle(x, lam, e, f, cfg, status=status))
+            labels.append(f"{e.label}->{f.label}")
+    return labels, [[i, j, equivalent(handles[i], handles[j], cfg, norm_space=family.finest)]
+                    for i in range(len(handles)) for j in range(i + 1, len(handles))]
+
+
+def test_branch_report_matches_the_pairwise_route_on_the_gallery():
+    compared = 0
+    for name, entry in registry().items():
+        for lam in (0.3 + 0.5j, 2.5 + 0.5j):
+            report = branch_report(entry.operator, entry.family, lam, CFG)
+            if len(report.pair_labels) < 2:
+                continue
+            labels, equivalences = _pairwise_report(entry.operator, entry.family, lam, CFG)
+            assert (report.pair_labels, report.equivalences) == (labels, equivalences), (name, lam)
+            compared += len(equivalences)
+    assert compared >= 100
+
+
+def test_equivalent_and_held_blocks_share_one_rule_on_a_perturbed_column(scale):
+    op = diag_op("n+1")
+    e, f = scale.space_at(1), scale.space_at(0)
+    handle = solver_handle(op, -1.0, e, f, CFG)
+    probes = [CoefficientVector.unit(Basis.HERMITE, j, CFG.equiv_probes)
+              for j in range(CFG.equiv_probes)]
+    held = np.column_stack([handle(p).coeffs for p in probes])
+    for size, agrees in ((1e-13, True), (1e-6, False)):
+        def perturbed(vec, size=size):
+            out = handle(vec).coeffs.copy()
+            out[0] += size if vec.coeffs[5] == 1 else 0.0  # only probe 5 is perturbed
+            return CoefficientVector(vec.basis, out)
+        blocks = np.column_stack([perturbed(p).coeffs for p in probes])
+        columns = _agree(held, blocks, CFG, scale.finest)
+        assert columns.tolist() == [equivalent(handle, perturbed, CFG, [p], scale.finest)
+                                    for p in probes]
+        assert columns.tolist() == [agrees if j == 5 else True for j in range(len(probes))]
+        assert equivalent(handle, perturbed, CFG, norm_space=scale.finest) is agrees
 
 
 # -- scans --------------------------------------------------------------------
