@@ -16,7 +16,13 @@ growth by ``growth_threshold`` of a running sup from 1/64 to 1/8 to all of
 ``symbol_probe`` slots (`spaces.running_sup`), or of the section norm across
 three doublings.
 
-``certify_pairs`` certifies many pairs of one operator in one call. A
+An operator holds one `PairKernel` per (E, F, cfg), compared by equality
+(`CoefficientOperator.kernel`), and each kernel holds its pair's
+certificate once one is taken. Membership in C(E, F) and the limit
+operators do not depend on lambda, so all the queries on one operator
+certify and probe each pair once; only the section walks depend on lambda.
+``certify_pairs`` certifies, in one call, the pairs whose kernels hold no
+certificate yet, and ``certify`` is its one-pair view. A
 diagonal representation takes them all in one pass over its probe, in
 blocks of slots (`spaces.probe_sups`): each rung's weights are evaluated
 once per block whatever the number of pairs, and no probe-length weight
@@ -107,7 +113,9 @@ class Representation:
                      for name in ("c_low", "d_high", "surj_low")) + (None,)
 
     def norm_estimate(self, kernel: PairKernel, n: int) -> float:
-        return kernel.summary(0.0, n, want_census=False).d_high
+        # past the memo: a held kernel would keep these lambda = 0 summaries (a
+        # rank sum's n x r factors with them) long after its certificate
+        return self.summary(kernel, 0.0, n)[0].d_high
 
     def max_n(self, cfg: RunConfig) -> int:
         """Deepest truncation a scan may ask for."""
@@ -339,6 +347,22 @@ class CoefficientOperator:
     rep: Representation
     symmetric: bool = False
     name: str = ""
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def kernel(self, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig) -> PairKernel:
+        """The `PairKernel` of (E, F) at ``cfg``, built once and held, with (E, F,
+        cfg) compared by equality. It keeps what does not depend on lambda, the
+        certificate and the limit profile, and the summaries of the current
+        lambda only, so the number of lambda queried does not grow it."""
+        key = (e, f, cfg)
+        kernel = self._held.get(key)
+        if kernel is None:
+            # the kernel reads a copy that holds nothing: operator -> kernel ->
+            # operator would be a cycle, which keeps a dead operator's kernels
+            # until the cyclic garbage collector runs
+            twin = CoefficientOperator(self.basis, self.rep, self.symmetric, self.name)
+            kernel = self._held[key] = PairKernel(twin, e, f, cfg)
+        return kernel
 
     def position_bandwidth(self) -> Optional[int]:
         """Bandwidth in coefficient-slot order; None means full rows/columns."""
@@ -437,22 +461,29 @@ def weighted_norm_series(vec_fn: Callable[[np.ndarray], np.ndarray], space: Scal
 
 def certify(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
             cfg: RunConfig = DEFAULT_CONFIG) -> ContinuityCertificate:
-    """Certify (or refute, or give up on) membership of X in C(E, F)."""
-    check_same_basis(x, e, f)
-    return x.rep.certify(x, e, f, cfg)
+    """Certify (or refute, or give up on) membership of X in C(E, F): the
+    one-pair view of `certify_pairs`."""
+    return certify_pairs(x, [(e, f)], cfg)[0]
 
 
 def certify_pairs(x: CoefficientOperator, pairs: list,
                   cfg: RunConfig = DEFAULT_CONFIG) -> list:
-    """`certify` of every (E, F) in ``pairs``, through one call to the representation."""
+    """`certify` of every (E, F) in ``pairs``. Each certificate is held on the
+    pair's kernel (`CoefficientOperator.kernel`), and the pairs whose kernels
+    hold none yet are certified through one call to the representation."""
     check_same_basis(x, *(space for pair in pairs for space in pair))
-    return x.rep.certify_pairs(x, pairs, cfg)
+    kernels = [x.kernel(e, f, cfg) for e, f in pairs]
+    todo = list(dict.fromkeys(k for k in kernels if k.cert is None))  # a pair listed twice is one
+    if todo:
+        for kernel, cert in zip(todo, x.rep.certify_pairs(x, [(k.e, k.f) for k in todo], cfg)):
+            kernel.cert = cert
+    return [kernel.cert for kernel in kernels]
 
 
 def _certify_by_truncation(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
                            cfg: RunConfig) -> ContinuityCertificate:
     history = []
-    kernel = PairKernel(x, e, f, cfg)
+    kernel = x.kernel(e, f, cfg)
     n = cfg.n0
     while n <= cfg.n_max:
         history.append((n, kernel.norm_estimate(n)))
@@ -477,20 +508,12 @@ def find_product_triple(x: CoefficientOperator, y: CoefficientOperator,
                         family: ScaleFamily, cfg: RunConfig = DEFAULT_CONFIG):
     """First admissible (E, F, G) with Y in C(E, F) and X in C(F, G)."""
     check_same_basis(x, y, *family.spaces)
-    cache = {}
-
-    def cert(op, a, b):
-        key = (id(op), a.index, b.index)
-        if key not in cache:
-            cache[key] = certify(op, a, b, cfg)
-        return cache[key]
-
     for f_mid in family:
         for e in family:
-            if not cert(y, e, f_mid).certified:
+            if not certify(y, e, f_mid, cfg).certified:
                 continue
             for g in family:
-                if cert(x, f_mid, g).certified:
+                if certify(x, f_mid, g, cfg).certified:
                     return e, f_mid, g
     return None
 

@@ -30,6 +30,13 @@ other representations walk one point at a time. Scans decide rows, and
 one-point row: lambda is in the (E, F) resolvent set exactly when it is
 regular with defect 0.
 
+A decision reads the pair's kernel that the operator holds
+(`CoefficientOperator.kernel`), with its certificate and limit profile, and
+the kernel keeps the summaries of the lambda it last walked. So queries on
+one operator certify and probe each pair once, and a branch report at the
+lambda just colored reads the summaries of that coloring. A ``cert`` or
+``kernel`` that a caller passes serves that call only and is never held.
+
 Grid scans never claim set equalities: they color grid points, and the
 acceptance layer compares colors against analytic membership predicates.
 """
@@ -206,20 +213,22 @@ def _walk(kernel: PairKernel, lams: np.ndarray, cfg: RunConfig) -> tuple:
     return cells, list(zip(last_n.tolist(), last_d.tolist()))
 
 
-def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace,
-            cfg: RunConfig, cert: Optional[ContinuityCertificate],
-            kernel: Optional[PairKernel]) -> tuple:
+def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig,
+            cert: Optional[ContinuityCertificate] = None,
+            kernel: Optional[PairKernel] = None) -> tuple:
     """The one classification of each lambda of ``lams`` on (E, F), and for each
     the (n, d_high) of the last summary it walked (None when the certificate or
     the limit operators decide, each once for the whole row). The rest walks in
     lock step where the representation ``walks_rows``, else one lambda at a time.
+    A ``cert`` or ``kernel`` given serves this call only, in place of the held
+    one (`CoefficientOperator.kernel`).
     """
     lams = np.asarray(lams, dtype=complex)
     cert = cert if cert is not None else certify(x, e, f, cfg)
     if not cert.certified:
         status = STATUS_NO_EXTENSION if cert.method == CERT_FAILED else STATUS_INCONCLUSIVE
         return [CellStatus(status, witness_n=cert.witness_n)] * len(lams), [None] * len(lams)
-    kernel = kernel if kernel is not None else PairKernel(x, e, f, cfg)
+    kernel = kernel if kernel is not None else x.kernel(e, f, cfg)
     cells = _limit_status(kernel, lams, cert, cfg)
     lasts = [None] * len(lams)
     walking = [i for i, cell in enumerate(cells) if cell is None]
@@ -264,12 +273,11 @@ def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
 def defect_number(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                   cfg: RunConfig = DEFAULT_CONFIG) -> DefectReport:
     """The decision's census of near-kernel directions of the wide section in F."""
-    kernel = PairKernel(x, e, f, cfg)
-    report = regular_point(x, lam, e, f, cfg, kernel=kernel)
+    report = regular_point(x, lam, e, f, cfg)
     if not report.regular:
         raise NotRegularError(
             f"defect defined only at regular points; lambda={lam} on ({e.label}, {f.label})")
-    last = kernel.summary(lam, report.witness_n, want_census=False)
+    last = x.kernel(e, f, cfg).summary(lam, report.witness_n, want_census=False)
     gap = last.surj_low / max(cfg.defect_eps * last.d_high, 1e-300)
     return DefectReport(lam, e, f, report.defect, float(gap))
 
@@ -315,7 +323,11 @@ def _column_norms(block: np.ndarray, space: Optional[ScaleSpace]) -> np.ndarray:
     """The norm in ``space`` (plain l2 when None) of each column of ``block``, bit
     for bit its `norm`: each sums as a contiguous row of the transpose."""
     weights = space.weights(len(block)) if space is not None else 1.0
-    return np.sqrt(np.sum(np.abs(np.ascontiguousarray(block.T)) ** 2 * weights * weights, axis=1))
+    terms = np.abs(block.T, order="C")  # |x|^2 w w, formed in place
+    terms *= terms
+    terms *= weights
+    terms *= weights
+    return np.sqrt(np.sum(terms, axis=1))
 
 
 def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
@@ -529,14 +541,18 @@ def resolvent_identity_residuals(x: CoefficientOperator, y: CoefficientOperator,
 
 
 def _agree(out_b: np.ndarray, out_c: np.ndarray, cfg: RunConfig,
-           norm_space: Optional[ScaleSpace]) -> np.ndarray:
+           norm_space: Optional[ScaleSpace], b_norms: Optional[np.ndarray] = None) -> np.ndarray:
     """The rule of `equivalent` for each column of two output blocks, zero past
     their ends: is the difference within ``eq_tol`` times max(1, norm of the
-    column of ``out_b``), in ``norm_space`` (plain l2 when None)?"""
+    column of ``out_b``), in ``norm_space`` (plain l2 when None)? ``b_norms``
+    are those column norms when the caller holds them; the zeros past the end
+    of ``out_b`` add nothing to them."""
     n = max(len(out_b), len(out_c))
-    out_b, out_c = (np.pad(out, ((0, n - len(out)), (0, 0))) for out in (out_b, out_c))
+    out_b, out_c = (out if len(out) == n else np.pad(out, ((0, n - len(out)), (0, 0)))
+                    for out in (out_b, out_c))
     size = _column_norms(out_b - out_c, norm_space)
-    return ~(size > cfg.eq_tol * np.maximum(_column_norms(out_b, norm_space), 1.0))
+    b_norms = b_norms if b_norms is not None else _column_norms(out_b, norm_space)
+    return ~(size > cfg.eq_tol * np.maximum(b_norms, 1.0))
 
 
 def equivalent(b: Callable, c: Callable, cfg: RunConfig = DEFAULT_CONFIG,
@@ -662,9 +678,9 @@ def union_spectrum_scan(x: CoefficientOperator, family: ScaleFamily, grid: GridS
     When the family is closed under duality the scan also verifies, per cell,
     that resolvent membership of lambda for (E, F) matches membership of
     conj(lambda) for (F^x, E^x) with the adjoint operator. A self-adjoint
-    operator's dual pairs are primal pairs, so each dual row is decided, at
-    conj(lambda) and from its own summaries, right after the primal row of
-    its pair, with that pair's kernel, certificate and limit profile.
+    operator is its own adjoint and its dual pairs are primal pairs, so each
+    dual row is decided, at conj(lambda) and from its own summaries, with the
+    held kernel, certificate and limit profile of a primal pair.
     """
     lambdas = list(grid.points())
     lams = np.array(lambdas, dtype=complex)
@@ -672,30 +688,18 @@ def union_spectrum_scan(x: CoefficientOperator, family: ScaleFamily, grid: GridS
     certs = certify_pairs(x, pairs, cfg)
     labels = [f"{e.label}->{f.label}" for e, f in pairs]
     checked = bool(cfg.duality_check and family.closed_under_duality and pairs)
-    adj = x.adjoint() if checked else None
-    dual_pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs] if checked else []
-    # with adj is x, dual row shared[pair] is decided on the primal pair ``pair``
-    shared = {pair: i for i, pair in enumerate(dual_pairs)} if adj is x else {}
-    cells, dual_rows = [], [None] * len(dual_pairs)
-    for (e, f), cert in zip(pairs, certs):
-        kernel = PairKernel(x, e, f, cfg)
-        cells.append(_decide(x, lams, e, f, cfg, cert, kernel)[0])
-        if (e, f) in shared:
-            dual_rows[shared[e, f]] = [cell.status for cell in
-                                       _decide(x, lams.conj(), e, f, cfg, cert, kernel)[0]]
-
+    cells = [_decide(x, lams, e, f, cfg, cert)[0] for (e, f), cert in zip(pairs, certs)]
     union = [any(cells[pi][li].status == STATUS_RESOLVENT for pi in range(len(pairs)))
              for li in range(len(lambdas))]
 
     mismatches = None
     if checked:
         mismatches = []
-        if adj is not x:
-            for pi, cert in enumerate(certify_pairs(adj, dual_pairs, cfg)):
-                ed, fd = dual_pairs[pi]
-                dual_rows[pi] = [cell.status for cell in _decide(
-                    adj, lams.conj(), ed, fd, cfg, cert, PairKernel(adj, ed, fd, cfg))[0]]
-        for pi, row in enumerate(dual_rows):
+        adj = x.adjoint()
+        dual_pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs]
+        for pi, cert in enumerate(certify_pairs(adj, dual_pairs, cfg)):
+            ed, fd = dual_pairs[pi]
+            row = [cell.status for cell in _decide(adj, lams.conj(), ed, fd, cfg, cert)[0]]
             for li, lam in enumerate(lambdas):
                 primal = cells[pi][li].status == STATUS_RESOLVENT
                 dual = row[li] == STATUS_RESOLVENT
@@ -735,12 +739,14 @@ def branch_report(x: CoefficientOperator, family: ScaleFamily, lam: complex,
     resolvent branches: that of `equivalent` over `solver_handle`s in the
     finest norm, with no branch applied twice to a probe. Each branch solves
     the ``equiv_probes`` unit probes as one block (`_resolvent_solve`), and
-    every two held output blocks are compared column by column by `_agree`.
+    every two held output blocks are compared column by column by `_agree`,
+    with the column norms of each block taken once.
     """
     branches, labels = [], []
     pairs = family.admissible_pairs()
-    for (e, f), cert in zip(pairs, certify_pairs(x, pairs, cfg)):
-        status = point_status(x, lam, e, f, cfg, cert=cert)
+    certify_pairs(x, pairs, cfg)  # in one pass; `point_status` reads them held
+    for e, f in pairs:
+        status = point_status(x, lam, e, f, cfg)
         if status.status == STATUS_RESOLVENT:
             branches.append((e, f, status))
             labels.append(f"{e.label}->{f.label}")
@@ -750,6 +756,7 @@ def branch_report(x: CoefficientOperator, family: ScaleFamily, lam: complex,
         top = max(r.witness_n for r in results)
         held.append(np.column_stack([r.vector.padded(top) for r in results]))
     finest = family.finest if len(family) else None
-    equivalences = [[i, j, bool(np.all(_agree(held[i], held[j], cfg, finest)))]
+    norms = [_column_norms(block, finest) for block in held]
+    equivalences = [[i, j, bool(np.all(_agree(held[i], held[j], cfg, finest, norms[i])))]
                     for i in range(len(held)) for j in range(i + 1, len(held))]
     return BranchReport(lam, labels, equivalences)

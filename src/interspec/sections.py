@@ -20,14 +20,15 @@ truncation, and computes a census only when one is asked for.
 `PairKernel.diagonal_summaries` summarizes a whole row of lambda at one
 truncation, censuses included, from blocks of at most 2^15 entries that
 live one at a time; nothing of a block is kept but its three numbers per
-lambda. A kernel
-holds no weights or symbol of its own, only the diagonal route's ratio
-w_F / w_E: it reads prefix views of the arrays that its spaces
-(`ScaleSpace.weights`) and a diagonal representation (`Diagonal.symbol`)
-hold, so all pairs that share a rung, and the duality pass, evaluate each
-weight sequence once.
+lambda. A kernel holds no weights or symbol of its own: it reads prefix
+views of the arrays that its spaces (`ScaleSpace.weights`) and a diagonal
+representation (`Diagonal.symbol`) hold, so all pairs that share a rung,
+and the duality pass, evaluate each weight sequence once.
 `PairKernel.limit_profile` holds the pair's limit operators, which bound the
-lower constant of the whole infinite section from above (`LimitProfile`).
+lower constant of the whole infinite section from above (`LimitProfile`),
+and ``PairKernel.cert`` the pair's certificate once one is taken. An
+operator holds one kernel per pair and configuration
+(`CoefficientOperator.kernel`), so neither is computed twice.
 
 Each banded Gram matrix is reduced to tridiagonal form once (LAPACK
 zhbtrd), and its smallest and largest eigenvalues and its census all come
@@ -355,9 +356,9 @@ class PairKernel:
         self.e = e
         self.f = f
         self.cfg = cfg
+        self.cert = None  # held by `operators.certify_pairs` once it is taken
         self._lam: Optional[complex] = None
         self._memo: dict = {}  # n -> (summary, census call), at lambda = self._lam
-        self._ratio = np.empty(0)  # w_F / w_E, grown like the spaces' weights
 
     def max_n(self) -> int:
         return self.x.rep.max_n(self.cfg)
@@ -399,12 +400,8 @@ class PairKernel:
         from blocks of |symbol - lambda| w_F / w_E over all n slots of at most
         ``_ROW_BLOCK`` / n lambda. Each entry is the one-lambda expression, and
         min, max and counts do not depend on the order of evaluation."""
-        # the ratio is held because every lambda of a scan reads it; dividing
-        # anew would add a fourth pass over n values to a route that has three
-        if len(self._ratio) < n:
-            self._ratio = self.f.weights(n) / self.e.weights(n)
         symbol = self.x.rep.symbol(self.x.basis, n)[:, None]
-        ratio = self._ratio[:n, None]
+        ratio = (self.f.weights(n) / self.e.weights(n))[:, None]
         c_low, d_high, census = np.empty(len(lams)), np.empty(len(lams)), np.empty(len(lams), int)
         width = max(1, _ROW_BLOCK // n)
         for block in (slice(a, a + width) for a in range(0, len(lams), width)):

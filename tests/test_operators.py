@@ -14,7 +14,7 @@ from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOpe
                                  _certify_by_truncation, certify, certify_pairs,
                                  find_product_triple, framework_product, operator_from_spec,
                                  sesq_form, weighted_norm_series)
-from interspec.gallery import hermite_position, registry, torus_delta
+from interspec.gallery import BUILDERS, hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, dual_space,
                               hilbert_scale_family, modes, running_sup, sequence_power_family,
@@ -390,6 +390,49 @@ def _diagonal_cases():
 def _same(a, b) -> bool:
     # repr tells every float apart, NaN from NaN included
     return repr(a.to_dict()) == repr(b.to_dict()) and (a.e, a.f) == (b.e, b.f)
+
+
+def test_held_certificates_equal_those_of_a_fresh_operator_on_the_gallery():
+    # a certificate is taken once per operator and cfg, then read from the pair's kernel
+    for name, entry in registry().items():
+        op, pairs = entry.operator, entry.family.admissible_pairs()
+        held = certify_pairs(op, pairs, CFG)
+        assert all(a is b for a, b in zip(certify_pairs(op, pairs, CFG), held))
+        for (e, f), cert in zip(pairs, held):
+            assert certify(op, e, f, CFG) is cert
+            fresh = certify(BUILDERS[name]().operator, e, f, CFG)
+            assert _same(cert, fresh), (name, e.label, f.label)
+
+
+def test_a_held_certificate_takes_no_representation_call(monkeypatch):
+    calls = []
+    batched = Diagonal.certify_pairs
+
+    def counted(self, op, pairs, cfg):
+        calls.append(len(pairs))
+        return batched(self, op, pairs, cfg)
+
+    monkeypatch.setattr(Diagonal, "certify_pairs", counted)
+    w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
+    pairs = w1.admissible_pairs()
+    spec = {"basis": "fourier", "name": "skew",
+            "rep": {"type": "diagonal", "symbol": "(0.5+2*i)*n/(abs(n)+1)"}}
+    skew = operator_from_spec(spec)
+    first = certify_pairs(skew, pairs[:3], CFG)
+    assert calls == [3]
+    # only the pairs not held yet reach the representation, in one call
+    assert certify_pairs(skew, pairs, CFG)[:3] == first and calls == [3, len(pairs) - 3]
+    certify_pairs(skew, pairs, CFG)
+    certify(skew, *pairs[0], CFG)
+    assert calls == [3, len(pairs) - 3]
+    # another cfg, a rebuilt operator and each adjoint of a non-symmetric one recompute
+    other = CFG.with_updates(symbol_probe=CFG.symbol_probe // 2)
+    certify(skew, *pairs[0], other)
+    certify(operator_from_spec(spec), *pairs[0], CFG)
+    dual = (w1.dual_of(pairs[0][1]), w1.dual_of(pairs[0][0]))
+    certify(skew.adjoint(), *dual, CFG)
+    certify(skew.adjoint(), *dual, CFG)
+    assert calls == [3, len(pairs) - 3, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("probe", [CFG.symbol_probe, 100_000, 3000, 40])

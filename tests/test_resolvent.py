@@ -13,17 +13,18 @@ import scipy.sparse.linalg
 from interspec.config import GridSpec, RunConfig
 from interspec.errors import (NeumannRadiusError, NotCertifiedError,
                               NotInResolventError, NotRegularError)
-from interspec import sections
-from interspec.operators import (Banded, CoefficientOperator, DenseGenerator, certify,
+from interspec import operators, sections
+from interspec.operators import (CERT_FAILED, Banded, CoefficientOperator, ContinuityCertificate,
+                                 DenseGenerator, Representation, certify,
                                  certify_pairs, operator_from_spec)
-from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, CellStatus,
-                                 _agree, _decide, _limit_status, _resolvent_solve,
+from interspec.resolvent import (STATUS_NO_EXTENSION, STATUS_NOT_REGULAR, STATUS_RESOLVENT,
+                                 CellStatus, _agree, _decide, _limit_status, _resolvent_solve,
                                  branch_report, defect_number, equivalent,
                                  neumann_continue, point_status, regular_point,
                                  resolvent_identity_residuals, resolvent_solve,
                                  solver_handle, truncated_resolvent_apply,
                                  union_spectrum_scan)
-from interspec.gallery import (hermite_position, registry, scale_generator_entry,
+from interspec.gallery import (BUILDERS, hermite_position, registry, scale_generator_entry,
                                torus_delta, torus_multiplication)
 from interspec.sections import PairKernel
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily,
@@ -450,6 +451,73 @@ def test_equivalent_and_held_blocks_share_one_rule_on_a_perturbed_column(scale):
                                     for p in probes]
         assert columns.tolist() == [agrees if j == 5 else True for j in range(len(probes))]
         assert equivalent(handle, perturbed, CFG, norm_space=scale.finest) is agrees
+
+
+# -- held kernels -------------------------------------------------------------
+
+
+def test_coloring_then_reporting_walks_each_pair_once(monkeypatch):
+    # the report reads the held certificates and each pair's summaries at lambda
+    reductions = []
+    reduce = sections._band_tridiagonal
+    monkeypatch.setattr(sections, "_band_tridiagonal",
+                        lambda ab: reductions.append(len(ab[0])) or reduce(ab))
+    family = ScaleFamily.from_spec(json.loads(TORUS_W1.read_text()))
+    pairs, lam, runs = family.admissible_pairs(), -1.2 + 0.5j, []
+    for report in (False, True):
+        x = torus_multiplication("cos(t)").operator
+        reductions.clear()
+        statuses = [repr(point_status(x, lam, e, f, CFG)) for e, f in pairs]
+        if report:
+            assert len(branch_report(x, family, lam, CFG).pair_labels) == 3
+        runs.append((statuses, list(reductions)))
+    assert runs[0] == runs[1] and runs[0][1]
+
+
+def test_a_report_at_another_lambda_certifies_and_probes_nothing(monkeypatch):
+    family = ScaleFamily.from_spec(json.loads(TORUS_W1.read_text()))
+    x = torus_multiplication("cos(t)").operator
+    branch_report(x, family, -1.2 + 0.5j, CFG)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a held pair was certified or probed again")
+
+    monkeypatch.setattr(Representation, "certify_pairs", forbidden)
+    monkeypatch.setattr(operators, "_certify_by_truncation", forbidden)
+    monkeypatch.setattr(sections.LimitProfile, "probe", forbidden)
+    report = branch_report(x, family, 0.7 + 0.5j, CFG)
+    monkeypatch.undo()
+    assert report == branch_report(torus_multiplication("cos(t)").operator, family,
+                                   0.7 + 0.5j, CFG)
+
+
+def test_a_given_certificate_or_kernel_serves_one_call(scale):
+    x = diag_op("n+1")
+    e, f = scale.space_at(1), scale.space_at(0)
+    fake = ContinuityCertificate(x.describe(), e, f, float("inf"), CERT_FAILED, 1)
+    assert point_status(x, -1.0, e, f, CFG, cert=fake).status == STATUS_NO_EXTENSION
+    kernel = PairKernel(x, e, f, CFG)
+    point_status(x, -1.0, e, f, CFG, kernel=kernel)
+    assert x.kernel(e, f, CFG) is not kernel
+    assert repr(certify(x, e, f, CFG)) == repr(certify(diag_op("n+1"), e, f, CFG))
+    assert repr(point_status(x, -1.0, e, f, CFG)) == \
+        repr(point_status(diag_op("n+1"), -1.0, e, f, CFG))
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_cold_and_warm_statuses_are_equal(name):
+    # a warm operator answers after other lambda; a cold one is built for one lambda
+    cfg = CFG.with_updates(scan_n_max=512)
+    warm = BUILDERS[name]()
+    pairs, lams = warm.family.admissible_pairs(), (0.3 + 0.5j, 2.5 + 0.5j)
+
+    def statuses(x, lam):
+        return [repr(point_status(x, lam, e, f, cfg)) for e, f in pairs]
+
+    statuses(warm.operator, 0.5)
+    warm_rows = [statuses(warm.operator, lam) for lam in lams + lams[:1]]
+    cold_rows = [statuses(BUILDERS[name]().operator, lam) for lam in lams]
+    assert warm_rows == cold_rows + cold_rows[:1]
 
 
 # -- scans --------------------------------------------------------------------
