@@ -13,6 +13,7 @@ import cmath
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -69,7 +70,10 @@ def _parse_alpha(text: str) -> complex:
     """Bare reals are boundary angles in radians; literals with i are values."""
     if "i" in text or "j" in text:
         return parse_complex(text)
-    return cmath.exp(1j * float(text))
+    angle = float(text)
+    if not math.isfinite(angle):
+        raise SpecParseError(f"boundary angle {text!r} is not finite")
+    return cmath.exp(1j * angle)
 
 
 def _csv_target(out: Optional[str]):

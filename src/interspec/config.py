@@ -7,6 +7,7 @@ here rather than scattered through call sites.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import Iterator
 
@@ -27,6 +28,8 @@ class GridSpec:
     n_im: int = 1
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.re0, self.re1, self.im0, self.im1)):
+            raise SpecParseError("grid bounds must be finite")
         if self.n_re < 2:
             raise SpecParseError("grid needs at least 2 points on the real axis")
         if self.n_im < 1 or (self.n_im == 1 and self.im0 != self.im1):

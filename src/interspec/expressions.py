@@ -88,9 +88,12 @@ def parse_complex(text: str) -> complex:
     if not cleaned:
         raise SpecParseError("empty complex literal")
     try:
-        return complex(cleaned.replace("i", "j"))
+        value = complex(cleaned.replace("i", "j"))
     except ValueError as exc:
         raise SpecParseError(f"cannot parse complex literal {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise SpecParseError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def format_complex(z: complex) -> str:

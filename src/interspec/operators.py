@@ -6,7 +6,15 @@ generator. Truncation at n means the leading n x n principal submatrix in
 coefficient-slot order, so truncations are nested.
 
 The rest of the library reaches a representation only through the
-`Representation` protocol, whose defaults treat the matrix as dense.
+`Representation` protocol, whose defaults treat the matrix as dense. Each
+representation owns its section strategy, the singular-value summary of
+W_F (X - lambda) W_E^{-1} at a truncation (`sections.SectionSummary`):
+dense SVDs by default (`Representation.summary`), closed forms over a whole
+row of lambda for a diagonal (`Diagonal.summaries`), and, above
+``_DENSE_ALWAYS`` slots, banded Gram eigenvalues (`Banded.summary`) or the
+Woodbury inverse of a rank sum (`RankSum.summary`). A strategy reads the
+pair's spaces and configuration from the `PairKernel` it is handed, and the
+kernel keeps what the strategy returns.
 
 ``certify`` decides membership in C(E, F) through a three-valued outcome:
 certified (analytic-exact or truncation-stabilized), failed (norm grows
@@ -49,7 +57,8 @@ import scipy.sparse
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
-from .sections import _DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary, tail_slots
+from .sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary,
+                       _constant_shift_sigma_min, _gram_spectrum, _svdvals, tail_slots)
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
                      dual_space, mode_to_position, modes, probe_sups, running_sup, slot_modes)
 
@@ -57,6 +66,8 @@ CERT_EXACT = "analytic-exact"
 CERT_STABILIZED = "truncation-stabilized"
 CERT_FAILED = "failed"
 CERT_INCONCLUSIVE = "inconclusive"
+
+_ROW_BLOCK = 1 << 15  # entries per block of `Diagonal.summaries`
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +110,31 @@ class Representation:
     walks_rows = False  # may a row of lambda walk in lock step? (see `summaries`)
 
     def summary(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
-        """Section summary, and its census call, through the strategy that
-        suits this structure."""
-        return kernel.dense_summary(lam, n)
+        """Section summary of ``kernel``'s pair at truncation n, without its
+        census, and the call that computes the census from a RunConfig; here
+        from dense SVDs of the tall and wide views.
+
+        The call must not hold the kernel: a kernel -> memo -> call -> kernel
+        cycle would keep dead kernels' arrays alive until the cyclic garbage
+        collector runs.
+        """
+        x = kernel.x
+        pb = self.slot_bandwidth(x.basis)
+        margin = pb if pb is not None else kernel.cfg.section_margin
+        rows = n + margin
+        wf, we = kernel.f.weights(rows), kernel.e.weights(rows)
+        tall = x.matrix(rows, n).astype(complex)
+        tall[np.arange(n), np.arange(n)] -= lam
+        tall *= wf[:, None]
+        tall /= we[None, :n]
+        sv_tall = _svdvals(tall)
+        wide = x.matrix(n, rows).astype(complex)
+        wide[np.arange(n), np.arange(n)] -= lam
+        wide *= wf[:n, None]
+        wide /= we[None, :]
+        sv_wide = _svdvals(wide)
+        return (SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]), float(sv_wide[-1]), None),
+                lambda cfg: int(np.sum(sv_wide < cfg.defect_eps * sv_wide[0])))
 
     def summaries(self, kernel: PairKernel, lams: np.ndarray, n: int) -> tuple:
         """(c_low, d_high, surj_low, census) arrays at truncation n over ``lams``,
@@ -113,6 +146,7 @@ class Representation:
                      for name in ("c_low", "d_high", "surj_low")) + (None,)
 
     def norm_estimate(self, kernel: PairKernel, n: int) -> float:
+        """Largest singular value of the unshifted weighted tall section."""
         # past the memo: a held kernel would keep these lambda = 0 summaries (a
         # rank sum's n x r factors with them) long after its certificate
         return self.summary(kernel, 0.0, n)[0].d_high
@@ -154,9 +188,6 @@ class Diagonal(Representation):
     def slot_bandwidth(self, basis):
         return 0
 
-    def certify(self, op, e, f, cfg):
-        return self.certify_pairs(op, [(e, f)], cfg)[0]
-
     def certify_pairs(self, op, pairs, cfg):
         # one blocked pass over the probe for all pairs (see the module docstring)
         probe = cfg.symbol_probe
@@ -169,13 +200,26 @@ class Diagonal(Representation):
     walks_rows = True
 
     def summary(self, kernel, lam, n):
-        c_low, d_high, _, census = (v[0].item() for v in kernel.diagonal_summaries(
-            np.array([lam], dtype=complex), n))
+        c_low, d_high, _, census = (v[0].item() for v in self.summaries(
+            kernel, np.array([lam], dtype=complex), n))
         # counted at kernel.cfg, the configuration `PairKernel.summary` hands the call
         return SectionSummary(n, c_low, d_high, c_low, None), lambda cfg: census
 
     def summaries(self, kernel, lams, n):
-        return kernel.diagonal_summaries(lams, n)
+        """Censuses included, from blocks of |symbol - lambda| w_F / w_E over all
+        n slots of at most ``_ROW_BLOCK`` / n lambda. Each entry is the one-lambda
+        expression, and min, max and counts do not depend on the order of
+        evaluation."""
+        symbol = self.symbol(kernel.x.basis, n)[:, None]
+        ratio = (kernel.f.weights(n) / kernel.e.weights(n))[:, None]
+        c_low, d_high, census = np.empty(len(lams)), np.empty(len(lams)), np.empty(len(lams), int)
+        width = max(1, _ROW_BLOCK // n)
+        for block in (slice(a, a + width) for a in range(0, len(lams), width)):
+            vals = np.abs(symbol - lams[None, block])
+            vals *= ratio
+            c_low[block], d_high[block] = vals.min(axis=0), vals.max(axis=0)
+            census[block] = np.count_nonzero(vals < kernel.cfg.defect_eps * d_high[block], axis=0)
+        return c_low, d_high, c_low, census
 
     def max_n(self, cfg):
         # closed-form singular values: deep truncations are nearly free
@@ -255,15 +299,34 @@ class Banded(Representation):
                                          cfg.symbol_probe)
         return super().certify(op, e, f, cfg)
 
+    def _shifted(self, kernel: PairKernel, lam: complex, rows: int,
+                 cols: int) -> scipy.sparse.csr_matrix:
+        """The sparse rows x cols block of W_F (X - lambda) W_E^{-1}."""
+        sec = self.section(kernel.x.basis, rows, cols)
+        i = np.repeat(np.arange(rows), np.diff(sec.indptr))
+        j = sec.indices
+        vals = np.where(i == j, sec.data - lam, sec.data) * kernel.f.weights(rows)[i] \
+            / kernel.e.weights(cols)[j]
+        return scipy.sparse.csr_matrix((vals, j, sec.indptr), shape=(rows, cols))
+
     def summary(self, kernel, lam, n):
-        if n > _DENSE_ALWAYS:
-            return kernel.banded_summary(lam, n)
-        return super().summary(kernel, lam, n)
+        if n <= _DENSE_ALWAYS:
+            return super().summary(kernel, lam, n)
+        margin = max(self.slot_bandwidth(kernel.x.basis), 1)
+        tall = _gram_spectrum(self._shifted(kernel, lam, n + margin, n))
+        wide = _gram_spectrum(self._shifted(kernel, lam, n, n + margin))
+
+        def census(cfg: RunConfig) -> int:
+            return wide.count_up_to((cfg.defect_eps * wide.singular_value(-1)) ** 2)
+
+        return (SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
+                               wide.singular_value(0), None), census)
 
     def norm_estimate(self, kernel, n):
-        if n > _DENSE_ALWAYS:
-            return kernel.banded_norm(n)
-        return super().norm_estimate(kernel, n)
+        if n <= _DENSE_ALWAYS:
+            return super().norm_estimate(kernel, n)
+        tall = self._shifted(kernel, 0.0, n + max(self.slot_bandwidth(kernel.x.basis), 1), n)
+        return _gram_spectrum(tall).singular_value(-1)
 
     def max_n(self, cfg):
         return cfg.scan_n_max
@@ -323,9 +386,38 @@ class RankSum(Representation):
         return LimitProfile.probe(op.basis, e, f, cfg, {})
 
     def summary(self, kernel, lam, n):
-        if n > _DENSE_ALWAYS:
-            return kernel.ranksum_summary(lam, n)
-        return super().summary(kernel, lam, n)
+        if n <= _DENSE_ALWAYS:
+            return super().summary(kernel, lam, n)
+        # square view: rank-sum columns have unbounded support, so margins
+        # cannot make the tall view exact anyway
+        m = modes(kernel.x.basis, n).astype(float)
+        wf, we = kernel.f.weights(n), kernel.e.weights(n)
+        vt = np.stack([np.asarray(t.v(m), dtype=complex) * wf for t in self.terms], axis=1)
+        ut = np.stack([np.asarray(t.u(m), dtype=complex) / we for t in self.terms], axis=1)
+        diag = -lam * (wf / we)
+        # triangle-inequality bound, exactly invariant under the duality swap
+        d_high = float(np.max(np.abs(diag))
+                       + np.sum(np.linalg.norm(vt, axis=0) * np.linalg.norm(ut, axis=0)))
+        sv = None  # the square section's singular values, shared with the census
+
+        def square_svdvals() -> np.ndarray:
+            return _svdvals(np.diag(diag).astype(complex) + vt @ ut.conj().T)
+
+        if lam == 0:
+            c_low = 0.0 if n > len(self.terms) else float("nan")
+        else:
+            c_low = _constant_shift_sigma_min(diag, vt, ut)
+            if c_low is None:
+                sv = square_svdvals()
+                c_low = float(sv[-1])
+
+        def census(cfg: RunConfig) -> Optional[int]:
+            if n > cfg.dense_cap:
+                return None
+            vals = square_svdvals() if sv is None else sv
+            return int(np.sum(vals < cfg.defect_eps * vals[0]))
+
+        return SectionSummary(n, c_low, d_high, c_low, None), census
 
 
 @dataclass(frozen=True)
@@ -486,7 +578,7 @@ def _certify_by_truncation(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
     kernel = x.kernel(e, f, cfg)
     n = cfg.n0
     while n <= cfg.n_max:
-        history.append((n, kernel.norm_estimate(n)))
+        history.append((n, x.rep.norm_estimate(kernel, n)))
         if len(history) >= 2:
             (_, prev), (_, last) = history[-2], history[-1]
             if abs(last - prev) <= cfg.rel_tol * max(abs(last), 1e-300):

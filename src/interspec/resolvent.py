@@ -24,18 +24,18 @@ point; the census compares the walk's last two truncations, and "vanishing"
 means at most ``regular_eps`` times max(d_high, |lambda|, 1). The
 certificate and the limit operators answer for the whole row at once. A
 diagonal operator's walks run in lock step, each doubling summarizing every
-point still walking from blocks of the row (`PairKernel.diagonal_summaries`);
+point still walking from blocks of the row (`Diagonal.summaries`);
 other representations walk one point at a time. Scans decide rows, and
 `point_status`, `regular_point` and `defect_number` are views of the
 one-point row: lambda is in the (E, F) resolvent set exactly when it is
 regular with defect 0.
 
-A decision reads the pair's kernel that the operator holds
-(`CoefficientOperator.kernel`), with its certificate and limit profile, and
-the kernel keeps the summaries of the lambda it last walked. So queries on
-one operator certify and probe each pair once, and a branch report at the
-lambda just colored reads the summaries of that coloring. A ``cert`` or
-``kernel`` that a caller passes serves that call only and is never held.
+A decision reads only the pair's kernel that the operator holds
+(`CoefficientOperator.kernel`): its certificate, its limit profile, and the
+summaries of the lambda it last walked. So queries on one operator certify
+and probe each pair once, and a branch report at the lambda just colored
+reads the summaries of that coloring. Another certificate goes in only
+through the held kernel (``x.kernel(e, f, cfg).cert``).
 
 Grid scans never claim set equalities: they color grid points, and the
 acceptance layer compares colors against analytic membership predicates.
@@ -57,8 +57,7 @@ import scipy.sparse.linalg
 from .config import DEFAULT_CONFIG, GridSpec, RunConfig
 from .errors import (CertificateBoundError, NeumannRadiusError, NotCertifiedError,
                      NotInResolventError, NotRegularError, SolveToleranceError)
-from .operators import (CERT_FAILED, CoefficientOperator, ContinuityCertificate, certify,
-                        certify_pairs)
+from .operators import CERT_FAILED, CoefficientOperator, certify, certify_pairs
 from .sections import PairKernel
 from .spaces import (CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
                      embedding_norm)
@@ -125,30 +124,30 @@ class SolveResult:
 _STABILIZED, _SHRINK = 1, 2  # why a doubling walk stopped; 0 when its truncations ran out
 
 
-def _limit_status(kernel: PairKernel, lams: np.ndarray, cert: ContinuityCertificate,
-                  cfg: RunConfig) -> list:
+def _limit_status(kernel: PairKernel, lams: np.ndarray) -> list:
     """For each lambda of ``lams``: ``not-regular`` from the pair's limit
     operators, with no section, or None.
 
     Every limit operator bounds the lower norm of the weighted section from
     above (see `LimitProfile`), so a bound that lies within ``regular_eps``
     of zero together with its error bar is conclusive. The scale is the
-    sections' max(d_high, |lambda|, 1), with the certificate's norm bound in
-    place of d_high. One `LimitProfile.bound` call serves the whole row.
+    sections' max(d_high, |lambda|, 1), with the norm bound of the kernel's
+    certificate in place of d_high. One `LimitProfile.bound` call serves the
+    whole row.
     """
     profile = kernel.limit_profile
     if profile is None:
         return [None] * len(lams)
     bound, error = profile.bound(lams)
-    scale = np.maximum(np.maximum(cert.norm_bound, np.hypot(lams.real, lams.imag)), 1.0)
-    undecided = bound + error > cfg.regular_eps * scale
+    scale = np.maximum(np.maximum(kernel.cert.norm_bound, np.hypot(lams.real, lams.imag)), 1.0)
+    undecided = bound + error > kernel.cfg.regular_eps * scale
     made: dict = {}  # one cell per bound: a compact pair's row is all zeros
     return [None if skip else made.get(value) or made.setdefault(
                 value, CellStatus(STATUS_NOT_REGULAR, value, witness_n=profile.witness_n))
             for skip, value in zip(undecided.tolist(), bound.tolist())]
 
 
-def _walk(kernel: PairKernel, lams: np.ndarray, cfg: RunConfig) -> tuple:
+def _walk(kernel: PairKernel, lams: np.ndarray) -> tuple:
     """The cells of ``lams`` decided by doubling walks in lock step, and for
     each the (n, d_high) of its last summary.
 
@@ -159,14 +158,15 @@ def _walk(kernel: PairKernel, lams: np.ndarray, cfg: RunConfig) -> tuple:
     wide views swap under the adjoint-and-dual-pair move, so decisions built
     on it stay symmetric.
     """
+    cfg, rep = kernel.cfg, kernel.x.rep
     count, abs_lam = len(lams), np.hypot(lams.real, lams.imag)
     stop, last_n, vanish_n = np.zeros((3, count), dtype=int)  # vanish_n 0: nothing vanished
     last_c, last_d, vanish_c, vanish_d, first, prev = np.zeros((6, count))
     vanish_tall, falling = np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
     censuses, given = np.zeros((2, count), dtype=int), True  # at the last two truncations
-    live, n, top, taken = np.arange(count), cfg.scan_n0, kernel.max_n(), 0
+    live, n, top, taken = np.arange(count), cfg.scan_n0, rep.max_n(cfg), 0
     while n <= top and taken < 9 and live.size:
-        c_low, d_high, surj_low, census = kernel.x.rep.summaries(kernel, lams[live], n)
+        c_low, d_high, surj_low, census = rep.summaries(kernel, lams[live], n)
         low = np.where(surj_low < c_low, surj_low, c_low)  # min(), NaN and all
         eps = cfg.regular_eps * np.maximum(np.maximum(d_high, abs_lam[live]), 1.0)
         new = (vanish_n[live] == 0) & (low <= eps)
@@ -213,52 +213,46 @@ def _walk(kernel: PairKernel, lams: np.ndarray, cfg: RunConfig) -> tuple:
     return cells, list(zip(last_n.tolist(), last_d.tolist()))
 
 
-def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig,
-            cert: Optional[ContinuityCertificate] = None,
-            kernel: Optional[PairKernel] = None) -> tuple:
+def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace,
+            cfg: RunConfig) -> tuple:
     """The one classification of each lambda of ``lams`` on (E, F), and for each
     the (n, d_high) of the last summary it walked (None when the certificate or
     the limit operators decide, each once for the whole row). The rest walks in
     lock step where the representation ``walks_rows``, else one lambda at a time.
-    A ``cert`` or ``kernel`` given serves this call only, in place of the held
-    one (`CoefficientOperator.kernel`).
+    Everything is read from the pair's held kernel (`CoefficientOperator.kernel`).
     """
     lams = np.asarray(lams, dtype=complex)
-    cert = cert if cert is not None else certify(x, e, f, cfg)
+    cert = certify(x, e, f, cfg)
     if not cert.certified:
         status = STATUS_NO_EXTENSION if cert.method == CERT_FAILED else STATUS_INCONCLUSIVE
         return [CellStatus(status, witness_n=cert.witness_n)] * len(lams), [None] * len(lams)
-    kernel = kernel if kernel is not None else x.kernel(e, f, cfg)
-    cells = _limit_status(kernel, lams, cert, cfg)
+    kernel = x.kernel(e, f, cfg)
+    cells = _limit_status(kernel, lams)
     lasts = [None] * len(lams)
     walking = [i for i, cell in enumerate(cells) if cell is None]
     width = len(walking) if kernel.x.rep.walks_rows else 1
     for a in range(0, len(walking), max(width, 1)):
         group = walking[a:a + width]
-        for i, cell, last in zip(group, *_walk(kernel, lams[group], cfg)):
+        for i, cell, last in zip(group, *_walk(kernel, lams[group])):
             cells[i], lasts[i] = cell, last
     return cells, lasts
 
 
 def point_status(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
-                 cfg: RunConfig = DEFAULT_CONFIG,
-                 cert: Optional[ContinuityCertificate] = None,
-                 kernel: Optional[PairKernel] = None) -> CellStatus:
+                 cfg: RunConfig = DEFAULT_CONFIG) -> CellStatus:
     """Classify one grid point for one pair: the one-point row of the decision."""
-    return _decide(x, [lam], e, f, cfg, cert, kernel)[0][0]
+    return _decide(x, [lam], e, f, cfg)[0][0]
 
 
 def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
-                  cfg: RunConfig = DEFAULT_CONFIG,
-                  cert: Optional[ContinuityCertificate] = None,
-                  kernel: Optional[PairKernel] = None) -> RegularPointReport:
+                  cfg: RunConfig = DEFAULT_CONFIG) -> RegularPointReport:
     """The decision's two-sided constants of the weighted section of X - lambda
     on (E, F), checked against the certificate whenever sections were taken."""
-    cert = cert if cert is not None else certify(x, e, f, cfg)
+    cert = certify(x, e, f, cfg)
     if not cert.certified:
         raise NotCertifiedError(
             f"regular_point requires a certified extension on ({e.label}, {f.label})")
-    [status], [last] = _decide(x, [lam], e, f, cfg, cert, kernel)
+    [status], [last] = _decide(x, [lam], e, f, cfg)
     if last is not None and math.isfinite(cert.norm_bound):
         n, d_high = last
         bound = cert.norm_bound + abs(lam) * embedding_norm(e, f, cfg)
@@ -344,16 +338,18 @@ def resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Scal
     """Apply the per-pair resolvent to eta with a residual contract in F: the
     one-column view of the block solve `_resolvent_solve`."""
     check_same_basis(x, eta)
-    return _resolvent_solve(x, lam, e, f, eta.coeffs[:, None], cfg, status, {})[0]
+    [(xi, residual, n)] = _resolvent_solve(x, lam, e, f, eta.coeffs[:, None], cfg, status, {})
+    return SolveResult(xi, float(_column_norms(xi.coeffs[:, None], e)[0]), residual, n)
 
 
 def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                      eta: np.ndarray, cfg: RunConfig, status: Optional[CellStatus],
                      factors: dict) -> list:
-    """The `SolveResult` of each column of ``eta`` (rows are coefficient slots),
-    drawing on ``factors``: n -> (solve, residual section). Each column stops at
-    the first truncation where its F-residual is at most ``solve_tol`` times its
-    F-norm; only the columns that miss go on to the next doubling."""
+    """(solution, F-residual, truncation) of each column of ``eta`` (rows are
+    coefficient slots), drawing on ``factors``: n -> (solve, residual section).
+    Each column stops at the first truncation where its F-residual is at most
+    ``solve_tol`` times its F-norm; only the columns that miss go on to the
+    next doubling."""
     check_same_basis(x, e, f)
     status = _require_resolvent(status if status is not None
                                 else point_status(x, lam, e, f, cfg), lam, e, f)
@@ -372,10 +368,8 @@ def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Sca
         resid[:len(rhs)] -= rhs
         residual = _column_norms(resid, f)
         met = residual <= cfg.solve_tol * np.maximum(eta_f[todo], 1e-300)
-        done = xi[:, met]
-        for j, vec, e_norm, r in zip(todo[met].tolist(), done.T, _column_norms(done, e).tolist(),
-                                     residual[met].tolist()):
-            results[j] = SolveResult(CoefficientVector(x.basis, vec.copy()), e_norm, r, n)
+        for j, vec, r in zip(todo[met].tolist(), xi[:, met].T, residual[met].tolist()):
+            results[j] = (CoefficientVector(x.basis, vec.copy()), r, n)
         todo = todo[~met]
         if not todo.size:
             return results
@@ -400,7 +394,7 @@ def solver_handle(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
     def apply(vec: CoefficientVector) -> CoefficientVector:
         check_same_basis(x, vec)
         return _resolvent_solve(x, lam, e, f, vec.coeffs[:, None], cfg, frozen_status,
-                                factors)[0].vector
+                                factors)[0][0]
 
     apply.pair = (e, f)  # type: ignore[attr-defined]
     apply.lam = lam      # type: ignore[attr-defined]
@@ -688,7 +682,7 @@ def union_spectrum_scan(x: CoefficientOperator, family: ScaleFamily, grid: GridS
     certs = certify_pairs(x, pairs, cfg)
     labels = [f"{e.label}->{f.label}" for e, f in pairs]
     checked = bool(cfg.duality_check and family.closed_under_duality and pairs)
-    cells = [_decide(x, lams, e, f, cfg, cert)[0] for (e, f), cert in zip(pairs, certs)]
+    cells = [_decide(x, lams, e, f, cfg)[0] for e, f in pairs]
     union = [any(cells[pi][li].status == STATUS_RESOLVENT for pi in range(len(pairs)))
              for li in range(len(lambdas))]
 
@@ -697,9 +691,9 @@ def union_spectrum_scan(x: CoefficientOperator, family: ScaleFamily, grid: GridS
         mismatches = []
         adj = x.adjoint()
         dual_pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs]
-        for pi, cert in enumerate(certify_pairs(adj, dual_pairs, cfg)):
-            ed, fd = dual_pairs[pi]
-            row = [cell.status for cell in _decide(adj, lams.conj(), ed, fd, cfg, cert)[0]]
+        certify_pairs(adj, dual_pairs, cfg)  # in one pass; `_decide` reads them held
+        for pi, (ed, fd) in enumerate(dual_pairs):
+            row = [cell.status for cell in _decide(adj, lams.conj(), ed, fd, cfg)[0]]
             for li, lam in enumerate(lambdas):
                 primal = cells[pi][li].status == STATUS_RESOLVENT
                 dual = row[li] == STATUS_RESOLVENT
@@ -753,8 +747,8 @@ def branch_report(x: CoefficientOperator, family: ScaleFamily, lam: complex,
     held, probes = [], np.eye(cfg.equiv_probes, dtype=complex)
     for e, f, status in branches if len(branches) > 1 else ():
         results = _resolvent_solve(x, lam, e, f, probes, cfg, status, {})
-        top = max(r.witness_n for r in results)
-        held.append(np.column_stack([r.vector.padded(top) for r in results]))
+        top = max(n for _, _, n in results)
+        held.append(np.column_stack([vec.padded(top) for vec, _, _ in results]))
     finest = family.finest if len(family) else None
     norms = [_column_norms(block, finest) for block in held]
     equivalences = [[i, j, bool(np.all(_agree(held[i], held[j], cfg, finest, norms[i])))]

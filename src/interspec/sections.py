@@ -12,23 +12,20 @@ what makes a small value conclusive evidence against regularity.
 
 Per-representation strategies keep scans affordable: diagonal sections have
 closed-form singular values, banded sections go through Hermitian banded
-Gram eigenvalues, and rank sums and dense generators take full SVDs.
-`PairKernel` holds the strategies; the operator's representation picks one
-for each truncation.
-`PairKernel.summary` keeps the summaries of the current lambda per
-truncation, and computes a census only when one is asked for.
-`PairKernel.diagonal_summaries` summarizes a whole row of lambda at one
-truncation, censuses included, from blocks of at most 2^15 entries that
-live one at a time; nothing of a block is kept but its three numbers per
-lambda. A kernel holds no weights or symbol of its own: it reads prefix
-views of the arrays that its spaces (`ScaleSpace.weights`) and a diagonal
-representation (`Diagonal.symbol`) hold, so all pairs that share a rung,
-and the duality pass, evaluate each weight sequence once.
-`PairKernel.limit_profile` holds the pair's limit operators, which bound the
-lower constant of the whole infinite section from above (`LimitProfile`),
-and ``PairKernel.cert`` the pair's certificate once one is taken. An
-operator holds one kernel per pair and configuration
-(`CoefficientOperator.kernel`), so neither is computed twice.
+Gram eigenvalues, and rank sums and dense generators take full SVDs. Each
+strategy is a method of the representation that picks it
+(`operators.Representation.summary`), built from the numerical kernels of
+this module. `PairKernel` holds what belongs to one pair and does not
+depend on lambda: the pair's certificate once one is taken (``cert``) and
+its limit operators, which bound the lower constant of the whole infinite
+section from above (`LimitProfile`). `PairKernel.summary` keeps the
+summaries of the current lambda per truncation, and computes a census only
+when one is asked for. An operator holds one kernel per pair and
+configuration (`CoefficientOperator.kernel`), so none of it is computed
+twice. A kernel holds no weights or symbol of its own: the strategies read
+prefix views of the arrays that its spaces (`ScaleSpace.weights`) and a
+diagonal representation (`Diagonal.symbol`) hold, so all pairs that share a
+rung, and the duality pass, evaluate each weight sequence once.
 
 Each banded Gram matrix is reduced to tridiagonal form once (LAPACK
 zhbtrd), and its smallest and largest eigenvalues and its census all come
@@ -61,10 +58,9 @@ import scipy.linalg.lapack
 import scipy.sparse
 
 from .config import RunConfig
-from .spaces import Basis, ScaleSpace, modes, slot_modes
+from .spaces import Basis, ScaleSpace, slot_modes
 
 _DENSE_ALWAYS = 96  # below this size dense SVD beats the structured routes
-_ROW_BLOCK = 1 << 15  # entries per block of `PairKernel.diagonal_summaries`
 
 
 @dataclass(frozen=True)
@@ -349,7 +345,9 @@ class LimitProfile:
 
 
 class PairKernel:
-    """Singular-value summaries of W_F (X - lambda) W_E^{-1} for one pair."""
+    """The state of one pair (E, F) of an operator X that does not depend on
+    lambda, and the singular-value summaries of W_F (X - lambda) W_E^{-1} at
+    the current lambda."""
 
     def __init__(self, x, e: ScaleSpace, f: ScaleSpace, cfg: RunConfig):
         self.x = x  # a CoefficientOperator
@@ -359,9 +357,6 @@ class PairKernel:
         self.cert = None  # held by `operators.certify_pairs` once it is taken
         self._lam: Optional[complex] = None
         self._memo: dict = {}  # n -> (summary, census call), at lambda = self._lam
-
-    def max_n(self) -> int:
-        return self.x.rep.max_n(self.cfg)
 
     def summary(self, lam: complex, n: int, want_census: bool = True) -> SectionSummary:
         """Section summary at truncation n, with its census when ``want_census``.
@@ -380,109 +375,7 @@ class PairKernel:
             self._memo[n] = (found, census)
         return found
 
-    def norm_estimate(self, n: int) -> float:
-        """Largest singular value of the unshifted weighted tall section."""
-        return self.x.rep.norm_estimate(self, n)
-
     @functools.cached_property
     def limit_profile(self) -> Optional[LimitProfile]:
         """The pair's `LimitProfile`, probed once; None when the representation has none."""
         return self.x.rep.limit_profile(self.x, self.e, self.f, self.cfg)
-
-    # -- strategies -----------------------------------------------------
-    # Each returns the summary without its census, and the call that computes
-    # the census from a RunConfig. The call must not hold the kernel: a kernel
-    # -> memo -> call -> kernel cycle would keep dead kernels' arrays alive
-    # until the cyclic garbage collector runs.
-
-    def diagonal_summaries(self, lams: np.ndarray, n: int) -> tuple:
-        """`Representation.summaries` of a diagonal operator, censuses included,
-        from blocks of |symbol - lambda| w_F / w_E over all n slots of at most
-        ``_ROW_BLOCK`` / n lambda. Each entry is the one-lambda expression, and
-        min, max and counts do not depend on the order of evaluation."""
-        symbol = self.x.rep.symbol(self.x.basis, n)[:, None]
-        ratio = (self.f.weights(n) / self.e.weights(n))[:, None]
-        c_low, d_high, census = np.empty(len(lams)), np.empty(len(lams)), np.empty(len(lams), int)
-        width = max(1, _ROW_BLOCK // n)
-        for block in (slice(a, a + width) for a in range(0, len(lams), width)):
-            vals = np.abs(symbol - lams[None, block])
-            vals *= ratio
-            c_low[block], d_high[block] = vals.min(axis=0), vals.max(axis=0)
-            census[block] = np.count_nonzero(vals < self.cfg.defect_eps * d_high[block], axis=0)
-        return c_low, d_high, c_low, census
-
-    def _sparse_shifted(self, lam: complex, rows: int, cols: int) -> scipy.sparse.csr_matrix:
-        sec = self.x.section(rows, cols)
-        i = np.repeat(np.arange(rows), np.diff(sec.indptr))
-        j = sec.indices
-        vals = np.where(i == j, sec.data - lam, sec.data) * self.f.weights(rows)[i] \
-            / self.e.weights(cols)[j]
-        return scipy.sparse.csr_matrix((vals, j, sec.indptr), shape=(rows, cols))
-
-    def banded_summary(self, lam: complex, n: int) -> tuple:
-        pb = self.x.position_bandwidth() or 0
-        margin = max(pb, 1)
-        tall = _gram_spectrum(self._sparse_shifted(lam, n + margin, n))
-        wide = _gram_spectrum(self._sparse_shifted(lam, n, n + margin))
-
-        def census(cfg: RunConfig) -> int:
-            return wide.count_up_to((cfg.defect_eps * wide.singular_value(-1)) ** 2)
-
-        return (SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
-                               wide.singular_value(0), None), census)
-
-    def banded_norm(self, n: int) -> float:
-        pb = self.x.position_bandwidth() or 0
-        tall = self._sparse_shifted(0.0, n + max(pb, 1), n)
-        return _gram_spectrum(tall).singular_value(-1)
-
-    def ranksum_summary(self, lam: complex, n: int) -> tuple:
-        # square view: rank-sum columns have unbounded support, so margins
-        # cannot make the tall view exact anyway
-        rep = self.x.rep
-        m = modes(self.x.basis, n).astype(float)
-        wf, we = self.f.weights(n), self.e.weights(n)
-        vt = np.stack([np.asarray(t.v(m), dtype=complex) * wf for t in rep.terms], axis=1)
-        ut = np.stack([np.asarray(t.u(m), dtype=complex) / we for t in rep.terms], axis=1)
-        diag = -lam * (wf / we)
-        # triangle-inequality bound, exactly invariant under the duality swap
-        d_high = float(np.max(np.abs(diag))
-                       + np.sum(np.linalg.norm(vt, axis=0) * np.linalg.norm(ut, axis=0)))
-        sv = None  # the square section's singular values, shared with the census
-
-        def square_svdvals() -> np.ndarray:
-            return _svdvals(np.diag(diag).astype(complex) + vt @ ut.conj().T)
-
-        if lam == 0:
-            c_low = 0.0 if n > len(rep.terms) else float("nan")
-        else:
-            c_low = _constant_shift_sigma_min(diag, vt, ut)
-            if c_low is None:
-                sv = square_svdvals()
-                c_low = float(sv[-1])
-
-        def census(cfg: RunConfig) -> Optional[int]:
-            if n > cfg.dense_cap:
-                return None
-            vals = square_svdvals() if sv is None else sv
-            return int(np.sum(vals < cfg.defect_eps * vals[0]))
-
-        return SectionSummary(n, c_low, d_high, c_low, None), census
-
-    def dense_summary(self, lam: complex, n: int) -> tuple:
-        pb = self.x.position_bandwidth()
-        margin = pb if pb is not None else self.cfg.section_margin
-        rows = n + margin
-        wf, we = self.f.weights(rows), self.e.weights(rows)
-        tall = self.x.matrix(rows, n).astype(complex)
-        tall[np.arange(n), np.arange(n)] -= lam
-        tall *= wf[:, None]
-        tall /= we[None, :n]
-        sv_tall = _svdvals(tall)
-        wide = self.x.matrix(n, rows).astype(complex)
-        wide[np.arange(n), np.arange(n)] -= lam
-        wide *= wf[:n, None]
-        wide /= we[None, :]
-        sv_wide = _svdvals(wide)
-        return (SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]), float(sv_wide[-1]), None),
-                lambda cfg: int(np.sum(sv_wide < cfg.defect_eps * sv_wide[0])))

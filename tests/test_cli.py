@@ -6,6 +6,8 @@ import json
 import pathlib
 import warnings
 
+import pytest
+
 from interspec import gallery
 from interspec.cli import main
 from interspec.config import RunConfig
@@ -182,6 +184,26 @@ def test_bad_arguments_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("scan", "--operator", "gallery:scale-generator", "--family", "gallery:scale-generator",
+     "--grid={v}:1:3"),
+    ("scan", "--operator", "gallery:scale-generator", "--family", "gallery:scale-generator",
+     "--grid=0:{v}:3"),
+    ("branches", "--operator", "gallery:scale-generator", "--family", "gallery:scale-generator",
+     "--lambda={v}"),
+    ("branches", "--operator", "gallery:scale-generator", "--family", "gallery:scale-generator",
+     "--lambda=1e999+{v}i"),
+    ("krein", "--alpha={v}", "--beta=1.0", "--lambda=0+1i", "--g=1"),
+    ("krein", "--alpha=1e999", "--beta={v}", "--lambda=0+1i", "--g=1"),
+], ids=["grid-re0", "grid-re1", "lambda", "lambda-overflow", "alpha", "alpha-overflow"])
+def test_non_finite_lambda_input_is_a_spec_error(tmp_path, capsys, argv, value):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *(a.format(v=value) for a in argv), "--out", str(out))
+    assert code == 2 and err.startswith("spec error")
+    assert not out.exists()
+
+
 def test_scan_builds_only_the_gallery_entry_it_names(tmp_path, capsys, monkeypatch):
     built = []
     for name, build in list(gallery.BUILDERS.items()):
@@ -209,3 +231,17 @@ def test_scan_with_a_dense_cap_below_scan_n0_exits_two(tmp_path, capsys):
                        "--family", "gallery:position", "--grid=-1:1:2,0.5:0.5:1",
                        "--config", str(config), "--out", str(tmp_path / "scan"))
     assert code == 2 and "dense_cap" in err
+
+
+def test_dense_operator_scans_through_the_dense_route(tmp_path, capsys):
+    # no gallery entry is dense: this is the one CLI scan of `Representation.summary`
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code, _, _ = run(capsys, "scan", "--operator", str(root / "tests" / "data" / "dense-toeplitz.json"),
+                     "--family", "gallery:position", "--grid=-1:1:3,0.5:0.5:1",
+                     "--config", str(root / "bench" / "specs" / "smoke-config.json"),
+                     "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["duality"] == {"checked": True, "mismatches": []}
+    statuses = [cell["status"] for row in payload["cells"] for cell in row]
+    assert "not-regular" in statuses

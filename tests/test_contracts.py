@@ -144,9 +144,10 @@ def test_section_norm_above_certificate_raises_typed_error():
     assert honest.method == CERT_EXACT
     # a certified bound far below the true norm (about 1) must be refused
     # through a typed error that survives `python -O`
-    cert = ContinuityCertificate(honest.operator, e, f, 1e-6, CERT_EXACT, honest.witness_n)
+    op.kernel(e, f, CFG).cert = ContinuityCertificate(honest.operator, e, f, 1e-6, CERT_EXACT,
+                                                      honest.witness_n)
     with pytest.raises(CertificateBoundError, match="exceeds the certificate bound"):
-        regular_point(op, 0.1j, e, f, CFG, cert=cert)
+        regular_point(op, 0.1j, e, f, CFG)
 
 
 def test_config_rejects_removed_quad_tol():

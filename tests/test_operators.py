@@ -167,7 +167,7 @@ def test_certify_adjoint_duality_banded_close(scale):
 def test_truncated_estimates_monotone_from_below(scale):
     op = diag_op("n/(n+1)")
     e = f = scale.space_at(0)
-    estimates = [PairKernel(op, e, f, CFG).norm_estimate(n) for n in (64, 128, 256, 512)]
+    estimates = [op.rep.norm_estimate(PairKernel(op, e, f, CFG), n) for n in (64, 128, 256, 512)]
     assert all(b >= a - 1e-15 for a, b in zip(estimates, estimates[1:]))
     exact = certify(op, e, f, CFG).norm_bound
     assert all(est <= exact + 1e-12 for est in estimates)
@@ -194,7 +194,7 @@ def test_failed_banded_certificates_build_no_section(scale, monkeypatch):
         raise AssertionError("a failed banded certificate built a section")
 
     monkeypatch.setattr(sections, "_band_tridiagonal", no_section)
-    monkeypatch.setattr(PairKernel, "banded_norm", no_section)
+    monkeypatch.setattr(Banded, "norm_estimate", no_section)
     pos = hermite_position().operator
     for space in scale:
         cert = certify(pos, space, space, CFG)

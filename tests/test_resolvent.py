@@ -28,7 +28,7 @@ from interspec.gallery import (BUILDERS, hermite_position, registry, scale_gener
                                torus_delta, torus_multiplication)
 from interspec.sections import PairKernel
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily,
-                              hilbert_scale_family, sequence_power_family,
+                              hilbert_scale_family, norm, sequence_power_family,
                               sobolev_torus_family)
 
 CFG = RunConfig()
@@ -140,7 +140,7 @@ def test_solve_diagonal_is_exact_symbol_inverse(scale):
     a = np.arange(n) + 1.0
     expected = eta.padded(n) / (a - (-1.0))
     assert np.array_equal(result.vector.coeffs, expected)
-    assert result.e_norm > 0
+    assert result.e_norm == norm(result.vector, scale.space_at(1)) > 0
 
 
 def test_solve_rejects_spectrum_point(scale):
@@ -236,13 +236,14 @@ TORUS_W1 = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs" / "to
 
 
 def _block_and_vector_solves(x, lam, e, f, eta, status):
-    """`_resolvent_solve` of the columns of ``eta`` as one block and one by one,
-    after checking that each column stops at the same truncation both ways."""
+    """Each column of ``eta`` solved in one block by `_resolvent_solve`, and its
+    `SolveResult` one by one, after checking that each column stops at the
+    same truncation both ways."""
     block = _resolvent_solve(x, lam, e, f, eta, CFG, status, {})
     singles = [resolvent_solve(x, lam, e, f, CoefficientVector(x.basis, eta[:, j].copy()), CFG,
                                status=status) for j in range(eta.shape[1])]
-    assert [r.witness_n for r in block] == [r.witness_n for r in singles]
-    return list(zip(block, singles))
+    assert [n for _, _, n in block] == [r.witness_n for r in singles]
+    return [(vec, single) for (vec, _, _), single in zip(block, singles)]
 
 
 def _probes_and_noise(rows, noisy, seed):
@@ -259,7 +260,7 @@ def test_block_solve_is_one_vector_solves_bit_for_bit_on_a_diagonal_operator():
         assert status.status == STATUS_RESOLVENT
         eta = _probes_and_noise(CFG.equiv_probes, 8, 21)
         for one, single in _block_and_vector_solves(entry.operator, lam, e, f, eta, status):
-            assert np.array_equal(one.vector.coeffs, single.vector.coeffs)
+            assert np.array_equal(one.coeffs, single.vector.coeffs)
 
 
 @pytest.mark.parametrize("make,family", [
@@ -273,7 +274,7 @@ def test_block_solve_is_one_vector_solves_on_factored_routes(make, family):
     status = CellStatus(STATUS_RESOLVENT, witness_n=256)
     eta = _probes_and_noise(CFG.equiv_probes, 8, 22)
     for one, single in _block_and_vector_solves(x, 0.3 + 0.5j, e, f, eta, status):
-        gap = np.max(np.abs(one.vector.coeffs - single.vector.coeffs))
+        gap = np.max(np.abs(one.coeffs - single.vector.coeffs))
         assert gap <= 1e-13 * np.max(np.abs(single.vector.coeffs))
 
 
@@ -284,9 +285,9 @@ def test_block_solve_columns_stop_at_their_own_truncations():
     e, f = torus.space_at(1), torus.space_at(0)
     status = CellStatus(STATUS_RESOLVENT, witness_n=8)
     pairs = _block_and_vector_solves(x, 2.5 + 0.5j, e, f, _probes_and_noise(8, 2, 23), status)
-    assert len({one.witness_n for one, _ in pairs}) > 1
+    assert len({single.witness_n for _, single in pairs}) > 1
     for one, single in pairs:
-        assert np.array_equal(one.vector.coeffs, single.vector.coeffs)
+        assert np.array_equal(one.coeffs, single.vector.coeffs)
 
 
 def test_branch_report_solves_each_probe_once_per_branch(monkeypatch):
@@ -411,8 +412,9 @@ def _pairwise_report(x, family, lam, cfg):
     `equivalent` over `solver_handle`s, solving every probe again per comparison."""
     handles, labels = [], []
     pairs = family.admissible_pairs()
-    for (e, f), cert in zip(pairs, certify_pairs(x, pairs, cfg)):
-        status = point_status(x, lam, e, f, cfg, cert=cert)
+    certify_pairs(x, pairs, cfg)  # in one pass; `point_status` reads them held
+    for e, f in pairs:
+        status = point_status(x, lam, e, f, cfg)
         if status.status == STATUS_RESOLVENT:
             handles.append(solver_handle(x, lam, e, f, cfg, status=status))
             labels.append(f"{e.label}->{f.label}")
@@ -491,17 +493,21 @@ def test_a_report_at_another_lambda_certifies_and_probes_nothing(monkeypatch):
                                    0.7 + 0.5j, CFG)
 
 
-def test_a_given_certificate_or_kernel_serves_one_call(scale):
+def test_a_held_fake_certificate_decides_its_pair(scale):
     x = diag_op("n+1")
     e, f = scale.space_at(1), scale.space_at(0)
+    assert point_status(x, -1.0, e, f, CFG).status == STATUS_RESOLVENT
     fake = ContinuityCertificate(x.describe(), e, f, float("inf"), CERT_FAILED, 1)
-    assert point_status(x, -1.0, e, f, CFG, cert=fake).status == STATUS_NO_EXTENSION
-    kernel = PairKernel(x, e, f, CFG)
-    point_status(x, -1.0, e, f, CFG, kernel=kernel)
-    assert x.kernel(e, f, CFG) is not kernel
-    assert repr(certify(x, e, f, CFG)) == repr(certify(diag_op("n+1"), e, f, CFG))
-    assert repr(point_status(x, -1.0, e, f, CFG)) == \
-        repr(point_status(diag_op("n+1"), -1.0, e, f, CFG))
+    x.kernel(e, f, CFG).cert = fake
+    assert certify(x, e, f, CFG) is fake
+    assert point_status(x, -1.0, e, f, CFG) == CellStatus(STATUS_NO_EXTENSION, witness_n=1)
+    with pytest.raises(NotCertifiedError):
+        regular_point(x, -1.0, e, f, CFG)
+    # the fake is held for its pair and configuration only
+    assert point_status(x, -1.0, scale.space_at(2), e, CFG).status == STATUS_RESOLVENT
+    assert point_status(x, -1.0, e, f, CFG.with_updates(scan_n_max=512)).status == \
+        STATUS_RESOLVENT
+    assert point_status(diag_op("n+1"), -1.0, e, f, CFG).status == STATUS_RESOLVENT
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
@@ -588,11 +594,9 @@ ROW = [0.0, 0.5, 1.0, 0.5 + 7e-4j, 1.0 - 1e-3, 8e-4 - 6e-4j, 0.3 + 0.5j, -1.2 + 
 
 
 def _row_against_points(x, family, lams, cfg):
-    pairs = family.admissible_pairs()
-    for (e, f), cert in zip(pairs, certify_pairs(x, pairs, cfg)):
-        kernel = PairKernel(x, e, f, cfg)
-        row = _decide(x, lams, e, f, cfg, cert, kernel)[0]
-        points = [point_status(x, lam, e, f, cfg, cert=cert, kernel=kernel) for lam in lams]
+    for e, f in family.admissible_pairs():
+        row = _decide(x, lams, e, f, cfg)[0]
+        points = [point_status(x, lam, e, f, cfg) for lam in lams]
         assert [repr(c) for c in row] == [repr(c) for c in points], (e.label, f.label)
 
 
@@ -729,11 +733,11 @@ def test_compact_position_pairs_are_not_regular_at_default_config(scale, ke, kf)
 def test_compact_cell_is_decided_without_any_section(monkeypatch):
     entry = registry()["multiplier[cos(t)]"]
     x, e, f = entry.operator, entry.family.space_at(1), entry.family.space_at(0)
-    cert = certify(x, e, f, CFG)
+    certify(x, e, f, CFG)  # held: a banded certificate takes sections
     calls = []
     monkeypatch.setattr(PairKernel, "summary", lambda *args, **kw: calls.append("summary"))
     monkeypatch.setattr(sections, "_band_tridiagonal", lambda ab: calls.append("reduction"))
-    status = point_status(x, 0.3 + 0.5j, e, f, CFG, cert=cert)
+    status = point_status(x, 0.3 + 0.5j, e, f, CFG)
     assert calls == []
     assert status.status == STATUS_NOT_REGULAR and status.c_low == 0.0
     assert math.isnan(status.d_high) and not status.stabilized
@@ -746,8 +750,7 @@ def test_slowly_decaying_diagonal_gets_no_verdict_and_runs_its_sections(monkeypa
 
     x = CoefficientOperator(Basis.HERMITE, Banded(0, entry), name="1/log(m+2) diagonal")
     s = sequence_power_family(range(-1, 2)).space_at(0)
-    kernel = PairKernel(x, s, s, CFG)
-    bound, error = kernel.limit_profile.bound(0.0)
+    bound, error = x.kernel(s, s, CFG).limit_profile.bound(0.0)
     assert bound > 0 and error > 0  # no decay verdict: the limit is read, with its error bar
     summarized = []
     summary = PairKernel.summary
@@ -757,7 +760,7 @@ def test_slowly_decaying_diagonal_gets_no_verdict_and_runs_its_sections(monkeypa
         return summary(self, lam, n, want_census)
 
     monkeypatch.setattr(PairKernel, "summary", counted)
-    point_status(x, 0.0, s, s, CFG, kernel=kernel)
+    point_status(x, 0.0, s, s, CFG)
     assert summarized[:2] == [CFG.scan_n0, 2 * CFG.scan_n0]
 
 
@@ -782,17 +785,14 @@ def test_limit_rule_agrees_with_its_dual_on_the_gallery():
             continue
         adj = entry.operator.adjoint()
         for e, f in family.admissible_pairs():
-            cert = certify(entry.operator, e, f, CFG)
-            if not cert.certified:
+            if not certify(entry.operator, e, f, CFG).certified:
                 continue
             ed, fd = family.dual_of(f), family.dual_of(e)
-            cert_dual = certify(adj, ed, fd, CFG)
-            assert cert_dual.certified, (name, e.label, f.label)
-            kernel = PairKernel(entry.operator, e, f, CFG)
-            kernel_dual = PairKernel(adj, ed, fd, CFG)
+            assert certify(adj, ed, fd, CFG).certified, (name, e.label, f.label)
+            kernel, kernel_dual = entry.operator.kernel(e, f, CFG), adj.kernel(ed, fd, CFG)
             for lam in lams:
-                [primal] = _limit_status(kernel, np.array([lam]), cert, CFG)
-                [dual] = _limit_status(kernel_dual, np.array([lam.conjugate()]), cert_dual, CFG)
+                [primal] = _limit_status(kernel, np.array([lam]))
+                [dual] = _limit_status(kernel_dual, np.array([lam.conjugate()]))
                 assert (primal is None) == (dual is None), (name, e.label, f.label, lam)
                 if primal is not None:
                     decided += 1
@@ -861,12 +861,10 @@ def test_regular_point_keeps_to_the_certificates_of_the_rank_sum_comb():
     lams = list(GridSpec.parse("-1.5:1.5:3,0.5:0.5:1").points())
     checked = 0
     for e, f in entry.family.admissible_pairs():
-        cert = certify(entry.operator, e, f, cfg)
-        if not cert.certified:
+        if not certify(entry.operator, e, f, cfg).certified:
             continue
-        kernel = PairKernel(entry.operator, e, f, cfg)
         for lam in lams:
-            regular_point(entry.operator, lam, e, f, cfg, cert=cert, kernel=kernel)
+            regular_point(entry.operator, lam, e, f, cfg)
             checked += 1
     assert checked == 27
 

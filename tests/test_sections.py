@@ -13,7 +13,7 @@ from interspec import sections
 from interspec.config import GridSpec, RunConfig
 from interspec.gallery import (hermite_position, registry, scale_generator_entry, torus_comb,
                                torus_delta, torus_multiplication)
-from interspec.operators import certify, operator_from_json, operator_from_spec
+from interspec.operators import Banded, certify, operator_from_json, operator_from_spec
 from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, branch_report,
                                  defect_number, point_status, union_spectrum_scan)
 from interspec.sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary,
@@ -181,8 +181,8 @@ def _gram_band(a):
 
 def _reference_banded_summary(kernel, lam, n, want_census):
     margin = max(kernel.x.position_bandwidth() or 0, 1)
-    tall = _gram_band(kernel._sparse_shifted(lam, n + margin, n))
-    wide = _gram_band(kernel._sparse_shifted(lam, n, n + margin))
+    tall = _gram_band(kernel.x.rep._shifted(kernel, lam, n + margin, n))
+    wide = _gram_band(kernel.x.rep._shifted(kernel, lam, n, n + margin))
     c_low, d_high = _reference_extremes(tall)
     surj_low, surj_high = _reference_extremes(wide)
     census = _reference_count(wide, (kernel.cfg.defect_eps * surj_high) ** 2) \
@@ -218,7 +218,7 @@ def test_gram_spectrum_prescales_like_zhbevx(scale):
     # max|ab| outside [RMIN, RMAX]: zhbevx scales the band before reducing it
     entry = registry()["multiplier[cos(t)]"]
     kernel = PairKernel(entry.operator, entry.family.space_at(1), entry.family.space_at(0), CFG)
-    ab = _gram_band(kernel._sparse_shifted(0.3 + 0.5j, 260, 256)) * scale
+    ab = _gram_band(kernel.x.rep._shifted(kernel, 0.3 + 0.5j, 260, 256)) * scale
     spectrum = sections._GramSpectrum(ab)
     assert spectrum.sigma != 1.0
     lo, hi = _reference_extremes(ab)
@@ -244,9 +244,9 @@ def _count_reductions(monkeypatch):
 def test_banded_point_status_reduces_each_gram_matrix_once(monkeypatch):
     entry = registry()["multiplier[cos(t)]"]
     x, e = entry.operator, entry.family.space_at(1)
-    cert = certify(x, e, e, CFG)
+    certify(x, e, e, CFG)  # held: its reductions are not counted
     sizes = _count_reductions(monkeypatch)
-    status = point_status(x, 0.3 + 0.5j, e, e, CFG, cert=cert)
+    status = point_status(x, 0.3 + 0.5j, e, e, CFG)
     assert status.status == STATUS_RESOLVENT  # reached census_pair with census 0
     counts = Counter(sizes)
     assert len(counts) >= 2 and set(counts.values()) == {2}  # tall and wide, per n
@@ -306,13 +306,13 @@ def test_defect_number_summarizes_each_truncation_once(monkeypatch):
     entry = registry()["multiplier[cos(t)]"]
     x, e = entry.operator, entry.family.space_at(1)
     summarized = []
-    banded_summary = PairKernel.banded_summary
+    banded_summary = Banded.summary
 
-    def counted(kernel, lam, n):
+    def counted(rep, kernel, lam, n):
         summarized.append(n)
-        return banded_summary(kernel, lam, n)
+        return banded_summary(rep, kernel, lam, n)
 
-    monkeypatch.setattr(PairKernel, "banded_summary", counted)
+    monkeypatch.setattr(Banded, "summary", counted)
     report = defect_number(x, 0.3 + 0.5j, e, e, CFG)
     assert report.defect == 0
     assert set(Counter(summarized).values()) == {1}
