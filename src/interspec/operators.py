@@ -16,6 +16,15 @@ Woodbury inverse of a rank sum (`RankSum.summary`). A strategy reads the
 pair's spaces and configuration from the `PairKernel` it is handed, and the
 kernel keeps what the strategy returns.
 
+A banded summary builds no section: `Banded.gram_band` assembles each Gram
+matrix straight into LAPACK band storage from ``entry`` and the held
+weights, with rows and columns in mode order, where its bandwidth is 2 b on
+either basis (slot order would give 4 b on the Fourier basis). A real band,
+as the lambda = 0 sections of real operators give, is reduced by dsbtrd.
+The singular values are bit for bit those of ``eigvals_banded`` on that band
+(`sections._GramSpectrum`). ``section`` keeps slot order and serves solves
+and residuals.
+
 ``certify`` decides membership in C(E, F) through a three-valued outcome:
 certified (analytic-exact or truncation-stabilized), failed (norm grows
 without bound), or inconclusive. A finite truncation can never prove
@@ -57,10 +66,11 @@ import scipy.sparse
 from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
-from .sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary,
-                       _constant_shift_sigma_min, _gram_spectrum, _svdvals, tail_slots)
+from .sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary, _GramSpectrum,
+                       _constant_shift_sigma_min, _svdvals, gram_band, tail_slots)
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
-                     dual_space, mode_to_position, modes, probe_sups, running_sup, slot_modes)
+                     dual_space, mode_to_position, modes, probe_sups, running_sup, slot_modes,
+                     sorted_modes)
 
 CERT_EXACT = "analytic-exact"
 CERT_STABILIZED = "truncation-stabilized"
@@ -91,7 +101,7 @@ class Representation:
 
     def section(self, basis: Basis, rows: int, cols: int):
         """Leading rows x cols block in slot order: dense here, sparse where
-        the structure allows; solves, residuals and banded summaries use it."""
+        the structure allows; solves and residuals use it."""
         return self.entries(modes(basis, rows).astype(float), modes(basis, cols).astype(float))
 
     def slot_bandwidth(self, basis: Basis) -> Optional[int]:
@@ -118,23 +128,24 @@ class Representation:
         cycle would keep dead kernels' arrays alive until the cyclic garbage
         collector runs.
         """
-        x = kernel.x
-        pb = self.slot_bandwidth(x.basis)
-        margin = pb if pb is not None else kernel.cfg.section_margin
-        rows = n + margin
-        wf, we = kernel.f.weights(rows), kernel.e.weights(rows)
-        tall = x.matrix(rows, n).astype(complex)
-        tall[np.arange(n), np.arange(n)] -= lam
-        tall *= wf[:, None]
-        tall /= we[None, :n]
-        sv_tall = _svdvals(tall)
-        wide = x.matrix(n, rows).astype(complex)
-        wide[np.arange(n), np.arange(n)] -= lam
-        wide *= wf[:n, None]
-        wide /= we[None, :]
-        sv_wide = _svdvals(wide)
+        rows = n + self._dense_margin(kernel)
+        sv_tall = _svdvals(self._dense_section(kernel, lam, rows, n))
+        sv_wide = _svdvals(self._dense_section(kernel, lam, n, rows))
         return (SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]), float(sv_wide[-1]), None),
                 lambda cfg: int(np.sum(sv_wide < cfg.defect_eps * sv_wide[0])))
+
+    def _dense_margin(self, kernel: PairKernel) -> int:
+        pb = self.slot_bandwidth(kernel.x.basis)
+        return pb if pb is not None else kernel.cfg.section_margin
+
+    def _dense_section(self, kernel: PairKernel, lam: complex, rows: int, cols: int) -> np.ndarray:
+        """The dense rows x cols block of W_F (X - lambda) W_E^{-1} in slot order."""
+        mat = kernel.x.matrix(rows, cols).astype(complex)
+        d = np.arange(min(rows, cols))
+        mat[d, d] -= lam
+        mat *= kernel.f.weights(rows)[:, None]
+        mat /= kernel.e.weights(cols)[None, :]
+        return mat
 
     def summaries(self, kernel: PairKernel, lams: np.ndarray, n: int) -> tuple:
         """(c_low, d_high, surj_low, census) arrays at truncation n over ``lams``,
@@ -146,10 +157,10 @@ class Representation:
                      for name in ("c_low", "d_high", "surj_low")) + (None,)
 
     def norm_estimate(self, kernel: PairKernel, n: int) -> float:
-        """Largest singular value of the unshifted weighted tall section."""
-        # past the memo: a held kernel would keep these lambda = 0 summaries (a
-        # rank sum's n x r factors with them) long after its certificate
-        return self.summary(kernel, 0.0, n)[0].d_high
+        """Largest singular value of the unshifted weighted tall section, here
+        from its dense SVD alone: the ``d_high`` of ``summary(kernel, 0, n)``."""
+        tall = self._dense_section(kernel, 0.0, n + self._dense_margin(kernel), n)
+        return float(_svdvals(tall)[0])
 
     def max_n(self, cfg: RunConfig) -> int:
         """Deepest truncation a scan may ask for."""
@@ -299,22 +310,47 @@ class Banded(Representation):
                                          cfg.symbol_probe)
         return super().certify(op, e, f, cfg)
 
-    def _shifted(self, kernel: PairKernel, lam: complex, rows: int,
-                 cols: int) -> scipy.sparse.csr_matrix:
-        """The sparse rows x cols block of W_F (X - lambda) W_E^{-1}."""
-        sec = self.section(kernel.x.basis, rows, cols)
-        i = np.repeat(np.arange(rows), np.diff(sec.indptr))
-        j = sec.indices
-        vals = np.where(i == j, sec.data - lam, sec.data) * kernel.f.weights(rows)[i] \
-            / kernel.e.weights(cols)[j]
-        return scipy.sparse.csr_matrix((vals, j, sec.indptr), shape=(rows, cols))
+    def gram_band(self, kernel: PairKernel, lam: complex, n: int, tall: bool) -> np.ndarray:
+        """Lower band storage of the Gram matrix of S = W_F (X - lambda) W_E^{-1}
+        at truncation n, with rows and columns in mode order: S^H S of the tall
+        view (n + margin rows, n columns) or S S^H of the wide one.
+
+        Both views span the first n slots and the first n + margin slots, and
+        each holds a contiguous range of modes (`spaces.sorted_modes`). Sorting
+        rows and columns by mode leaves the singular values as they are, and
+        the Gram matrix has bandwidth 2 b, while slot order interleaves the
+        signed Fourier modes and doubles it. The band is filled straight from
+        the 2 b + 1 diagonals of the tall view, or of S^H for the wide one
+        (`sections.gram_band`), each entry formed as (X - lambda) w_F / w_E.
+        """
+        basis, b = kernel.x.basis, self.bandwidth
+        outer = n + max(self.slot_bandwidth(basis), 1)
+        outer_modes = sorted_modes(basis, outer)
+        shift = int(sorted_modes(basis, n)[0] - outer_modes[0])
+        to_slots = mode_to_position(basis, outer_modes)
+        wf, we = kernel.f.weights(outer)[to_slots], kernel.e.weights(outer)[to_slots]
+        m = outer_modes[shift:shift + n].astype(float)
+        diagonals = np.zeros((2 * b + 1, n), dtype=complex)
+        for k in range(-b, b + 1):
+            # column c (mode m[c]) meets mode m[c] + k at index c + shift + k of the
+            # outer range, which holds it for c in [lo, hi)
+            lo, hi = max(0, -shift - k), min(n, outer - shift - k)
+            c = slice(lo, hi)
+            at_m, at_mk = slice(lo + shift, hi + shift), slice(lo + shift + k, hi + shift + k)
+            if tall:  # S[m + k, m]
+                vals = np.asarray(self.entry(m[c] + k, m[c]), dtype=complex)
+                diagonals[k + b, c] = (vals - lam if k == 0 else vals) * wf[at_mk] / we[at_m]
+            else:  # conj(S[m, m + k]), the diagonals of S^H
+                vals = np.asarray(self.entry(m[c], m[c] + k), dtype=complex)
+                diagonals[k + b, c] = np.conj(
+                    (vals - lam if k == 0 else vals) * wf[at_m] / we[at_mk])
+        return gram_band(diagonals)
 
     def summary(self, kernel, lam, n):
         if n <= _DENSE_ALWAYS:
             return super().summary(kernel, lam, n)
-        margin = max(self.slot_bandwidth(kernel.x.basis), 1)
-        tall = _gram_spectrum(self._shifted(kernel, lam, n + margin, n))
-        wide = _gram_spectrum(self._shifted(kernel, lam, n, n + margin))
+        tall = _GramSpectrum(self.gram_band(kernel, lam, n, tall=True))
+        wide = _GramSpectrum(self.gram_band(kernel, lam, n, tall=False))
 
         def census(cfg: RunConfig) -> int:
             return wide.count_up_to((cfg.defect_eps * wide.singular_value(-1)) ** 2)
@@ -325,8 +361,7 @@ class Banded(Representation):
     def norm_estimate(self, kernel, n):
         if n <= _DENSE_ALWAYS:
             return super().norm_estimate(kernel, n)
-        tall = self._shifted(kernel, 0.0, n + max(self.slot_bandwidth(kernel.x.basis), 1), n)
-        return _gram_spectrum(tall).singular_value(-1)
+        return _GramSpectrum(self.gram_band(kernel, 0.0, n, tall=True)).singular_value(-1)
 
     def max_n(self, cfg):
         return cfg.scan_n_max
@@ -384,6 +419,12 @@ class RankSum(Representation):
     def limit_profile(self, op, e, f, cfg):
         # a bounded finite-rank operator is compact: no diagonal survives in the limit
         return LimitProfile.probe(op.basis, e, f, cfg, {})
+
+    def norm_estimate(self, kernel, n):
+        # the triangle bound above n = _DENSE_ALWAYS, past the memo: a held kernel
+        # would keep these lambda = 0 summaries, n x r factors with them, long
+        # after its certificate
+        return self.summary(kernel, 0.0, n)[0].d_high
 
     def summary(self, kernel, lam, n):
         if n <= _DENSE_ALWAYS:

@@ -27,14 +27,25 @@ prefix views of the arrays that its spaces (`ScaleSpace.weights`) and a
 diagonal representation (`Diagonal.symbol`) hold, so all pairs that share a
 rung, and the duality pass, evaluate each weight sequence once.
 
-Each banded Gram matrix is reduced to tridiagonal form once (LAPACK
-zhbtrd), and its smallest and largest eigenvalues and its census all come
-from dstebz on that form. ``scipy.linalg.eigvals_banded`` would call zhbevx,
+A banded section's Gram matrix (S^H S for the tall view, S S^H for the wide
+one) is assembled straight into LAPACK lower band storage (`gram_band`),
+diagonal by diagonal from the entries of S, with no sparse product. Rows
+and columns are taken in mode order, where both views span contiguous
+ranges of modes: sorting them by mode leaves the singular values as they
+are, while the slot order of the Fourier basis interleaves the signed modes
+and doubles the bandwidth, to 4 b instead of 2 b. Each band is reduced to
+tridiagonal form once, and its smallest and largest eigenvalues and its
+census all come from dstebz on that form. A band whose imaginary part is all
+zero, such as the lambda = 0 section of a real operator that a certificate
+takes, is reduced by dsbtrd, and any other by zhbtrd.
+``scipy.linalg.eigvals_banded`` would call zhbevx (dsbevx for a real band),
 which repeats the O(n^2 kd) reduction for every query. scipy.linalg.lapack
-wraps no zhbtrd, so it is called through the function pointer that
-scipy.linalg.cython_lapack exports, with the arguments, pre-scaling and
-dstebz settings that zhbevx uses. Every value and count is therefore bit for
-bit what eigvals_banded returns.
+wraps neither reduction, so each is called through the function pointer
+that scipy.linalg.cython_lapack exports, with the arguments, pre-scaling and
+dstebz settings that zhbevx and dsbevx use. Every value and count is
+therefore bit for bit what eigvals_banded returns for the band that the
+route builds (its real part for a real band). The band itself agrees with
+the dense Gram matrix to rounding: a few eps times |S|^H |S| per entry.
 
 A rank-sum section S = diag(d) + V U^H is square. Its lower constant comes
 from one dense SVD, and its census counts over the same singular values, so
@@ -55,7 +66,6 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
-import scipy.sparse
 
 from .config import RunConfig
 from .spaces import Basis, ScaleSpace, slot_modes
@@ -112,18 +122,6 @@ def _constant_shift_sigma_min(diag: np.ndarray, vt: np.ndarray,
     return 1.0 / inv_norm if inv_norm > 0 else float("inf")
 
 
-def _herm_band_lower(g: scipy.sparse.spmatrix) -> np.ndarray:
-    """LAPACK lower band storage of a Hermitian sparse matrix."""
-    g = g.tocoo()
-    n = g.shape[0]
-    keep = g.row >= g.col
-    rows, cols, vals = g.row[keep], g.col[keep], g.data[keep]
-    bw = int(np.max(rows - cols)) if len(rows) else 0
-    ab = np.zeros((bw + 1, n), dtype=complex)
-    ab[rows - cols, cols] = vals
-    return ab
-
-
 def _capsule_address(name: str) -> int:
     """Address of the LAPACK routine ``name`` exported by scipy.linalg.cython_lapack."""
     capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
@@ -134,22 +132,45 @@ def _capsule_address(name: str) -> int:
     return get_pointer(capsule, get_name(capsule))
 
 
-# zhbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info), every argument by address
+# [zd]hbtrd(vect, uplo, n, kd, ab, ldab, d, e, q, ldq, work, info), every argument by address
 _ZHBTRD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)(_capsule_address("zhbtrd"))
-# zhbevx's machine constants: band matrices with max|entry| outside [RMIN, RMAX]
-# are scaled into it before the reduction
+_DSBTRD = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 12)(_capsule_address("dsbtrd"))
+# zhbevx's and dsbevx's machine constants: band matrices with max|entry|
+# outside [RMIN, RMAX] are scaled into it before the reduction
 _SAFMIN = float(scipy.linalg.lapack.dlamch("s"))
 _SMLNUM = _SAFMIN / float(scipy.linalg.lapack.dlamch("p"))
 _RMIN = np.sqrt(_SMLNUM)
 _RMAX = min(np.sqrt(1.0 / _SMLNUM), 1.0 / np.sqrt(np.sqrt(_SAFMIN)))
 
 
+def gram_band(diagonals: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage of A^H A for a banded A given by its
+    ``diagonals``: diagonals[j, c] = A[c + j + s, c] for one fixed s, and 0
+    where that row lies outside A.
+
+    Entry (c + d, c) of A^H A is sum_j conj(A[c + j + s, c + d]) A[c + j + s, c],
+    which pairs row j - d of column c + d with row j of column c: band row d
+    sums p - d products per column, for p = 2 b + 1 diagonals. The diagonal
+    is formed from squares, so it is real.
+    """
+    p, n = diagonals.shape
+    ab = np.zeros((p, n), dtype=complex)
+    ab[0].real = np.sum(diagonals.real ** 2 + diagonals.imag ** 2, axis=0)
+    for d in range(1, min(p, n)):
+        ab[d, :n - d] = np.sum(diagonals[:p - d, d:].conj() * diagonals[d:, :n - d], axis=0)
+    return ab
+
+
 def _band_tridiagonal(ab: np.ndarray) -> tuple:
-    """(d, e, sigma): zhbtrd's tridiagonal form of sigma * H, where ``ab`` holds a
+    """(d, e, sigma): the tridiagonal form of sigma * H, where ``ab`` holds a
     Hermitian band matrix H in lower band storage (entries past the end of
-    each column zero) and sigma is zhbevx's pre-scaling factor."""
+    each column zero) and sigma is the pre-scaling factor of zhbevx. A band
+    whose imaginary part is all zero is reduced as a real symmetric one, by
+    dsbtrd with dsbevx's pre-scaling (the same factor), and any other by
+    zhbtrd."""
     kd, n = ab.shape[0] - 1, ab.shape[1]
-    ab = np.array(ab, dtype=complex, order="F")
+    real = not np.any(ab.imag)
+    ab = np.array(ab.real if real else ab, dtype=float if real else complex, order="F")
     anrm = max(np.max(np.abs(ab[0].real)), np.max(np.abs(ab[1:]), initial=0.0))
     sigma = 1.0
     if 0.0 < anrm < _RMIN:
@@ -157,16 +178,18 @@ def _band_tridiagonal(ab: np.ndarray) -> tuple:
     elif anrm > _RMAX:
         sigma = _RMAX / anrm
     if sigma != 1.0:
-        ab.real *= sigma  # zlascl multiplies real and imaginary parts alike
-        ab.imag *= sigma
+        ab.real *= sigma  # [zd]lascl multiplies real and imaginary parts alike
+        if not real:
+            ab.imag *= sigma
     d, e = np.empty(n), np.empty(max(n - 1, 1))
-    work, q = np.empty(n, dtype=complex), np.empty(1, dtype=complex)
+    work, q = np.empty(n, dtype=ab.dtype), np.empty(1, dtype=ab.dtype)
     n_, kd_, ldab, ldq = (ctypes.byref(ctypes.c_int(v)) for v in (n, kd, kd + 1, 1))
     info = ctypes.c_int(0)
-    _ZHBTRD(b"N", b"L", n_, kd_, ab.ctypes.data, ldab, d.ctypes.data, e.ctypes.data,
-            q.ctypes.data, ldq, work.ctypes.data, ctypes.byref(info))
+    name, reduce = ("dsbtrd", _DSBTRD) if real else ("zhbtrd", _ZHBTRD)
+    reduce(b"N", b"L", n_, kd_, ab.ctypes.data, ldab, d.ctypes.data, e.ctypes.data,
+           q.ctypes.data, ldq, work.ctypes.data, ctypes.byref(info))
     if info.value != 0:
-        raise np.linalg.LinAlgError(f"zhbtrd failed with info={info.value}")
+        raise np.linalg.LinAlgError(f"{name} failed with info={info.value}")
     return d, e[:n - 1], sigma
 
 
@@ -174,10 +197,12 @@ class _GramSpectrum:
     """Eigenvalues of a Hermitian band matrix from one reduction to tridiagonal form.
 
     Each query runs LAPACK dstebz on the stored tridiagonal form with the
-    arguments zhbevx gives it (ORDER='E', abstol = 2 * safe minimum, pre-scaled
-    bounds, results scaled back by 1/sigma). Values and counts therefore equal
-    ``scipy.linalg.eigvals_banded(ab, lower=True, select="i" or "v")`` bit for
-    bit, while the O(n^2 kd) band reduction runs once for any number of queries.
+    arguments zhbevx and dsbevx give it (ORDER='E', abstol = 2 * safe minimum,
+    pre-scaled bounds, results scaled back by 1/sigma). Values and counts
+    therefore equal ``scipy.linalg.eigvals_banded(ab, lower=True, select="i" or
+    "v")`` bit for bit, with ``ab.real`` in place of a band whose imaginary part
+    is all zero, while the O(n^2 kd) band reduction runs once for any number of
+    queries.
     """
 
     def __init__(self, ab: np.ndarray):
@@ -201,14 +226,6 @@ class _GramSpectrum:
     def count_up_to(self, bound: float) -> int:
         """Number of eigenvalues in (-1, bound]."""
         return len(self._stebz(1, -1.0, bound, 1))
-
-
-def _gram_spectrum(a: scipy.sparse.spmatrix) -> _GramSpectrum:
-    """Band spectrum of the smaller Gram matrix of sparse ``a``, whose
-    eigenvalues are the squared singular values of ``a``."""
-    rows, cols = a.shape
-    gram = (a.getH() @ a).tocsr() if rows >= cols else (a @ a.getH()).tocsr()
-    return _GramSpectrum(_herm_band_lower(gram))
 
 
 def _limit(values: np.ndarray, tails: list, growth: float) -> tuple:

@@ -70,6 +70,13 @@ def slot_modes(basis: Basis, j: np.ndarray) -> np.ndarray:
     return j
 
 
+def sorted_modes(basis: Basis, n: int) -> np.ndarray:
+    """The modes of the first n coefficient slots in increasing order: the
+    contiguous range 0..n-1, or -((n-1)//2)..n//2 on the Fourier basis."""
+    first = -((n - 1) // 2) if basis is Basis.FOURIER else 0
+    return np.arange(first, first + n)
+
+
 def mode_to_position(basis: Basis, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if basis is Basis.FOURIER:

@@ -6,14 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from interspec import resolvent, sections
+from interspec import operators, resolvent, sections
 from interspec.config import GridSpec, RunConfig
 from interspec.errors import BasisMismatchError, ProductUndefinedError
 from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOperator,
                                  ContinuityCertificate, Diagonal, RankSum, RankSumTerm,
                                  _certify_by_truncation, certify, certify_pairs,
-                                 find_product_triple, framework_product, operator_from_spec,
-                                 sesq_form, weighted_norm_series)
+                                 Representation, find_product_triple, framework_product,
+                                 operator_from_json, operator_from_spec, sesq_form,
+                                 weighted_norm_series)
 from interspec.gallery import BUILDERS, hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, dual_space,
@@ -22,6 +23,7 @@ from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
 
 CFG = RunConfig()
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +173,20 @@ def test_truncated_estimates_monotone_from_below(scale):
     assert all(b >= a - 1e-15 for a, b in zip(estimates, estimates[1:]))
     exact = certify(op, e, f, CFG).norm_bound
     assert all(est <= exact + 1e-12 for est in estimates)
+
+
+def test_dense_norm_estimate_takes_the_tall_svd_alone(scale, monkeypatch):
+    # the default norm estimate is the summary's d_high at lambda = 0, from one SVD
+    x = operator_from_json(DATA / "dense-toeplitz.json")
+    assert type(x.rep).norm_estimate is Representation.norm_estimate
+    kernel = PairKernel(x, scale.space_at(1), scale.space_at(0), CFG)
+    n = 128
+    calls = []
+    svdvals = operators._svdvals
+    monkeypatch.setattr(operators, "_svdvals", lambda mat: calls.append(mat.shape) or svdvals(mat))
+    estimate = x.rep.norm_estimate(kernel, n)
+    assert calls == [(n + CFG.section_margin, n)]
+    assert estimate == Representation.summary(x.rep, kernel, 0.0, n)[0].d_high
 
 
 def _banded_gallery_pairs():

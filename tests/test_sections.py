@@ -159,30 +159,33 @@ def test_ranksum_point_status_at_a_shifted_point_matches_dense_svd(index):
 # -- banded route: one band reduction per Gram matrix ---------------------------
 
 
+def _lapack_band(ab):
+    """The band eigvals_banded should see: ``ab.real`` when its imaginary part
+    is all zero (dsbevx), as the route reduces such bands with dsbtrd, and
+    ``ab`` itself otherwise (zhbevx)."""
+    return ab if np.any(ab.imag) else ab.real
+
+
 def _reference_extremes(ab):
     """(sigma_min, sigma_max) of a Gram band from two eigvals_banded calls, as the
     banded route computed them before it reduced each Gram matrix once."""
     m = ab.shape[1]
+    ab = _lapack_band(ab)
     lo = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(0, 0))
     hi = scipy.linalg.eigvals_banded(ab, lower=True, select="i", select_range=(m - 1, m - 1))
     return float(np.sqrt(max(lo[0], 0.0))), float(np.sqrt(max(hi[0], 0.0)))
 
 
 def _reference_count(ab, bound):
-    return len(scipy.linalg.eigvals_banded(ab, lower=True, select="v",
+    return len(scipy.linalg.eigvals_banded(_lapack_band(ab), lower=True, select="v",
                                            select_range=(-1.0, bound)))
 
 
-def _gram_band(a):
-    rows, cols = a.shape
-    gram = (a.getH() @ a).tocsr() if rows >= cols else (a @ a.getH()).tocsr()
-    return sections._herm_band_lower(gram)
-
-
 def _reference_banded_summary(kernel, lam, n, want_census):
-    margin = max(kernel.x.position_bandwidth() or 0, 1)
-    tall = _gram_band(kernel.x.rep._shifted(kernel, lam, n + margin, n))
-    wide = _gram_band(kernel.x.rep._shifted(kernel, lam, n, n + margin))
+    # the bands are the route's own (`Banded.gram_band`); only their eigenvalues
+    # come from eigvals_banded here
+    tall = kernel.x.rep.gram_band(kernel, lam, n, tall=True)
+    wide = kernel.x.rep.gram_band(kernel, lam, n, tall=False)
     c_low, d_high = _reference_extremes(tall)
     surj_low, surj_high = _reference_extremes(wide)
     census = _reference_count(wide, (kernel.cfg.defect_eps * surj_high) ** 2) \
@@ -213,12 +216,68 @@ def test_banded_summary_equals_separate_eigvals_banded_calls(x, e, f, lam, n):
         _reference_banded_summary(kernel, lam, n, want_census=True)
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e80])
-def test_gram_spectrum_prescales_like_zhbevx(scale):
-    # max|ab| outside [RMIN, RMAX]: zhbevx scales the band before reducing it
-    entry = registry()["multiplier[cos(t)]"]
+# entrywise bound on the assembled Gram band, in units of eps (|S|^H |S|) per
+# diagonal of S: each entry sums at most 2b + 1 nonzero products, each rounded
+# in its multiply and in the sum, on the route and in the dense reference alike
+BAND_ENTRY_C = 4
+# bound on each squared singular value, in units of n eps d_high^2
+SQUARED_SV_C = 1.0
+
+
+def _dense_mode_order_section(x, e, f, lam, rows, cols):
+    """W_F (X - lambda) W_E^{-1} on the first rows x cols slots, built densely from
+    ``x.matrix`` in slot order and then permuted into mode order."""
+    mat = x.matrix(rows, cols).astype(complex)
+    d = np.arange(min(rows, cols))
+    mat[d, d] -= lam
+    mat = mat * f.weights(rows)[:, None] / e.weights(cols)[None, :]
+    by_mode = [np.argsort(modes(x.basis, count), kind="stable") for count in (rows, cols)]
+    return mat[np.ix_(*by_mode)]
+
+
+def _accuracy_cases():
+    for name in ("position", "multiplier[cos(t)]", "multiplier[2+cos(t)]"):
+        entry = registry()[name]
+        for k, (e, f) in enumerate(entry.family.admissible_pairs()):
+            for n in (128, 512):
+                yield pytest.param(entry.operator, e, f, BANDED_LAMBDAS[k % 4], n,
+                                   id=f"{name}-{e.label}-{f.label}-{n}")
+
+
+@pytest.mark.parametrize("x, e, f, lam, n", _accuracy_cases())
+def test_banded_gram_band_and_constants_match_dense(x, e, f, lam, n):
+    eps = np.finfo(float).eps
+    b = x.rep.bandwidth
+    kernel = PairKernel(x, e, f, CFG)
+    got = kernel.summary(lam, n, want_census=False)
+    rows = n + max(x.position_bandwidth(), 1)
+    sv = {}
+    for tall in (True, False):
+        s_mat = _dense_mode_order_section(x, e, f, lam, *((rows, n) if tall else (n, rows)))
+        a = s_mat if tall else s_mat.conj().T  # the band is A^H A
+        ref, scale = a.conj().T @ a, np.abs(a).T @ np.abs(a)
+        ab = x.rep.gram_band(kernel, lam, n, tall)
+        assert ab.shape == (2 * b + 1, n)  # bandwidth 2b in mode order, on either basis
+        band = np.zeros((n, n), dtype=complex)
+        for d in range(ab.shape[0]):
+            assert not np.any(ab[d, n - d:])  # past the end of each column
+            band[np.arange(d, n), np.arange(n - d)] = ab[d, :n - d]
+        lower = np.tril_indices(n)
+        assert np.all(np.abs(band - ref)[lower]
+                      <= BAND_ENTRY_C * (2 * b + 1) * eps * scale[lower])
+        sv[tall] = np.linalg.svd(s_mat, compute_uv=False)
+    tol = SQUARED_SV_C * n * eps * got.d_high ** 2
+    assert abs(got.c_low ** 2 - sv[True][-1] ** 2) <= tol
+    assert abs(got.d_high ** 2 - sv[True][0] ** 2) <= tol
+    assert abs(got.surj_low ** 2 - sv[False][-1] ** 2) <= tol
+
+
+def _check_prescaled_band(name, lam, scale):
+    # max|ab| outside [RMIN, RMAX]: zhbevx (complex band) and dsbevx (real
+    # band, reduced by dsbtrd) scale the band before reducing it
+    entry = registry()[name]
     kernel = PairKernel(entry.operator, entry.family.space_at(1), entry.family.space_at(0), CFG)
-    ab = _gram_band(kernel.x.rep._shifted(kernel, 0.3 + 0.5j, 260, 256)) * scale
+    ab = kernel.x.rep.gram_band(kernel, lam, 256, tall=True) * scale
     spectrum = sections._GramSpectrum(ab)
     assert spectrum.sigma != 1.0
     lo, hi = _reference_extremes(ab)
@@ -227,6 +286,18 @@ def test_gram_spectrum_prescales_like_zhbevx(scale):
     count = spectrum.count_up_to(bound)
     assert 0 < count < ab.shape[1]
     assert count == _reference_count(ab, bound)
+    return ab
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e80])
+def test_gram_spectrum_prescales_like_zhbevx(scale):
+    assert np.any(_check_prescaled_band("multiplier[cos(t)]", 0.3 + 0.5j, scale).imag)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e80])
+def test_real_gram_spectrum_prescales_like_dsbevx(scale):
+    # a real operator at real lambda: the band is real and takes dsbtrd
+    assert not np.any(_check_prescaled_band("position", 0.3, scale).imag)
 
 
 def _count_reductions(monkeypatch):
