@@ -8,13 +8,14 @@ coefficient-slot order, so truncations are nested.
 The rest of the library reaches a representation only through the
 `Representation` protocol, whose defaults treat the matrix as dense. Each
 representation owns its section strategy, the singular-value summary of
-W_F (X - lambda) W_E^{-1} at a truncation (`sections.SectionSummary`):
-dense SVDs by default (`Representation.summary`), closed forms over a whole
-row of lambda for a diagonal (`Diagonal.summaries`), and, above
-``_DENSE_ALWAYS`` slots, banded Gram eigenvalues (`Banded.summary`) or the
-Woodbury inverse of a rank sum (`RankSum.summary`). A strategy reads the
-pair's spaces and configuration from the `PairKernel` it is handed, and the
-kernel keeps what the strategy returns.
+W_F (X - lambda) W_E^{-1} at a truncation (`sections.SectionSummary`),
+census included: dense SVDs by default (`Representation.summary`), closed
+forms over a whole row of lambda for a diagonal (`Diagonal.summaries`),
+and, above ``_DENSE_ALWAYS`` slots, banded Gram eigenvalues
+(`Banded.summary`) or, for a rank sum with a constant shifted weight ratio,
+k x k reductions on the range of its factors (`RankSum.summary`). A
+strategy reads the pair's spaces and configuration from the `PairKernel` it
+is handed, and the kernel keeps the summary it returns.
 
 A banded summary builds no section: `Banded.gram_band` assembles each Gram
 matrix straight into LAPACK band storage from ``entry`` and the held
@@ -67,7 +68,8 @@ from .config import RunConfig, DEFAULT_CONFIG
 from .errors import ProductUndefinedError, SpecParseError
 from .expressions import compile_expression
 from .sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary, _GramSpectrum,
-                       _constant_shift_sigma_min, _svdvals, gram_band, tail_slots)
+                       _constant_shift_constants, _low_rank_census, _svdvals, gram_band,
+                       tail_slots)
 from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
                      dual_space, mode_to_position, modes, probe_sups, running_sup, slot_modes,
                      sorted_modes)
@@ -117,22 +119,15 @@ class Representation:
         """``certify`` of every (E, F) in ``pairs``, in order."""
         return [self.certify(op, e, f, cfg) for e, f in pairs]
 
-    walks_rows = False  # may a row of lambda walk in lock step? (see `summaries`)
-
-    def summary(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
-        """Section summary of ``kernel``'s pair at truncation n, without its
-        census, and the call that computes the census from a RunConfig; here
-        from dense SVDs of the tall and wide views.
-
-        The call must not hold the kernel: a kernel -> memo -> call -> kernel
-        cycle would keep dead kernels' arrays alive until the cyclic garbage
-        collector runs.
-        """
+    def summary(self, kernel: PairKernel, lam: complex, n: int) -> SectionSummary:
+        """Section summary of ``kernel``'s pair at truncation n, census
+        included, counted at ``kernel.cfg``; here from dense SVDs of the tall
+        and wide views."""
         rows = n + self._dense_margin(kernel)
         sv_tall = _svdvals(self._dense_section(kernel, lam, rows, n))
         sv_wide = _svdvals(self._dense_section(kernel, lam, n, rows))
-        return (SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]), float(sv_wide[-1]), None),
-                lambda cfg: int(np.sum(sv_wide < cfg.defect_eps * sv_wide[0])))
+        return SectionSummary(n, float(sv_tall[-1]), float(sv_tall[0]), float(sv_wide[-1]),
+                              int(np.sum(sv_wide < kernel.cfg.defect_eps * sv_wide[0])))
 
     def _dense_margin(self, kernel: PairKernel) -> int:
         pb = self.slot_bandwidth(kernel.x.basis)
@@ -149,12 +144,10 @@ class Representation:
 
     def summaries(self, kernel: PairKernel, lams: np.ndarray, n: int) -> tuple:
         """(c_low, d_high, surj_low, census) arrays at truncation n over ``lams``,
-        here from one `PairKernel.summary` each and with no census (None): it
-        is computed only when asked for. Unless ``walks_rows`` is set, a decision
-        asks for one lambda at a time and walks it to its census before the next."""
-        found = [kernel.summary(lam, n, want_census=False) for lam in lams.tolist()]
+        here from one `PairKernel.summary` each."""
+        found = [kernel.summary(lam, n) for lam in lams.tolist()]
         return tuple(np.array([getattr(s, name) for s in found])
-                     for name in ("c_low", "d_high", "surj_low")) + (None,)
+                     for name in ("c_low", "d_high", "surj_low", "census"))
 
     def norm_estimate(self, kernel: PairKernel, n: int) -> float:
         """Largest singular value of the unshifted weighted tall section, here
@@ -208,13 +201,10 @@ class Diagonal(Representation):
                                       CERT_FAILED if diverged else CERT_EXACT, probe)
                 for (e, f), (bound, diverged) in zip(pairs, sups)]
 
-    walks_rows = True
-
     def summary(self, kernel, lam, n):
         c_low, d_high, _, census = (v[0].item() for v in self.summaries(
             kernel, np.array([lam], dtype=complex), n))
-        # counted at kernel.cfg, the configuration `PairKernel.summary` hands the call
-        return SectionSummary(n, c_low, d_high, c_low, None), lambda cfg: census
+        return SectionSummary(n, c_low, d_high, c_low, census)
 
     def summaries(self, kernel, lams, n):
         """Censuses included, from blocks of |symbol - lambda| w_F / w_E over all
@@ -351,12 +341,9 @@ class Banded(Representation):
             return super().summary(kernel, lam, n)
         tall = _GramSpectrum(self.gram_band(kernel, lam, n, tall=True))
         wide = _GramSpectrum(self.gram_band(kernel, lam, n, tall=False))
-
-        def census(cfg: RunConfig) -> int:
-            return wide.count_up_to((cfg.defect_eps * wide.singular_value(-1)) ** 2)
-
-        return (SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
-                               wide.singular_value(0), None), census)
+        census = wide.count_up_to((kernel.cfg.defect_eps * wide.singular_value(-1)) ** 2)
+        return SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
+                              wide.singular_value(0), census)
 
     def norm_estimate(self, kernel, n):
         if n <= _DENSE_ALWAYS:
@@ -420,45 +407,42 @@ class RankSum(Representation):
         # a bounded finite-rank operator is compact: no diagonal survives in the limit
         return LimitProfile.probe(op.basis, e, f, cfg, {})
 
-    def norm_estimate(self, kernel, n):
-        # the triangle bound above n = _DENSE_ALWAYS, past the memo: a held kernel
-        # would keep these lambda = 0 summaries, n x r factors with them, long
-        # after its certificate
-        return self.summary(kernel, 0.0, n)[0].d_high
-
-    def summary(self, kernel, lam, n):
-        if n <= _DENSE_ALWAYS:
-            return super().summary(kernel, lam, n)
-        # square view: rank-sum columns have unbounded support, so margins
-        # cannot make the tall view exact anyway
+    def _weighted_factors(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
+        """(d, V, U) of the square section S = diag(d) + V U^H at truncation n:
+        rank-sum columns have unbounded support, so margins cannot make a tall
+        view exact anyway."""
         m = modes(kernel.x.basis, n).astype(float)
         wf, we = kernel.f.weights(n), kernel.e.weights(n)
         vt = np.stack([np.asarray(t.v(m), dtype=complex) * wf for t in self.terms], axis=1)
         ut = np.stack([np.asarray(t.u(m), dtype=complex) / we for t in self.terms], axis=1)
-        diag = -lam * (wf / we)
-        # triangle-inequality bound, exactly invariant under the duality swap
-        d_high = float(np.max(np.abs(diag))
-                       + np.sum(np.linalg.norm(vt, axis=0) * np.linalg.norm(ut, axis=0)))
-        sv = None  # the square section's singular values, shared with the census
+        return -lam * (wf / we), vt, ut
 
-        def square_svdvals() -> np.ndarray:
-            return _svdvals(np.diag(diag).astype(complex) + vt @ ut.conj().T)
+    @staticmethod
+    def _triangle_bound(diag: np.ndarray, vt: np.ndarray, ut: np.ndarray) -> float:
+        # exactly invariant under the duality swap
+        return float(np.max(np.abs(diag))
+                     + np.sum(np.linalg.norm(vt, axis=0) * np.linalg.norm(ut, axis=0)))
 
-        if lam == 0:
+    def norm_estimate(self, kernel, n):
+        if n <= _DENSE_ALWAYS:
+            return super().norm_estimate(kernel, n)
+        return self._triangle_bound(*self._weighted_factors(kernel, 0.0, n))
+
+    def summary(self, kernel, lam, n):
+        if n <= _DENSE_ALWAYS:
+            return super().summary(kernel, lam, n)
+        diag, vt, ut = self._weighted_factors(kernel, lam, n)
+        eps = kernel.cfg.defect_eps
+        if lam == 0:  # S = V U^H, of rank at most r
             c_low = 0.0 if n > len(self.terms) else float("nan")
+            census = _low_rank_census(diag[0], vt, ut, eps)
         else:
-            c_low = _constant_shift_sigma_min(diag, vt, ut)
-            if c_low is None:
-                sv = square_svdvals()
-                c_low = float(sv[-1])
-
-        def census(cfg: RunConfig) -> Optional[int]:
-            if n > cfg.dense_cap:
-                return None
-            vals = square_svdvals() if sv is None else sv
-            return int(np.sum(vals < cfg.defect_eps * vals[0]))
-
-        return SectionSummary(n, c_low, d_high, c_low, None), census
+            exact = _constant_shift_constants(diag, vt, ut, eps)
+            if exact is None:
+                sv = _svdvals(np.diag(diag).astype(complex) + vt @ ut.conj().T)
+                exact = float(sv[-1]), int(np.sum(sv < eps * sv[0]))
+            c_low, census = exact
+        return SectionSummary(n, c_low, self._triangle_bound(diag, vt, ut), c_low, census)
 
 
 @dataclass(frozen=True)

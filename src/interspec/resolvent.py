@@ -22,10 +22,10 @@ plus census, a stabilized doubling walk plus census, sustained shrink, and
 otherwise inconclusive. Sections are taken along one doubling walk per
 point; the census compares the walk's last two truncations, and "vanishing"
 means at most ``regular_eps`` times max(d_high, |lambda|, 1). The
-certificate and the limit operators answer for the whole row at once. A
-diagonal operator's walks run in lock step, each doubling summarizing every
-point still walking from blocks of the row (`Diagonal.summaries`);
-other representations walk one point at a time. Scans decide rows, and
+certificate and the limit operators answer for the whole row at once. The
+walks run in lock step, each doubling summarizing every point still walking
+(`Representation.summaries`; a diagonal one from blocks of the row), and
+every summary carries its census. Scans decide rows, and
 `point_status`, `regular_point` and `defect_number` are views of the
 one-point row: lambda is in the (E, F) resolvent set exactly when it is
 regular with defect 0.
@@ -96,7 +96,6 @@ class DefectReport:
     e: ScaleSpace
     f: ScaleSpace
     defect: object  # nonnegative int or "unstable"
-    singular_value_gap: float
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def _walk(kernel: PairKernel, lams: np.ndarray) -> tuple:
     stop, last_n, vanish_n = np.zeros((3, count), dtype=int)  # vanish_n 0: nothing vanished
     last_c, last_d, vanish_c, vanish_d, first, prev = np.zeros((6, count))
     vanish_tall, falling = np.zeros(count, dtype=bool), np.ones(count, dtype=bool)
-    censuses, given = np.zeros((2, count), dtype=int), True  # at the last two truncations
+    censuses = np.zeros((2, count), dtype=int)  # at the last two truncations
     live, n, top, taken = np.arange(count), cfg.scan_n0, rep.max_n(cfg), 0
     while n <= top and taken < 9 and live.size:
         c_low, d_high, surj_low, census = rep.summaries(kernel, lams[live], n)
@@ -181,18 +180,14 @@ def _walk(kernel: PairKernel, lams: np.ndarray) -> tuple:
         shrink = ~stable & falling[live] & (first[live] >= cfg.growth_threshold * low) \
             & (taken >= 3)
         prev[live], last_n[live], last_c[live], last_d[live] = low, n, c_low, d_high
-        if census is None:
-            given = False
-        else:
-            censuses[0, live], censuses[1, live] = censuses[1, live], census
+        censuses[0, live], censuses[1, live] = censuses[1, live], census
         stop[live[stable]], stop[live[shrink]] = _STABILIZED, _SHRINK
         live = live[~(stable | shrink)]
         n, taken = 2 * n, taken + 1
     cells = []
-    for lam, why, n, c, d, v_n, v_c, v_d, v_tall, lo, hi in zip(
-            lams.tolist(), *(a.tolist() for a in (stop, last_n, last_c, last_d, vanish_n,
-                                                 vanish_c, vanish_d, vanish_tall)),
-            *censuses.tolist()):
+    for why, n, c, d, v_n, v_c, v_d, v_tall, lo, hi in zip(
+            *(a.tolist() for a in (stop, last_n, last_c, last_d, vanish_n, vanish_c, vanish_d,
+                                   vanish_tall)), *censuses.tolist()):
         if v_n and v_tall:  # a vanishing lower bound at any truncation is conclusive
             cells.append(CellStatus(STATUS_NOT_REGULAR, v_c, v_d, witness_n=v_n, stabilized=True))
             continue
@@ -203,10 +198,7 @@ def _walk(kernel: PairKernel, lams: np.ndarray) -> tuple:
         # bounded below, and injective but visibly non-surjective or stabilized:
         # the census must agree at the walk's last two truncations (of which a
         # walk of one summary has one)
-        if not given:  # the kernel's memo holds this lambda's walk
-            lo = kernel.summary(lam, n // 2, want_census=True).census if n > cfg.scan_n0 else None
-            hi = kernel.summary(lam, n, want_census=True).census
-        defect = hi if n > cfg.scan_n0 and lo is not None and lo == hi else "unstable"
+        defect = hi if n > cfg.scan_n0 and lo == hi else "unstable"
         status = STATUS_INCONCLUSIVE if defect == "unstable" or (defect == 0 and v_n) else \
             STATUS_RESOLVENT if defect == 0 else STATUS_REGULAR_DEFECT
         cells.append(CellStatus(status, c, d, defect, witness_n=n, stabilized=why == _STABILIZED))
@@ -218,8 +210,8 @@ def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace,
     """The one classification of each lambda of ``lams`` on (E, F), and for each
     the (n, d_high) of the last summary it walked (None when the certificate or
     the limit operators decide, each once for the whole row). The rest walks in
-    lock step where the representation ``walks_rows``, else one lambda at a time.
-    Everything is read from the pair's held kernel (`CoefficientOperator.kernel`).
+    lock step. Everything is read from the pair's held kernel
+    (`CoefficientOperator.kernel`).
     """
     lams = np.asarray(lams, dtype=complex)
     cert = certify(x, e, f, cfg)
@@ -230,11 +222,8 @@ def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace,
     cells = _limit_status(kernel, lams)
     lasts = [None] * len(lams)
     walking = [i for i, cell in enumerate(cells) if cell is None]
-    width = len(walking) if kernel.x.rep.walks_rows else 1
-    for a in range(0, len(walking), max(width, 1)):
-        group = walking[a:a + width]
-        for i, cell, last in zip(group, *_walk(kernel, lams[group])):
-            cells[i], lasts[i] = cell, last
+    for i, cell, last in zip(walking, *_walk(kernel, lams[walking])):
+        cells[i], lasts[i] = cell, last
     return cells, lasts
 
 
@@ -271,9 +260,7 @@ def defect_number(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
     if not report.regular:
         raise NotRegularError(
             f"defect defined only at regular points; lambda={lam} on ({e.label}, {f.label})")
-    last = x.kernel(e, f, cfg).summary(lam, report.witness_n, want_census=False)
-    gap = last.surj_low / max(cfg.defect_eps * last.d_high, 1e-300)
-    return DefectReport(lam, e, f, report.defect, float(gap))
+    return DefectReport(lam, e, f, report.defect)
 
 
 def _require_resolvent(status: CellStatus, lam: complex, e: ScaleSpace,

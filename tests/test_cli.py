@@ -5,6 +5,7 @@ import gc
 import json
 import pathlib
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -245,3 +246,18 @@ def test_dense_operator_scans_through_the_dense_route(tmp_path, capsys):
     assert payload["duality"] == {"checked": True, "mismatches": []}
     statuses = [cell["status"] for row in payload["cells"] for cell in row]
     assert "not-regular" in statuses
+
+
+def test_equal_rung_ranksum_censuses_at_the_default_config(tmp_path, capsys):
+    # the E = F pairs take their census from the k x k reduction of the
+    # section (k <= 2r), at every truncation the default schedule walks
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code, _, _ = run(capsys, "scan", "--operator", str(root / "tests" / "data" / "ranksum-decaying.json"),
+                     "--family", "gallery:torus-delta", "--grid=-1.5:1.5:7,-0.5:0.5:3",
+                     "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["duality"] == {"checked": True, "mismatches": []}
+    statuses = Counter(cell["status"] for row in payload["cells"] for cell in row)
+    assert statuses == {"not-regular": 633, "resolvent": 59, "no-extension": 252,
+                        "inconclusive": 1}

@@ -186,7 +186,7 @@ def test_dense_norm_estimate_takes_the_tall_svd_alone(scale, monkeypatch):
     monkeypatch.setattr(operators, "_svdvals", lambda mat: calls.append(mat.shape) or svdvals(mat))
     estimate = x.rep.norm_estimate(kernel, n)
     assert calls == [(n + CFG.section_margin, n)]
-    assert estimate == Representation.summary(x.rep, kernel, 0.0, n)[0].d_high
+    assert estimate == Representation.summary(x.rep, kernel, 0.0, n).d_high
 
 
 def _banded_gallery_pairs():

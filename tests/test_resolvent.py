@@ -755,9 +755,9 @@ def test_slowly_decaying_diagonal_gets_no_verdict_and_runs_its_sections(monkeypa
     summarized = []
     summary = PairKernel.summary
 
-    def counted(self, lam, n, want_census=True):
+    def counted(self, lam, n):
         summarized.append(n)
-        return summary(self, lam, n, want_census)
+        return summary(self, lam, n)
 
     monkeypatch.setattr(PairKernel, "summary", counted)
     point_status(x, 0.0, s, s, CFG)

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from interspec import sections
+from interspec import operators, sections
 from interspec.config import GridSpec, RunConfig
 from interspec.gallery import (hermite_position, registry, scale_generator_entry, torus_comb,
                                torus_delta, torus_multiplication)
@@ -54,17 +54,21 @@ def test_ranksum_lower_constant_matches_dense_svd():
     x, e, f = entry.operator, entry.family.space_at(4), entry.family.space_at(2)
     lam, n = -2.0, 128
     assert n > _DENSE_ALWAYS  # served by the rank-sum route
-    got = PairKernel(x, e, f, CFG).summary(lam, n, want_census=False).c_low
+    got = PairKernel(x, e, f, CFG).summary(lam, n).c_low
     mat = x.matrix(n).astype(complex) - lam * np.eye(n)
     mat = mat * f.weights(n)[:, None] / e.weights(n)[None, :]
     ref = np.linalg.svd(mat, compute_uv=False)[-1]
     assert abs(got - ref) <= 1e-6 * ref
 
 
-def _dense_square_sigma_min(x, e, f, lam, n):
+def _dense_square_svdvals(x, e, f, lam, n):
     mat = x.matrix(n).astype(complex) - lam * np.eye(n)
     mat = mat * f.weights(n)[:, None] / e.weights(n)[None, :]
-    return np.linalg.svd(mat, compute_uv=False)[-1]
+    return np.linalg.svd(mat, compute_uv=False)
+
+
+def _dense_square_sigma_min(x, e, f, lam, n):
+    return _dense_square_svdvals(x, e, f, lam, n)[-1]
 
 
 # two terms with decaying complex vectors: the section norm stays O(1), so a dense
@@ -86,7 +90,7 @@ def test_multi_term_ranksum_lower_constant_matches_dense_svd(case, lam, n):
     x = torus_comb(4).operator if name == "torus-comb-4" else DECAYING_PAIR
     fam = torus_delta().family
     e, f = fam.space_at(i), fam.space_at(j)
-    got = PairKernel(x, e, f, CFG).summary(lam, n, want_census=False).c_low
+    got = PairKernel(x, e, f, CFG).summary(lam, n).c_low
     ref = _dense_square_sigma_min(x, e, f, lam, n)
     assert abs(got - ref) <= 1e-9 * ref
 
@@ -102,8 +106,8 @@ def test_constant_shift_route_is_exact_without_dense_svd(monkeypatch, index, lam
 
     space = torus_delta().family.space_at(index)
     kernel = PairKernel(DECAYING_PAIR, space, space, CFG)
-    monkeypatch.setattr(sections, "_svdvals", forbidden)
-    got = kernel.summary(lam, n, want_census=False).c_low
+    monkeypatch.setattr(operators, "_svdvals", forbidden)
+    got = kernel.summary(lam, n).c_low
     monkeypatch.undo()
     ref = _dense_square_sigma_min(DECAYING_PAIR, space, space, lam, n)
     assert abs(got - ref) <= 1e-12 * ref
@@ -120,7 +124,7 @@ def test_constant_shift_route_matches_high_precision_on_wide_weights():
     x = torus_comb(4).operator
     space = torus_delta().family.space_at(2)
     lam, n = -1.2 + 0.5j, 1024
-    got = PairKernel(x, space, space, CFG).summary(lam, n, want_census=False).c_low
+    got = PairKernel(x, space, space, CFG).summary(lam, n).c_low
     m, w = modes(x.basis, n).astype(float), space.weights(n)
     vt = np.stack([np.asarray(t.v(m), dtype=complex) * w for t in x.rep.terms], axis=1)
     ut = np.stack([np.asarray(t.u(m), dtype=complex) / w for t in x.rep.terms], axis=1)
@@ -181,15 +185,14 @@ def _reference_count(ab, bound):
                                            select_range=(-1.0, bound)))
 
 
-def _reference_banded_summary(kernel, lam, n, want_census):
+def _reference_banded_summary(kernel, lam, n):
     # the bands are the route's own (`Banded.gram_band`); only their eigenvalues
     # come from eigvals_banded here
     tall = kernel.x.rep.gram_band(kernel, lam, n, tall=True)
     wide = kernel.x.rep.gram_band(kernel, lam, n, tall=False)
     c_low, d_high = _reference_extremes(tall)
     surj_low, surj_high = _reference_extremes(wide)
-    census = _reference_count(wide, (kernel.cfg.defect_eps * surj_high) ** 2) \
-        if want_census else None
+    census = _reference_count(wide, (kernel.cfg.defect_eps * surj_high) ** 2)
     return SectionSummary(n, c_low, d_high, surj_low, census)
 
 
@@ -210,10 +213,7 @@ def _banded_cases():
 @pytest.mark.parametrize("x, e, f, lam, n", _banded_cases())
 def test_banded_summary_equals_separate_eigvals_banded_calls(x, e, f, lam, n):
     kernel = PairKernel(x, e, f, CFG)
-    assert kernel.summary(lam, n, want_census=False) == \
-        _reference_banded_summary(kernel, lam, n, want_census=False)
-    assert kernel.summary(lam, n, want_census=True) == \
-        _reference_banded_summary(kernel, lam, n, want_census=True)
+    assert kernel.summary(lam, n) == _reference_banded_summary(kernel, lam, n)
 
 
 # entrywise bound on the assembled Gram band, in units of eps (|S|^H |S|) per
@@ -249,7 +249,7 @@ def test_banded_gram_band_and_constants_match_dense(x, e, f, lam, n):
     eps = np.finfo(float).eps
     b = x.rep.bandwidth
     kernel = PairKernel(x, e, f, CFG)
-    got = kernel.summary(lam, n, want_census=False)
+    got = kernel.summary(lam, n)
     rows = n + max(x.position_bandwidth(), 1)
     sv = {}
     for tall in (True, False):
@@ -323,21 +323,19 @@ def test_banded_point_status_reduces_each_gram_matrix_once(monkeypatch):
     assert len(counts) >= 2 and set(counts.values()) == {2}  # tall and wide, per n
 
 
-def test_census_on_a_summarized_point_reuses_the_reductions(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the census must reuse the stored reduction")
-
+def test_banded_census_comes_from_the_summary_reductions(monkeypatch):
+    # one reduction per view gives the constants and the census, and a summary
+    # asked for again is the held one
     entry = registry()["position"]
     x, e, f = entry.operator, entry.family.space_at(1), entry.family.space_at(0)
     lam, n = 0.5 + 0.5j, 512
     kernel = PairKernel(x, e, f, CFG)
-    plain = kernel.summary(lam, n, want_census=False)
-    assert plain.census is None
-    monkeypatch.setattr(sections, "_band_tridiagonal", forbidden)
-    with_census = kernel.summary(lam, n, want_census=True)
+    sizes = _count_reductions(monkeypatch)
+    got = kernel.summary(lam, n)
+    assert sizes == [n, n]
+    assert kernel.summary(lam, n) is got and sizes == [n, n]
     monkeypatch.undo()
-    assert with_census == PairKernel(x, e, f, CFG).summary(lam, n, want_census=True)
-    assert with_census.census is not None
+    assert got == _reference_banded_summary(kernel, lam, n)
 
 
 def _torus_delta_kernel():
@@ -346,20 +344,64 @@ def _torus_delta_kernel():
     return entry.operator, e, f, PairKernel(entry.operator, e, f, CFG)
 
 
-def test_ranksum_census_on_a_summarized_point_reuses_its_singular_values(monkeypatch):
-    # E != F: the summary took the dense SVD of the square section, and the
-    # census counts over the same singular values
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the census must reuse the summary's singular values")
+def _count_svds(monkeypatch):
+    shapes = []
+    svdvals = operators._svdvals
+    monkeypatch.setattr(operators, "_svdvals", lambda mat: shapes.append(mat.shape) or svdvals(mat))
+    return shapes
 
+
+def test_ranksum_census_counts_over_the_svd_of_the_lower_constant(monkeypatch):
+    # E != F: one dense SVD of the square section gives c_low and the census
     x, e, f, kernel = _torus_delta_kernel()
     lam, n = 0.3 + 0.5j, 128
-    kernel.summary(lam, n, want_census=False)
-    monkeypatch.setattr(sections, "_svdvals", forbidden)
-    with_census = kernel.summary(lam, n, want_census=True)
+    shapes = _count_svds(monkeypatch)
+    got = kernel.summary(lam, n)
+    assert shapes == [(n, n)]
     monkeypatch.undo()
-    assert with_census == PairKernel(x, e, f, CFG).summary(lam, n, want_census=True)
-    assert with_census.census is not None
+    sv = _dense_square_svdvals(x, e, f, lam, n)
+    assert got.census == np.sum(sv < CFG.defect_eps * sv[0])
+    assert abs(got.c_low - sv[-1]) <= 1e-9 * sv[-1]
+
+
+CENSUS_LAMBDAS = (0.0, 0.3 + 0.5j, -1.2 + 0.5j, 1.5 + 0.05j, 2.0, -0.7, 0.5j)
+
+
+def _constant_shift_cases():
+    # every E = F pair of torus-delta and torus-comb-4 on their family and of
+    # the decaying pair on the bounded family: all 7 lambda at n = 128, and
+    # one lambda (rotating with the pair) at n = 512
+    cases = [(name, entry.operator, entry.family) for name, entry in
+             (("torus-delta", torus_delta()), ("torus-comb-4", torus_comb(4)))]
+    cases.append(("decaying-pair", DECAYING_PAIR, BOUNDED_SCALE))
+    k = 0
+    for name, x, family in cases:
+        for space in family.spaces:
+            for lam in CENSUS_LAMBDAS:
+                yield pytest.param(x, space, lam, 128, id=f"{name}-{space.label}-{lam}-128")
+            yield pytest.param(x, space, CENSUS_LAMBDAS[k % 7], 512,
+                               id=f"{name}-{space.label}-{CENSUS_LAMBDAS[k % 7]}-512")
+            k += 1
+
+
+@pytest.mark.parametrize("x, space, lam, n", _constant_shift_cases())
+def test_constant_shift_census_equals_the_dense_census(x, space, lam, n):
+    got = PairKernel(x, space, space, CFG).summary(lam, n)
+    sv = _dense_square_svdvals(x, space, space, lam, n)
+    assert got.census == np.sum(sv < CFG.defect_eps * sv[0])
+
+
+def test_zero_shift_summary_takes_no_square_svd(monkeypatch):
+    # lambda = 0: S = V U^H, and the census is n minus its rank, from the k x k
+    # reduction; `test_constant_shift_route_is_exact_without_dense_svd` covers
+    # lambda != 0
+    x = torus_comb(4).operator
+    space = torus_delta().family.space_at(1)
+    n = 2 * _DENSE_ALWAYS
+    shapes = _count_svds(monkeypatch)
+    got = PairKernel(x, space, space, CFG).summary(0.0, n)
+    assert shapes == []
+    assert (got.c_low, got.census) == (0.0, n - len(x.rep.terms))
 
 
 @pytest.mark.parametrize("name", ["position", "torus-delta", "scale-generator"])
