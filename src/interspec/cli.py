@@ -222,15 +222,16 @@ def _cmd_delta_bound(args) -> int:
 def _cmd_geneig(args) -> int:
     cfg = _load_config(args.config)
     grid = GridSpec.parse(args.lambda_grid)
+    # every pair before the target is opened: a rejected input leaves no file
+    pairs = [delta_eigenpair(float(lam), Fraction(args.s), args.n, cfg=cfg)
+             for lam in grid.re_points()]
     worst = 0.0
     with _csv_target(args.out) as handle:
         writer = csv.writer(handle)
         writer.writerow(["lambda", "residual", "membership_norm"])
-        for lam in grid.re_points():
-            pair = delta_eigenpair(float(lam), Fraction(args.s), args.n, cfg=cfg)
+        for pair in pairs:
             worst = max(worst, pair.residual)
-            writer.writerow([repr(float(lam)), repr(pair.residual),
-                             repr(pair.membership_norm)])
+            writer.writerow([repr(pair.lam), repr(pair.residual), repr(pair.membership_norm)])
     return 0 if worst <= cfg.ge_tol else 1
 
 

@@ -242,6 +242,10 @@ def torus_multiplication(symbol: str, order: int = 2, samples: int = 10_000,
     The symbol is given as an expression in the angle variable ``t``; its
     Fourier coefficients are read off an FFT and must sit on modes up to
     ``max_bandwidth``, everything beyond at the double-precision noise floor.
+    The same cutoff, 3e-14 * max(scale, 1) for the largest coefficient
+    modulus ``scale``, drops a coefficient and zeroes the real or imaginary
+    part of a kept one, so a real even symbol such as cos(t) has exactly real
+    coefficients and its real sections take the real band reduction.
     """
     fn = compile_expression(symbol, ("t",))
     grid_n = 4096
@@ -250,14 +254,18 @@ def torus_multiplication(symbol: str, order: int = 2, samples: int = 10_000,
     coeffs = np.fft.fft(values) / grid_n
     magnitudes = np.abs(coeffs)
     scale = float(np.max(magnitudes))
-    support = np.nonzero(magnitudes > 3e-14 * max(scale, 1.0))[0]
+    cutoff = 3e-14 * max(scale, 1.0)
+    support = np.nonzero(magnitudes > cutoff)[0]
     freqs = np.where(support <= grid_n // 2, support, support - grid_n)
     bandwidth = int(np.max(np.abs(freqs))) if len(freqs) else 0
     if bandwidth > max_bandwidth:
         raise UnsupportedSymbolError(
             f"symbol {symbol!r} is not a trigonometric polynomial of degree "
             f"<= {max_bandwidth}")
-    table = {int(f): complex(coeffs[s]) for f, s in zip(freqs, support)}
+    kept = coeffs[support]
+    kept.real[np.abs(kept.real) <= cutoff] = 0.0
+    kept.imag[np.abs(kept.imag) <= cutoff] = 0.0
+    table = {int(f): complex(c) for f, c in zip(freqs, kept)}
 
     def entry(mr, mc):
         mr = np.asarray(mr)

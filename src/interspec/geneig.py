@@ -31,7 +31,9 @@ from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
 
 def hermite_function_values(x, count: int) -> np.ndarray:
     """phi_n(x) for n < count by the upward recurrence with the Gaussian
-    factor folded in; the seed underflows past |x| ~ 37.4."""
+    factor folded in; the seed underflows past |x| ~ 37.4. A scalar x runs
+    the recurrence on Python floats, the same operations in the same order
+    as the array rows, so the values are bit for bit the same."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -39,6 +41,14 @@ def hermite_function_values(x, count: int) -> np.ndarray:
     if peak * peak / 2.0 > 700.0:
         raise InterspecError(
             f"seed value underflows at |x|={peak:.3g}; safe up to |x| <= 37.4")
+    if scalar:
+        x = float(x[0])
+        seed = math.pi ** -0.25 * float(np.exp(-x * x / 2.0))
+        values = [seed, math.sqrt(2.0) * x * seed]
+        for n in range(1, count - 1):
+            values.append(math.sqrt(2.0 / (n + 1)) * x * values[n]
+                          - math.sqrt(n / (n + 1.0)) * values[n - 1])
+        return np.array(values[:count], dtype=float)
     out = np.zeros((count, len(x)))
     out[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
     if count > 1:
@@ -46,7 +56,7 @@ def hermite_function_values(x, count: int) -> np.ndarray:
     for n in range(1, count - 1):
         out[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * out[n]
                       - math.sqrt(n / (n + 1.0)) * out[n - 1])
-    return out[:, 0] if scalar else out
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,8 @@ def delta_eigenpair(lam: float, s=1, n: int = 1024,
     coordinate multiplier, certified in the rung of index -s."""
     if not float(s) >= 1:
         raise SpecParseError("home space needs index -s with s >= 1")
+    if n < 1:
+        raise SpecParseError(f"truncation n={n} must be at least 1")
     if lam * lam > 1.8 * n:
         raise InterspecError(
             f"truncation n={n} too short for lam={lam}; residual decays only "

@@ -21,7 +21,8 @@ A banded summary builds no section: `Banded.gram_band` assembles each Gram
 matrix straight into LAPACK band storage from ``entry`` and the held
 weights, with rows and columns in mode order, where its bandwidth is 2 b on
 either basis (slot order would give 4 b on the Fourier basis). A real band,
-as the lambda = 0 sections of real operators give, is reduced by dsbtrd.
+as real operators give at lambda = 0 and real symmetric ones between rungs
+of weight 1 at any lambda, is reduced by dsbtrd.
 The singular values are bit for bit those of ``eigvals_banded`` on that band
 (`sections._GramSpectrum`). ``section`` keeps slot order and serves solves
 and residuals.

@@ -37,8 +37,14 @@ are, while the slot order of the Fourier basis interleaves the signed modes
 and doubles the bandwidth, to 4 b instead of 2 b. Each band is reduced to
 tridiagonal form once, and its smallest and largest eigenvalues and its
 census all come from dstebz on that form. A band whose imaginary part is all
-zero, such as the lambda = 0 section of a real operator that a certificate
-takes, is reduced by dsbtrd, and any other by zhbtrd.
+zero is reduced by dsbtrd, and any other by zhbtrd. For a real operator X
+the real bands are those at real lambda, the lambda = 0 bands of every
+certificate among them. For a real symmetric X they are also, at any
+lambda, the tall band into a rung of weight 1 and the wide band out of one,
+since (X - lambda)^H (X - lambda) = X^2 - 2 Re(lambda) X + |lambda|^2 is
+real: both bands of W_0 -> W_0 for a real Toeplitz multiplier such as
+cos(t), whose Fourier coefficients `gallery.torus_multiplication` reads
+without noise.
 ``scipy.linalg.eigvals_banded`` would call zhbevx (dsbevx for a real band),
 which repeats the O(n^2 kd) reduction for every query. scipy.linalg.lapack
 wraps neither reduction, so each is called through the function pointer

@@ -168,6 +168,14 @@ def test_geneig_command(capsys):
     assert max(residuals) <= 1e-6
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_geneig_truncation_below_one_exits_two(tmp_path, capsys, n):
+    out = tmp_path / "geneig.csv"
+    code, _, err = run(capsys, "geneig", "--lambda-grid=0:1:2", "--n", n, "--out", str(out))
+    assert code == 2 and err.startswith("spec error") and "at least 1" in err
+    assert not out.exists()
+
+
 def test_expansion_command(capsys):
     code, out, _ = run(capsys, "expansion", "--phi", "e3")
     assert code == 0

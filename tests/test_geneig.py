@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interspec.config import RunConfig
-from interspec.errors import InterspecError
+from interspec.errors import InterspecError, SpecParseError
 from interspec.gallery import hermite_diagonal, hermite_position, torus_delta
 from interspec.geneig import (delta_eigenpair, expansion_check,
                               hermite_function_values,
@@ -36,6 +36,15 @@ def test_odd_entries_vanish_at_origin():
     values = hermite_function_values(0.0, 33)
     assert np.all(values[1::2] == 0.0)
     assert values[0] == np.pi ** -0.25
+
+
+def test_scalar_values_are_bit_identical_to_the_array_rows():
+    # a scalar point runs the recurrence on Python floats, an array on numpy rows
+    points = np.concatenate([np.linspace(-37.0, 37.0, 301), [0.0, -0.0, 1e-300, 37.4]])
+    table = hermite_function_values(points, 1024)
+    for i, x in enumerate(points):
+        assert np.array_equal(hermite_function_values(float(x), 1024), table[:, i])
+    assert hermite_function_values(0.5, 1).shape == (1,)
 
 
 def test_underflow_guard():
@@ -73,6 +82,12 @@ def test_residual_decreases_with_truncation():
 def test_truncation_guard_for_large_points():
     with pytest.raises(InterspecError):
         delta_eigenpair(25.0, 1, 128, cfg=CFG)
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_truncation_below_one_is_a_spec_error(n):
+    with pytest.raises(SpecParseError, match="at least 1"):
+        delta_eigenpair(0.5, 1, n, cfg=CFG)
 
 
 def test_membership_norm_stabilizes_for_s_one():

@@ -272,11 +272,12 @@ def test_banded_gram_band_and_constants_match_dense(x, e, f, lam, n):
     assert abs(got.surj_low ** 2 - sv[False][-1] ** 2) <= tol
 
 
-def _check_prescaled_band(name, lam, scale):
+def _check_prescaled_band(name, lam, scale, f_index=0):
     # max|ab| outside [RMIN, RMAX]: zhbevx (complex band) and dsbevx (real
     # band, reduced by dsbtrd) scale the band before reducing it
     entry = registry()[name]
-    kernel = PairKernel(entry.operator, entry.family.space_at(1), entry.family.space_at(0), CFG)
+    kernel = PairKernel(entry.operator, entry.family.space_at(1),
+                        entry.family.space_at(f_index), CFG)
     ab = kernel.x.rep.gram_band(kernel, lam, 256, tall=True) * scale
     spectrum = sections._GramSpectrum(ab)
     assert spectrum.sigma != 1.0
@@ -291,7 +292,8 @@ def _check_prescaled_band(name, lam, scale):
 
 @pytest.mark.parametrize("scale", [1e-150, 1e80])
 def test_gram_spectrum_prescales_like_zhbevx(scale):
-    assert np.any(_check_prescaled_band("multiplier[cos(t)]", 0.3 + 0.5j, scale).imag)
+    # W_1 -> W_1 at complex lambda: the weights keep the band complex
+    assert np.any(_check_prescaled_band("multiplier[cos(t)]", 0.3 + 0.5j, scale, 1).imag)
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e80])
@@ -310,6 +312,25 @@ def _count_reductions(monkeypatch):
 
     monkeypatch.setattr(sections, "_band_tridiagonal", counted)
     return sizes
+
+
+@pytest.mark.parametrize("symbol", ["cos(t)", "2+cos(t)"])
+def test_real_symbol_bands_take_no_complex_reduction(monkeypatch, symbol):
+    # the Fourier coefficients of a real even symbol are exactly real, so the
+    # lambda = 0 certificate bands are real, and so are both Gram bands of
+    # W_0 -> W_0 at any lambda, since (X - lambda)^H (X - lambda) equals
+    # X^2 - 2 Re(lambda) X + |lambda|^2
+    entry = torus_multiplication(symbol)
+    x = entry.operator
+    table = x.rep.entry(np.arange(-3, 4), np.zeros(7, dtype=int))
+    assert np.any(table.real) and not np.any(table.imag)
+    calls = []
+    zhbtrd = sections._ZHBTRD
+    monkeypatch.setattr(sections, "_ZHBTRD", lambda *args: calls.append(1) or zhbtrd(*args))
+    w0, w1 = entry.family.space_at(0), entry.family.space_at(1)
+    assert certify(x, w1, w1, CFG).certified
+    assert point_status(x, 0.3 + 0.5j, w0, w0, CFG).status == STATUS_RESOLVENT
+    assert calls == []
 
 
 def test_banded_point_status_reduces_each_gram_matrix_once(monkeypatch):
