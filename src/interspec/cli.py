@@ -222,16 +222,16 @@ def _cmd_delta_bound(args) -> int:
 def _cmd_geneig(args) -> int:
     cfg = _load_config(args.config)
     grid = GridSpec.parse(args.lambda_grid)
-    # every pair before the target is opened: a rejected input leaves no file
-    pairs = [delta_eigenpair(float(lam), Fraction(args.s), args.n, cfg=cfg)
-             for lam in grid.re_points()]
-    worst = 0.0
+    # every row before the target is opened: a rejected input leaves no file;
+    # only the written scalars are kept, not the length-n vectors
+    rows = [(p.lam, p.residual, p.membership_norm)
+            for p in (delta_eigenpair(float(lam), Fraction(args.s), args.n, cfg=cfg)
+                      for lam in grid.re_points())]
     with _csv_target(args.out) as handle:
         writer = csv.writer(handle)
         writer.writerow(["lambda", "residual", "membership_norm"])
-        for pair in pairs:
-            worst = max(worst, pair.residual)
-            writer.writerow([repr(pair.lam), repr(pair.residual), repr(pair.membership_norm)])
+        writer.writerows([repr(value) for value in row] for row in rows)
+    worst = max((residual for _, residual, _ in rows), default=0.0)
     return 0 if worst <= cfg.ge_tol else 1
 
 

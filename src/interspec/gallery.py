@@ -242,30 +242,29 @@ def torus_multiplication(symbol: str, order: int = 2, samples: int = 10_000,
     The symbol is given as an expression in the angle variable ``t``; its
     Fourier coefficients are read off an FFT and must sit on modes up to
     ``max_bandwidth``, everything beyond at the double-precision noise floor.
-    The same cutoff, 3e-14 * max(scale, 1) for the largest coefficient
-    modulus ``scale``, drops a coefficient and zeroes the real or imaginary
-    part of a kept one, so a real even symbol such as cos(t) has exactly real
-    coefficients and its real sections take the real band reduction.
+    One cutoff, 3e-14 * max(scale, 1) for the largest coefficient modulus
+    ``scale``, zeroes every real or imaginary part at or below it, and the
+    support is what stays nonzero; so a real even symbol such as cos(t) has
+    exactly real coefficients and its real sections take the real band
+    reduction.
     """
     fn = compile_expression(symbol, ("t",))
     grid_n = 4096
     theta = 2.0 * math.pi * np.arange(grid_n) / grid_n
     values = np.asarray(fn(theta), dtype=complex)
     coeffs = np.fft.fft(values) / grid_n
-    magnitudes = np.abs(coeffs)
-    scale = float(np.max(magnitudes))
+    scale = float(np.max(np.abs(coeffs)))
     cutoff = 3e-14 * max(scale, 1.0)
-    support = np.nonzero(magnitudes > cutoff)[0]
+    coeffs.real[np.abs(coeffs.real) <= cutoff] = 0.0
+    coeffs.imag[np.abs(coeffs.imag) <= cutoff] = 0.0
+    support = np.nonzero(coeffs)[0]
     freqs = np.where(support <= grid_n // 2, support, support - grid_n)
     bandwidth = int(np.max(np.abs(freqs))) if len(freqs) else 0
     if bandwidth > max_bandwidth:
         raise UnsupportedSymbolError(
             f"symbol {symbol!r} is not a trigonometric polynomial of degree "
             f"<= {max_bandwidth}")
-    kept = coeffs[support]
-    kept.real[np.abs(kept.real) <= cutoff] = 0.0
-    kept.imag[np.abs(kept.imag) <= cutoff] = 0.0
-    table = {int(f): complex(c) for f, c in zip(freqs, kept)}
+    table = {int(f): complex(c) for f, c in zip(freqs, coeffs[support])}
 
     def entry(mr, mc):
         mr = np.asarray(mr)

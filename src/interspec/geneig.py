@@ -31,32 +31,22 @@ from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
 
 def hermite_function_values(x, count: int) -> np.ndarray:
     """phi_n(x) for n < count by the upward recurrence with the Gaussian
-    factor folded in; the seed underflows past |x| ~ 37.4. A scalar x runs
-    the recurrence on Python floats, the same operations in the same order
-    as the array rows, so the values are bit for bit the same."""
+    factor folded in; the seed underflows past |x| ~ 37.4. The rows are
+    scalars for a scalar x and numpy rows for an array; either way the
+    operations run in the same order, so the values are bit for bit the same."""
     x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     peak = float(np.max(np.abs(x)))
     if peak * peak / 2.0 > 700.0:
         raise InterspecError(
             f"seed value underflows at |x|={peak:.3g}; safe up to |x| <= 37.4")
-    if scalar:
-        x = float(x[0])
-        seed = math.pi ** -0.25 * float(np.exp(-x * x / 2.0))
-        values = [seed, math.sqrt(2.0) * x * seed]
-        for n in range(1, count - 1):
-            values.append(math.sqrt(2.0 / (n + 1)) * x * values[n]
-                          - math.sqrt(n / (n + 1.0)) * values[n - 1])
-        return np.array(values[:count], dtype=float)
-    out = np.zeros((count, len(x)))
-    out[0] = math.pi ** -0.25 * np.exp(-x * x / 2.0)
-    if count > 1:
-        out[1] = math.sqrt(2.0) * x * out[0]
+    if x.ndim == 0:
+        x = float(x)
+    seed = math.pi ** -0.25 * np.exp(-x * x / 2.0)
+    rows = [seed, math.sqrt(2.0) * x * seed]
     for n in range(1, count - 1):
-        out[n + 1] = (math.sqrt(2.0 / (n + 1)) * x * out[n]
-                      - math.sqrt(n / (n + 1.0)) * out[n - 1])
-    return out
+        rows.append(math.sqrt(2.0 / (n + 1)) * x * rows[n]
+                    - math.sqrt(n / (n + 1.0)) * rows[n - 1])
+    return np.array(rows[:count], dtype=float)
 
 
 @dataclass(frozen=True)

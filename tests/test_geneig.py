@@ -39,7 +39,7 @@ def test_odd_entries_vanish_at_origin():
 
 
 def test_scalar_values_are_bit_identical_to_the_array_rows():
-    # a scalar point runs the recurrence on Python floats, an array on numpy rows
+    # one recurrence serves both: scalar rows for a point, numpy rows for an array
     points = np.concatenate([np.linspace(-37.0, 37.0, 301), [0.0, -0.0, 1e-300, 37.4]])
     table = hermite_function_values(points, 1024)
     for i, x in enumerate(points):
