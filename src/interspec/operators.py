@@ -17,6 +17,13 @@ k x k reductions on the range of its factors (`RankSum.summary`). A
 strategy reads the pair's spaces and configuration from the `PairKernel` it
 is handed, and the kernel keeps the summary it returns.
 
+On a diagonal operator the section depends on the pair only through
+w_F / w_E, which is exactly 1.0 on every E = F pair. So a `Diagonal` holds,
+per basis, truncation and configuration, the last row it computed for a
+pair whose ratio is identically 1.0, and every such pair that asks at an
+equal row of lambda reads it: a scan computes each truncation's E = F row
+once per pass instead of once per rung, bit for bit the same.
+
 A banded summary builds no section: `Banded.gram_band` assembles each Gram
 matrix straight into LAPACK band storage from ``entry`` and the held
 weights, with rows and columns in mode order, where its bandwidth is 2 b on
@@ -85,6 +92,23 @@ _ROW_BLOCK = 1 << 15  # entries per block of `Diagonal.summaries`
 
 # ---------------------------------------------------------------------------
 # representations
+
+
+def _diagonal_constants(symbol: np.ndarray, ratio: np.ndarray, lams: np.ndarray,
+                        defect_eps: float) -> tuple:
+    """(c_low, d_high, surj_low, census) over ``lams`` of the diagonal section
+    with n x 1 columns ``symbol`` and ``ratio`` = w_F / w_E, from blocks of
+    |symbol - lambda| * ratio holding all n slots of at most ``_ROW_BLOCK`` / n
+    lambda. Each entry is the one-lambda expression, and min, max and counts
+    do not depend on the order of evaluation."""
+    c_low, d_high, census = np.empty(len(lams)), np.empty(len(lams)), np.empty(len(lams), int)
+    width = max(1, _ROW_BLOCK // len(symbol))
+    for block in (slice(a, a + width) for a in range(0, len(lams), width)):
+        vals = np.abs(symbol - lams[None, block])
+        vals *= ratio
+        c_low[block], d_high[block] = vals.min(axis=0), vals.max(axis=0)
+        census[block] = np.count_nonzero(vals < defect_eps * d_high[block], axis=0)
+    return c_low, d_high, c_low, census
 
 
 class Representation:
@@ -175,6 +199,7 @@ class Diagonal(Representation):
     values: Callable[[np.ndarray], np.ndarray]
     source: Optional[str] = None
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entries(self, mr, mc):
         out = np.zeros((len(mr), len(mc)), dtype=complex)
@@ -208,20 +233,27 @@ class Diagonal(Representation):
         return SectionSummary(n, c_low, d_high, c_low, census)
 
     def summaries(self, kernel, lams, n):
-        """Censuses included, from blocks of |symbol - lambda| w_F / w_E over all
-        n slots of at most ``_ROW_BLOCK`` / n lambda. Each entry is the one-lambda
-        expression, and min, max and counts do not depend on the order of
-        evaluation."""
+        """Censuses included, from blocks of |symbol - lambda| w_F / w_E
+        (`_diagonal_constants`). A pair whose ratio w_F / w_E is 1.0 on all n
+        slots, as every E = F pair's is, has the row of any other such pair at
+        equal lambda, since x * 1.0 = x: the operator holds the last such row
+        per (basis, n, cfg), read-only with its lambda array, and hands it to
+        every such pair that asks with an equal array. A ratio that is not
+        identically 1.0 (NaN where weights overflow) is computed afresh and
+        neither reads nor replaces the held row."""
         symbol = self.symbol(kernel.x.basis, n)[:, None]
         ratio = (kernel.f.weights(n) / kernel.e.weights(n))[:, None]
-        c_low, d_high, census = np.empty(len(lams)), np.empty(len(lams)), np.empty(len(lams), int)
-        width = max(1, _ROW_BLOCK // n)
-        for block in (slice(a, a + width) for a in range(0, len(lams), width)):
-            vals = np.abs(symbol - lams[None, block])
-            vals *= ratio
-            c_low[block], d_high[block] = vals.min(axis=0), vals.max(axis=0)
-            census[block] = np.count_nonzero(vals < kernel.cfg.defect_eps * d_high[block], axis=0)
-        return c_low, d_high, c_low, census
+        eps = kernel.cfg.defect_eps
+        if not np.all(ratio == 1.0):
+            return _diagonal_constants(symbol, ratio, lams, eps)
+        key = (kernel.x.basis, n, kernel.cfg)
+        held = self._rows.get(key)
+        if held is None or not np.array_equal(held[0], lams):
+            held = (lams.copy(), *_diagonal_constants(symbol, ratio, lams, eps))
+            for array in held:
+                array.flags.writeable = False
+            self._rows[key] = held
+        return held[1:]
 
     def max_n(self, cfg):
         # closed-form singular values: deep truncations are nearly free

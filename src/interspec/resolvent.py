@@ -44,6 +44,7 @@ acceptance layer compares colors against analytic membership predicates.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -580,67 +581,88 @@ class SpectrumMap:
     duality_mismatches: Optional[list] = None
     duality_checked: bool = False
 
-    def to_json_dict(self, config: Optional[RunConfig] = None) -> dict:
-        data = {
-            "grid": self.grid.to_dict(),
-            "pairs": self.pair_labels,
-            "certificates": [c.to_dict() for c in self.certificates],
-            "lambdas": [[z.real, z.imag] for z in self.lambdas],
-            "union_resolvent": self.union_resolvent,
-            "cells": [
-                [
-                    {
-                        "status": cell.status,
-                        "c_low": _json_float(cell.c_low),
-                        "d_high": _json_float(cell.d_high),
-                        "defect": cell.defect if isinstance(cell.defect, int) else
-                        (cell.defect or ""),
-                        "witness_n": cell.witness_n,
-                        "stabilized": cell.stabilized,
-                    }
-                    for cell in row
-                ]
-                for row in self.cells
-            ],
-            "duality": {
-                "checked": self.duality_checked,
-                "mismatches": self.duality_mismatches or [],
-            },
-        }
-        if config is not None:
-            data["config"] = config.to_dict()
-        return data
-
     def write_json(self, path: str, config: Optional[RunConfig] = None) -> None:
         """The map as one line of JSON with sorted keys.
 
         Only ``json.dumps`` without indent runs CPython's C encoder, about three
         times as fast as ``json.dump``. That encoder keeps every piece of its
         output until it returns (3 MB for 4860 cells on CPython 3.11), so the
-        rows of cells, whose key sorts first, are encoded one at a time.
+        rows of cells, whose key sorts first, are still written one at a time.
+        Each distinct cell object is encoded once per file: a row decided by
+        its certificate or its limit operators repeats one object.
         """
-        data = self.to_json_dict(config)
-        cells = data.pop("cells")
+        rest = {
+            "grid": self.grid.to_dict(),
+            "pairs": self.pair_labels,
+            "certificates": [c.to_dict() for c in self.certificates],
+            "lambdas": [[z.real, z.imag] for z in self.lambdas],
+            "union_resolvent": self.union_resolvent,
+            "duality": {
+                "checked": self.duality_checked,
+                "mismatches": self.duality_mismatches or [],
+            },
+        }
+        if config is not None:
+            rest["config"] = config.to_dict()
+        encoded = _once_per_object(lambda cell: json.dumps({
+            "status": cell.status,
+            "c_low": _json_float(cell.c_low),
+            "d_high": _json_float(cell.d_high),
+            "defect": _defect_field(cell.defect),
+            "witness_n": cell.witness_n,
+            "stabilized": cell.stabilized,
+        }, sort_keys=True))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write('{"cells": [')
-            for i, row in enumerate(cells):
-                handle.write((", " if i else "") + json.dumps(row, sort_keys=True))
-            handle.write("], " + json.dumps(data, sort_keys=True)[1:] + "\n")
+            for i, row in enumerate(self.cells):
+                handle.write((", [" if i else "[") + ", ".join(map(encoded, row)) + "]")
+            handle.write("], " + json.dumps(rest, sort_keys=True)[1:] + "\n")
 
     def write_csv(self, path: str) -> None:
+        """One line per grid point and pair, points outermost. The fields of
+        each pair label and of each distinct cell object are quoted by the
+        `csv` module once per file and joined into lines, written one at a
+        time."""
+        scratch = io.StringIO()
+        fields = csv.writer(scratch, lineterminator="")
+
+        def joined(values: list) -> str:
+            scratch.seek(0)
+            scratch.truncate()
+            fields.writerow(values)
+            return scratch.getvalue()
+
+        cell_text = _once_per_object(lambda cell: joined([
+            cell.status, _csv_float(cell.c_low), _csv_float(cell.d_high),
+            _defect_field(cell.defect), cell.witness_n]))
+        labels = [joined([label]) for label in self.pair_labels]
         with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["re_lambda", "im_lambda", "pair", "status",
-                             "c_low", "d_high", "defect", "witness_n", "union_resolvent"])
+            csv.writer(handle).writerow(["re_lambda", "im_lambda", "pair", "status",
+                                         "c_low", "d_high", "defect", "witness_n",
+                                         "union_resolvent"])
             for li, lam in enumerate(self.lambdas):
-                for pi, label in enumerate(self.pair_labels):
-                    cell = self.cells[pi][li]
-                    writer.writerow([
-                        repr(lam.real), repr(lam.imag), label, cell.status,
-                        _csv_float(cell.c_low), _csv_float(cell.d_high),
-                        cell.defect if isinstance(cell.defect, int) else (cell.defect or ""),
-                        cell.witness_n, int(self.union_resolvent[li]),
-                    ])
+                head = f"{lam.real!r},{lam.imag!r},"
+                tail = f",{int(self.union_resolvent[li])}\r\n"
+                for label, row in zip(labels, self.cells):
+                    handle.write(head + label + "," + cell_text(row[li]) + tail)
+
+
+def _once_per_object(fmt: Callable) -> Callable:
+    """``fmt`` with its results kept per argument object, compared by identity:
+    a writer's cells stay alive while it writes, so no id is reused."""
+    made: dict = {}
+
+    def text(cell):
+        found = made.get(id(cell))
+        if found is None:
+            found = made[id(cell)] = fmt(cell)
+        return found
+
+    return text
+
+
+def _defect_field(defect: Optional[object]) -> object:
+    return defect if isinstance(defect, int) else (defect or "")
 
 
 def _json_float(x: float) -> object:

@@ -2,6 +2,7 @@
 
 import pathlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOpe
                                  weighted_norm_series)
 from interspec.gallery import BUILDERS, hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
-from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, dual_space,
-                              hilbert_scale_family, modes, running_sup, sequence_power_family,
+from interspec.spaces import (Basis, CoefficientVector, ExpSqrtWeights, ScaleFamily, ScaleSpace,
+                              dual_space, hilbert_scale_family, modes, running_sup, sequence_power_family,
                               sobolev_torus_family)
 
 CFG = RunConfig()
@@ -509,3 +510,114 @@ def test_scan_certificates_evaluate_each_rung_once_per_block(monkeypatch):
     assert scan.duality_checked and len(scan.certificates) == 45
     counts = {label: evaluated.count(label) for label in set(evaluated)}
     assert counts == {space.label: 6 for space in entry.family}
+
+
+# ---------------------------------------------------------------------------
+# E = F rows of a diagonal operator, computed once and shared
+
+
+def _unshared_row(x, e, f, lams, n, cfg):
+    """The diagonal summary row, one lambda at a time, from |symbol - lambda|
+    w_F / w_E over all n slots."""
+    symbol, ratio = x.rep.symbol(x.basis, n), f.weights(n) / e.weights(n)
+    c_low, d_high, census = [], [], []
+    for lam in lams.tolist():
+        vals = np.abs(symbol - lam) * ratio
+        c_low.append(vals.min())
+        d_high.append(vals.max())
+        census.append(np.count_nonzero(vals < cfg.defect_eps * d_high[-1]))
+    c_low = np.array(c_low)
+    return c_low, np.array(d_high), c_low, np.array(census)
+
+
+def _bits(row):
+    return [np.asarray(a).tobytes() for a in row]
+
+
+def _count_rows(monkeypatch):
+    """(n, ratio identically 1.0) of every row `Diagonal.summaries` computes."""
+    rows, constants = [], operators._diagonal_constants
+
+    def counting(symbol, ratio, lams, eps):
+        rows.append((len(symbol), bool(np.all(ratio == 1.0))))
+        return constants(symbol, ratio, lams, eps)
+
+    monkeypatch.setattr(operators, "_diagonal_constants", counting)
+    return rows
+
+
+def _row_of(seed, count):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-0.5, 7.0, count) + 1j * rng.uniform(-1.0, 1.0, count)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("name", ["diagonal[1/(n+1)]", "diagonal[n+1]", "scale-generator"])
+def test_every_e_equals_f_row_is_the_unshared_row(monkeypatch, name, n):
+    entry = registry()[name]
+    x, spaces = entry.operator, entry.family.spaces
+    wide, one = _row_of(1, 108), np.array([0.3 + 0.01j])
+    rows = _count_rows(monkeypatch)
+    asks = [(spaces[0], wide), (spaces[1], wide), (spaces[2], one), (spaces[3], one),
+            (spaces[4], wide), (spaces[3], one.copy()), (spaces[1], one)]
+    for s, lams in asks:
+        got = x.rep.summaries(x.kernel(s, s, CFG), lams, n)
+        assert _bits(got) == _bits(_unshared_row(x, s, s, lams, n, CFG)), (s.label, len(lams))
+    # miss, hit, miss, hit, miss, miss (an equal array), hit
+    assert rows == [(n, True)] * 4
+
+
+def test_a_diagonal_scan_computes_two_e_equals_f_rows_per_truncation(monkeypatch):
+    # one per pass: the primal rows at lambda, the dual rows at conj(lambda);
+    # the grid is offset like the benchmark's, so no row is its own conjugate
+    entry = registry()["diagonal[1/(n+1)]"]
+    rows = _count_rows(monkeypatch)
+    scan = resolvent.union_spectrum_scan(entry.operator, entry.family,
+                                         GridSpec.parse("-0.53:1.47:12,-0.46:0.54:9"), CFG)
+    assert scan.duality_checked and not scan.duality_mismatches
+    shared = [n for n, ones in rows if ones]
+    assert {n: shared.count(n) for n in shared} == {256 << k: 2 for k in range(6)}
+
+
+def test_an_overflowing_ratio_neither_reads_nor_replaces_the_held_row(monkeypatch):
+    entry = registry()["diagonal[1/(n+1)]"]
+    x, n, lams = entry.operator, 1 << 15, _row_of(2, 4)
+    rung = entry.family.spaces[0]
+    x.rep.summaries(x.kernel(rung, rung, CFG), lams, n)
+    key = (x.basis, n, CFG)
+    held = x.rep._rows[key]
+    x4 = ScaleSpace(Basis.HERMITE, Fraction(4), ExpSqrtWeights())
+    rows = _count_rows(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):  # the weights overflow: inf / inf
+        assert np.isnan(x4.weights(n) / x4.weights(n)).any()
+        got = x.rep.summaries(x.kernel(x4, x4, CFG), lams, n)
+        assert _bits(got) == _bits(_unshared_row(x, x4, x4, lams, n, CFG))
+    assert np.isnan(got[0]).all() and np.isnan(got[1]).all()
+    assert rows == [(n, False)] and x.rep._rows[key] is held
+
+
+def test_configurations_differing_in_defect_eps_share_no_row(monkeypatch):
+    entry = registry()["diagonal[1/(n+1)]"]
+    x, rung, lams = entry.operator, entry.family.spaces[4], np.array([0.0, 0.5 + 0.1j])
+    rows = _count_rows(monkeypatch)
+    censuses = []
+    for cfg in (CFG, CFG.with_updates(defect_eps=1e-2)):
+        got = x.rep.summaries(x.kernel(rung, rung, cfg), lams, 256)
+        assert _bits(got) == _bits(_unshared_row(x, rung, rung, lams, 256, cfg))
+        censuses.append(got[3].tolist())
+    assert rows == [(256, True)] * 2 and censuses[0] != censuses[1]
+
+
+def test_held_rows_are_read_only(monkeypatch):
+    entry = registry()["diagonal[1/(n+1)]"]
+    x, rung, lams = entry.operator, entry.family.spaces[2], _row_of(3, 5)
+    rows = _count_rows(monkeypatch)
+    got = x.rep.summaries(x.kernel(rung, rung, CFG), lams, 512)
+    for array in (*got, *x.rep._rows[(x.basis, 512, CFG)]):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the row holds a copy of the lambda array it was asked with
+    lams[0] += 1.0
+    got = x.rep.summaries(x.kernel(rung, rung, CFG), lams, 512)
+    assert _bits(got) == _bits(_unshared_row(x, rung, rung, lams, 512, CFG))
+    assert rows == [(512, True)] * 2
