@@ -52,7 +52,16 @@ certificate yet, and ``certify`` is its one-pair view. A
 diagonal representation takes them all in one pass over its probe, in
 blocks of slots (`spaces.probe_sups`): each rung's weights are evaluated
 once per block whatever the number of pairs, and no probe-length weight
-array is built. The values are bit for bit those of one pair at a time.
+array is built; a real symbol is probed in real arithmetic. A rank
+sum's term norm is ||u||_{E^x} ||v||_F, each factor of which reads one
+rung, so its certificates sum each factor's weighted series once per
+(factor, space) in the call. The values are bit for bit those of one pair
+at a time.
+
+A `RankSum` holds, per basis, the n x r stacks of its factors u and v
+(`RankSum.factors`), read-only, like a diagonal symbol: the doubling
+schedule's norm estimates and the walks weight prefixes of them instead of
+evaluating every term again for each pair and truncation.
 
 A band matrix is bounded exactly when its diagonals are:
 sup |a_ij| <= ||A|| <= sum_k sup_m |d_k(m)| (Schur's test; Lindner, *Infinite
@@ -219,10 +228,13 @@ class Diagonal(Representation):
         return 0
 
     def certify_pairs(self, op, pairs, cfg):
-        # one blocked pass over the probe for all pairs (see the module docstring)
+        # one blocked pass over the probe for all pairs (see the module
+        # docstring); a real symbol is probed in real arithmetic, where
+        # |a r| is bit for bit the modulus of the complex product (a + 0i) r
         probe = cfg.symbol_probe
+        symbol = self.symbol(op.basis, probe)
         sups = probe_sups(op.basis, probe, pairs, cfg.growth_threshold,
-                          self.symbol(op.basis, probe))
+                          symbol if np.any(symbol.imag) else symbol.real)
         return [ContinuityCertificate(op.describe(), e, f, float("inf") if diverged else bound,
                                       CERT_FAILED if diverged else CERT_EXACT, probe)
                 for (e, f), (bound, diverged) in zip(pairs, sups)]
@@ -403,6 +415,7 @@ class RankSumTerm:
 @dataclass(frozen=True)
 class RankSum(Representation):
     terms: tuple
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entries(self, mr, mc):
         out = np.zeros((len(mr), len(mc)), dtype=complex)
@@ -416,11 +429,29 @@ class RankSum(Representation):
                              for t in self.terms))
 
     def certify(self, op, e, f, cfg):
+        return self.certify_pairs(op, [(e, f)], cfg)[0]
+
+    def certify_pairs(self, op, pairs, cfg):
+        """Each term's norm is ||u||_{E^x} ||v||_F, and each factor reads one
+        rung only, so every `weighted_norm_series` is summed once per
+        (factor function, space) in the call, spaces compared by equality: a
+        term with u is v shares its series between E^x and F = E^x."""
+        series = {}
+
+        def norm(fn, space):
+            key = (fn, space)
+            if key not in series:
+                series[key] = weighted_norm_series(fn, space, cfg)
+            return series[key]
+
+        return [self._certify(op, e, f, cfg, norm) for e, f in pairs]
+
+    def _certify(self, op, e, f, cfg, norm) -> "ContinuityCertificate":
         e_dual = dual_space(e)
         term_norms = []
         for term in self.terms:
-            nu, verdict_u = weighted_norm_series(term.u, e_dual, cfg)
-            nv, verdict_v = weighted_norm_series(term.v, f, cfg)
+            nu, verdict_u = norm(term.u, e_dual)
+            nv, verdict_v = norm(term.v, f)
             if "diverged" in (verdict_u, verdict_v):
                 term_norms.append(float("inf"))
             elif "inconclusive" in (verdict_u, verdict_v):
@@ -434,7 +465,7 @@ class RankSum(Representation):
                                          cfg.symbol_probe)
         upper = float("inf") if any(math.isinf(t) or math.isnan(t) for t in term_norms) \
             else float(sum(term_norms))
-        return replace(super().certify(op, e, f, cfg), upper_bound=upper)
+        return replace(_certify_by_truncation(op, e, f, cfg), upper_bound=upper)
 
     def limit_profile(self, op, e, f, cfg):
         # a bounded finite-rank operator is compact: no diagonal survives in the limit
@@ -444,11 +475,28 @@ class RankSum(Representation):
         """(d, V, U) of the square section S = diag(d) + V U^H at truncation n:
         rank-sum columns have unbounded support, so margins cannot make a tall
         view exact anyway."""
-        m = modes(kernel.x.basis, n).astype(float)
+        v, u = self.factors(kernel.x.basis, n)
         wf, we = kernel.f.weights(n), kernel.e.weights(n)
-        vt = np.stack([np.asarray(t.v(m), dtype=complex) * wf for t in self.terms], axis=1)
-        ut = np.stack([np.asarray(t.u(m), dtype=complex) / we for t in self.terms], axis=1)
-        return -lam * (wf / we), vt, ut
+        return -lam * (wf / we), v * wf[:, None], u / we[:, None]
+
+    def factors(self, basis: Basis, n: int) -> tuple:
+        """(V, U): the n x r stacks of the terms' v and u on the first n slots
+        of ``basis``, read-only views into the one pair held per basis; only a
+        longer prefix than any asked before is evaluated, each distinct
+        function once (U is V when every term has u is v)."""
+        held = self._held.get(basis)
+        if held is None or len(held[0]) < n:
+            m = modes(basis, n).astype(float)
+            values = {}
+            for fn in (f for t in self.terms for f in (t.v, t.u)):
+                if fn not in values:
+                    values[fn] = np.asarray(fn(m), dtype=complex)
+            v = np.stack([values[t.v] for t in self.terms], axis=1)
+            u = v if all(t.u is t.v for t in self.terms) else \
+                np.stack([values[t.u] for t in self.terms], axis=1)
+            v.flags.writeable = u.flags.writeable = False
+            held = self._held[basis] = (v, u)
+        return held[0][:n], held[1][:n]
 
     @staticmethod
     def _triangle_bound(diag: np.ndarray, vt: np.ndarray, ut: np.ndarray) -> float:

@@ -288,14 +288,18 @@ def _symbol_min(offsets: np.ndarray, limits: np.ndarray, width: int, shift: comp
     return best
 
 
+@functools.lru_cache(maxsize=32)
 def tail_slots(probe: int) -> np.ndarray:
     """The coefficient slots that tail probes sample: 32 per dyadic block,
     geometrically spaced from max(16, probe / 512), or probe - 1 if less, to
-    max(probe - 1, 1), and never at or past ``probe``."""
+    max(probe - 1, 1), and never at or past ``probe``. Computed once per
+    probe length and returned read-only."""
     first = min(max(16, probe >> 9), max(probe - 1, 1))
     blocks = max(1, int(np.log2(probe / first)))
     slots = np.rint(np.geomspace(first, max(probe - 1, 1), 32 * blocks)).astype(int)
-    return np.unique(np.minimum(slots, probe - 1))
+    slots = np.unique(np.minimum(slots, probe - 1))
+    slots.flags.writeable = False
+    return slots
 
 
 class LimitProfile:

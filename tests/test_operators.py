@@ -2,6 +2,7 @@
 
 import pathlib
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -621,3 +622,163 @@ def test_held_rows_are_read_only(monkeypatch):
     got = x.rep.summaries(x.kernel(rung, rung, CFG), lams, 512)
     assert _bits(got) == _bits(_unshared_row(x, rung, rung, lams, 512, CFG))
     assert rows == [(512, True)] * 2
+
+
+# ---------------------------------------------------------------------------
+# rank-sum certificates and held factors
+
+
+def _stacked_factors(rep, kernel, lam, n):
+    """(d, V, U) of a rank-sum section from each term's factors evaluated
+    afresh and stacked: the expression the held factors must reproduce."""
+    m = modes(kernel.x.basis, n).astype(float)
+    wf, we = kernel.f.weights(n), kernel.e.weights(n)
+    vt = np.stack([np.asarray(t.v(m), dtype=complex) * wf for t in rep.terms], axis=1)
+    ut = np.stack([np.asarray(t.u(m), dtype=complex) / we for t in rep.terms], axis=1)
+    return -lam * (wf / we), vt, ut
+
+
+def _one_pair_ranksum_certificate(op, e, f, cfg):
+    """The rank-sum certificate of one pair, each factor's series summed
+    afresh; the doubling schedule must run with `_stacked_factors`."""
+    norms = []
+    for term in op.rep.terms:
+        (nu, verdict_u), (nv, verdict_v) = (weighted_norm_series(term.u, dual_space(e), cfg),
+                                            weighted_norm_series(term.v, f, cfg))
+        verdicts = (verdict_u, verdict_v)
+        norms.append(float("inf") if "diverged" in verdicts else
+                     float("nan") if "inconclusive" in verdicts else nu * nv)
+    if len(norms) == 1 and not np.isnan(norms[0]):
+        return ContinuityCertificate(op.describe(), e, f, norms[0],
+                                     CERT_FAILED if np.isinf(norms[0]) else CERT_EXACT,
+                                     cfg.symbol_probe)
+    upper = float("inf") if not np.all(np.isfinite(norms)) else float(sum(norms))
+    return replace(_certify_by_truncation(op, e, f, cfg), upper_bound=upper)
+
+
+def _ranksum_cases():
+    """(label, function building the operator, family): torus-delta and
+    torus-comb-4 on their family and on torus-w1, ranksum-decaying on
+    bounded-scale and on torus-delta's family."""
+    w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
+    bounded = ScaleFamily.from_json(str(DATA / "bounded-scale.json"))
+    cases = [(f"{name} on {label}", lambda name=name: BUILDERS[name]().operator, family)
+             for name in ("torus-delta", "torus-comb-4")
+             for label, family in (("its family", registry()[name].family), ("torus-w1", w1))]
+    decaying = lambda: operator_from_json(str(DATA / "ranksum-decaying.json"))
+    return cases + [("ranksum-decaying on bounded-scale", decaying, bounded),
+                    ("ranksum-decaying on torus-delta's family", decaying,
+                     registry()["torus-delta"].family)]
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("case", range(6))
+def test_ranksum_certificates_equal_the_one_pair_rule(monkeypatch, case, adjoint):
+    label, build, family = _ranksum_cases()[case]
+    pairs = family.admissible_pairs()
+    if adjoint:  # the adjoint on the dual pairs, as the duality pass asks
+        pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs]
+    fresh = (lambda: build().adjoint()) if adjoint else build
+    with monkeypatch.context() as patched:
+        patched.setattr(RankSum, "_weighted_factors", _stacked_factors)
+        op = fresh()
+        want = [_one_pair_ranksum_certificate(op, e, f, CFG) for e, f in pairs]
+    got = certify_pairs(fresh(), pairs, CFG)
+    assert len(got) == len(pairs)
+    for cert, ref in zip(got, want):
+        assert _same(cert, ref), (label, adjoint, cert.e.label, cert.f.label)
+    one_at_a_time = fresh()
+    for (e, f), ref in zip(pairs, want):
+        assert _same(certify(one_at_a_time, e, f, CFG), ref), (label, adjoint, e.label, f.label)
+
+
+def test_a_ranksum_scan_sums_each_factor_series_once(monkeypatch):
+    # the scan-ranksum round: torus-comb-4 (four factors, u is v) and
+    # torus-delta (one) on W_-1..1, whose three rungs are each other's duals;
+    # one series per pair and factor side took 6 * (8 + 2) = 60
+    w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
+    summed, series = [], operators.weighted_norm_series
+
+    def counting(fn, space, cfg):
+        summed.append((fn, space))
+        return series(fn, space, cfg)
+
+    monkeypatch.setattr(operators, "weighted_norm_series", counting)
+    grid = GridSpec.parse("-1.2:0.8:2,0.5:0.5:1")
+    for name in ("torus-comb-4", "torus-delta"):
+        scan = resolvent.union_spectrum_scan(BUILDERS[name]().operator, w1, grid, CFG)
+        assert scan.duality_checked and not scan.duality_mismatches
+    assert len(summed) == len(set(summed)) == 15
+
+
+def _comb_and_decaying():
+    return [BUILDERS["torus-comb-4"]().operator,
+            operator_from_json(str(DATA / "ranksum-decaying.json"))]
+
+
+def test_held_factors_are_read_only_prefixes_of_one_evaluation():
+    for op in _comb_and_decaying():
+        rep = op.rep
+        for first, then in ((4096, 97), (97, 4096)):
+            rep._held.clear()
+            rep.factors(op.basis, first)
+            for n in (then, first):
+                m = modes(op.basis, n).astype(float)
+                for held, side in zip(rep.factors(op.basis, n), ("v", "u")):
+                    fresh = np.stack([np.asarray(getattr(t, side)(m), dtype=complex)
+                                      for t in rep.terms], axis=1)
+                    assert held.shape == fresh.shape and held.tobytes() == fresh.tobytes()
+                    with pytest.raises(ValueError):
+                        held[0, 0] = 0
+            assert len(rep._held[op.basis][0]) == 4096
+            for array in rep._held[op.basis]:
+                with pytest.raises(ValueError):
+                    array[-1, 0] = 0
+    # every comb term has u is v: one stack serves both sides
+    comb = BUILDERS["torus-comb-4"]().operator.rep
+    v, u = comb.factors(Basis.FOURIER, 256)
+    assert np.shares_memory(v, u)
+
+
+@pytest.mark.parametrize("n", [97, 256, 4096])
+def test_weighted_factors_from_held_stacks_are_bit_for_bit_the_stacked_ones(n):
+    torus = registry()["torus-delta"].family
+    pairs = [(torus.space_at(1), torus.space_at(-1)), (torus.space_at(0), torus.space_at(0)),
+             (torus.space_at(-2), torus.space_at(3))]
+    for op in _comb_and_decaying():
+        rep = op.rep
+        for e, f in pairs:
+            kernel = op.kernel(e, f, CFG)
+            for lam in (0.0, 0.3 + 0.5j):
+                want = _stacked_factors(rep, kernel, lam, n)
+                for a, b in zip(rep._weighted_factors(kernel, lam, n), want):
+                    assert a.flags.c_contiguous and a.tobytes() == b.tobytes(), (n, e.label)
+            want = rep._triangle_bound(*_stacked_factors(rep, kernel, 0.0, n))
+            assert repr(rep.norm_estimate(kernel, n)) == repr(want)
+
+
+def test_an_adjoint_holds_its_own_factors():
+    op = operator_from_json(str(DATA / "ranksum-decaying.json"))
+    adj = op.adjoint()
+    v_adj, u_adj = adj.rep.factors(op.basis, 512)
+    assert op.basis not in op.rep._held and adj.rep._held is not op.rep._held
+    v, u = op.rep.factors(op.basis, 512)
+    assert v_adj.tobytes() == u.tobytes() and u_adj.tobytes() == v.tobytes()
+    assert not np.shares_memory(v_adj, u) and not np.shares_memory(u_adj, v)
+
+
+def test_real_diagonal_symbols_are_probed_in_real_arithmetic(monkeypatch):
+    probed, probe_sups = [], operators.probe_sups
+
+    def recording(basis, probe, pairs, growth_threshold, symbol=None):
+        probed.append(symbol.dtype)
+        return probe_sups(basis, probe, pairs, growth_threshold, symbol)
+
+    monkeypatch.setattr(operators, "probe_sups", recording)
+    w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
+    skew = operator_from_spec({"basis": "fourier", "rep": {
+        "type": "diagonal", "symbol": "(0.5+2*i)*n/(abs(n)+1)"}})
+    entry = registry()["diagonal[1/(n+1)]"]
+    certify_pairs(entry.operator, entry.family.admissible_pairs(), CFG)
+    certify_pairs(skew, w1.admissible_pairs(), CFG)
+    assert probed == [np.dtype(float), np.dtype(complex)]

@@ -622,3 +622,13 @@ def test_scan_holds_no_tail_probe_length_array():
     for space in entry.family:
         held = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
         assert held and all(len(v) < CFG.symbol_probe for v in held), space.label
+
+
+def test_tail_slots_are_held_read_only_per_probe_length():
+    for probe in (40, 3000, 1 << 17):
+        slots = tail_slots(probe)
+        assert tail_slots(probe) is slots and not slots.flags.writeable
+        assert np.array_equal(slots, tail_slots.__wrapped__(probe))
+        assert tail_slots.__wrapped__(probe) is not slots
+        with pytest.raises(ValueError):
+            slots[0] = 0
