@@ -17,11 +17,10 @@ from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, dual_spa
 from .operators import (CoefficientOperator, ContinuityCertificate, certify,
                         framework_product, operator_from_json, operator_from_spec,
                         sesq_form)
-from .resolvent import (BranchReport, CellStatus, DefectReport, RegularPointReport,
-                        SpectrumMap, branch_report, defect_number, equivalent,
-                        neumann_continue, point_status, regular_point,
-                        resolvent_identity_residuals, resolvent_solve, solver_handle,
-                        union_spectrum_scan)
+from .resolvent import (BranchReport, CellStatus, SpectrumMap, branch_report,
+                        defect_number, equivalent, neumann_continue, point_status,
+                        regular_point, resolvent_identity_residuals, resolvent_solve,
+                        solver_handle, union_spectrum_scan)
 from .extensions import (DeltaInteraction, MomentumExtension, UnitIntervalQuadrature,
                          apply_momentum_resolvent, bound_state_estimate,
                          krein_difference_check, momentum_union_resolvent)
@@ -33,8 +32,8 @@ from .geneig import (delta_eigenpair, expansion_check, hermite_function_values,
 __all__ = [
     "Basis", "BranchReport", "CellStatus", "CoefficientOperator",
     "CoefficientVector", "ContinuityCertificate", "DEFAULT_CONFIG",
-    "DefectReport", "DeltaInteraction", "GalleryEntry", "GridSpec",
-    "MomentumExtension", "RegularPointReport", "RunConfig", "ScaleFamily",
+    "DeltaInteraction", "GalleryEntry", "GridSpec", "MomentumExtension",
+    "RunConfig", "ScaleFamily",
     "ScaleSpace", "SpectrumMap", "UnitIntervalQuadrature",
     "apply_momentum_resolvent", "bound_state_estimate", "branch_report",
     "certify", "defect_number", "delta_eigenpair", "dual_space",

@@ -12,6 +12,7 @@ import argparse
 import cmath
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -279,7 +280,9 @@ def _cmd_gallery(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="interspec",
         description="spectral scans and checks for operators on Hilbert scales")

@@ -22,10 +22,10 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import InterspecError, SpecParseError
+from .errors import FamilySpecError, InterspecError, SpecParseError
 from .gallery import hermite_position
 from .operators import CoefficientOperator
-from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace,
+from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, _as_index,
                      hilbert_scale_family, norm)
 
 
@@ -72,8 +72,11 @@ def delta_eigenpair(lam: float, s=1, n: int = 1024,
             f"truncation n={n} too short for lam={lam}; residual decays only "
             f"for |lam| <= {math.sqrt(1.8 * n):.3g}")
     family = family if family is not None else hilbert_scale_family("n+1", range(-4, 5))
-    home = family.space_at(-s) if _has_index(family, -s) else \
-        ScaleSpace(Basis.HERMITE, -_frac(s), family.finest.family)
+    index = -_as_index(s)
+    try:
+        home = family.space_at(index)
+    except FamilySpecError:  # not a rung of the family: the same weights at -s
+        home = ScaleSpace(Basis.HERMITE, index, family.finest.family)
     target = family.coarsest
     chi = CoefficientVector(Basis.HERMITE, hermite_function_values(lam, n).astype(complex))
     op = hermite_position().operator
@@ -83,26 +86,13 @@ def delta_eigenpair(lam: float, s=1, n: int = 1024,
     return GeneralizedEigenpair(float(lam), chi, home, float(residual), float(membership))
 
 
-def _has_index(family: ScaleFamily, index) -> bool:
-    try:
-        family.space_at(index)
-        return True
-    except Exception:
-        return False
-
-
-def _frac(s):
-    from fractions import Fraction
-    return Fraction(s) if not isinstance(s, Fraction) else s
-
-
 def membership_norm_stabilized(lam: float, s=1, tol: float = 1e-8,
                                n_start: int = 1024, n_cap: int = 1 << 20):
     """Partial sums of the home-space norm, doubled until relative stabilization.
 
     Returns (norm_value, stabilized, n_used).
     """
-    weight_s = float(_frac(s))
+    weight_s = float(_as_index(s))
     n = n_start
     total = _membership_partial(lam, 0, n, weight_s)
     while n < n_cap:

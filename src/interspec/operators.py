@@ -31,7 +31,7 @@ either basis (slot order would give 4 b on the Fourier basis). A real band,
 as real operators give at lambda = 0 and real symmetric ones between rungs
 of weight 1 at any lambda, is reduced by dsbtrd.
 The singular values are bit for bit those of ``eigvals_banded`` on that band
-(`sections._GramSpectrum`). ``section`` keeps slot order and serves solves
+without its all-zero outer rows (`sections._GramSpectrum`). ``section`` keeps slot order and serves solves
 and residuals.
 
 ``certify`` decides membership in C(E, F) through a three-valued outcome:

@@ -75,31 +75,6 @@ STATUS_INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class RegularPointReport:
-    lam: complex
-    e: ScaleSpace
-    f: ScaleSpace
-    c_low: float
-    d_high: float
-    stabilized: bool
-    witness_n: int
-    defect: Optional[object] = None  # the decision's census, None when it never took one
-
-    @property
-    def regular(self) -> bool:
-        """Did the decision get as far as its census step?"""
-        return self.defect is not None
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    lam: complex
-    e: ScaleSpace
-    f: ScaleSpace
-    defect: object  # nonnegative int or "unstable"
-
-
-@dataclass(frozen=True)
 class CellStatus:
     status: str
     c_low: float = float("nan")
@@ -107,6 +82,11 @@ class CellStatus:
     defect: Optional[object] = None
     witness_n: int = 0
     stabilized: bool = False
+
+    @property
+    def regular(self) -> bool:
+        """Did the decision get as far as its census step?"""
+        return self.defect is not None
 
 
 @dataclass(frozen=True)
@@ -235,9 +215,10 @@ def point_status(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSp
 
 
 def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
-                  cfg: RunConfig = DEFAULT_CONFIG) -> RegularPointReport:
-    """The decision's two-sided constants of the weighted section of X - lambda
-    on (E, F), checked against the certificate whenever sections were taken."""
+                  cfg: RunConfig = DEFAULT_CONFIG) -> CellStatus:
+    """The decision's cell, with the two-sided constants of the weighted section
+    of X - lambda on (E, F), checked against the certificate whenever sections
+    were taken."""
     cert = certify(x, e, f, cfg)
     if not cert.certified:
         raise NotCertifiedError(
@@ -250,18 +231,18 @@ def regular_point(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
             raise CertificateBoundError(
                 f"section norm {d_high:.6g} at n={n} exceeds the certificate "
                 f"bound {bound:.6g} on ({e.label}, {f.label})")
-    return RegularPointReport(lam, e, f, status.c_low, status.d_high, status.stabilized,
-                              status.witness_n, status.defect)
+    return status
 
 
 def defect_number(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
-                  cfg: RunConfig = DEFAULT_CONFIG) -> DefectReport:
-    """The decision's census of near-kernel directions of the wide section in F."""
-    report = regular_point(x, lam, e, f, cfg)
-    if not report.regular:
+                  cfg: RunConfig = DEFAULT_CONFIG) -> CellStatus:
+    """The decision's cell at a regular point, whose ``defect`` is the census of
+    near-kernel directions of the wide section in F."""
+    status = regular_point(x, lam, e, f, cfg)
+    if not status.regular:
         raise NotRegularError(
             f"defect defined only at regular points; lambda={lam} on ({e.label}, {f.label})")
-    return DefectReport(lam, e, f, report.defect)
+    return status
 
 
 def _require_resolvent(status: CellStatus, lam: complex, e: ScaleSpace,

@@ -51,8 +51,12 @@ wraps neither reduction, so each is called through the function pointer
 that scipy.linalg.cython_lapack exports, with the arguments, pre-scaling and
 dstebz settings that zhbevx and dsbevx use. Every value and count is
 therefore bit for bit what eigvals_banded returns for the band that the
-route builds (its real part for a real band). The band itself agrees with
-the dense Gram matrix to rounding: a few eps times |S|^H |S| per entry.
+route builds, trimmed of all-zero outer rows (its real part for a real
+band). Those rows arise for one-sided operators such as a shift: the Gram
+matrix of a bidiagonal section is tridiagonal, not pentadiagonal, and the
+reduction, O(n^2 kd), runs at the width the data has. The band itself
+agrees with the dense Gram matrix to rounding: a few eps times |S|^H |S|
+per entry.
 
 A rank-sum section S = diag(d) + V U^H is square. Its lower constant and
 its census come from one dense SVD. When the shifted weight ratio d is
@@ -185,11 +189,16 @@ def gram_band(diagonals: np.ndarray) -> np.ndarray:
 def _band_tridiagonal(ab: np.ndarray) -> tuple:
     """(d, e, sigma): the tridiagonal form of sigma * H, where ``ab`` holds a
     Hermitian band matrix H in lower band storage (entries past the end of
-    each column zero) and sigma is the pre-scaling factor of zhbevx. A band
-    whose imaginary part is all zero is reduced as a real symmetric one, by
-    dsbtrd with dsbevx's pre-scaling (the same factor), and any other by
-    zhbtrd."""
+    each column zero) and sigma is the pre-scaling factor of zhbevx. Outer
+    band rows that are all zero are dropped first, so a one-sided band, whose
+    Gram matrix has a zero outermost diagonal, is reduced at its true width.
+    A band whose imaginary part is all zero is reduced as a real symmetric
+    one, by dsbtrd with dsbevx's pre-scaling (the same factor), and any other
+    by zhbtrd."""
     kd, n = ab.shape[0] - 1, ab.shape[1]
+    while kd > 0 and not np.any(ab[kd]):
+        kd -= 1
+    ab = ab[:kd + 1]
     real = not np.any(ab.imag)
     ab = np.array(ab.real if real else ab, dtype=float if real else complex, order="F")
     anrm = max(np.max(np.abs(ab[0].real)), np.max(np.abs(ab[1:]), initial=0.0))
@@ -221,8 +230,9 @@ class _GramSpectrum:
     arguments zhbevx and dsbevx give it (ORDER='E', abstol = 2 * safe minimum,
     pre-scaled bounds, results scaled back by 1/sigma). Values and counts
     therefore equal ``scipy.linalg.eigvals_banded(ab, lower=True, select="i" or
-    "v")`` bit for bit, with ``ab.real`` in place of a band whose imaginary part
-    is all zero, while the O(n^2 kd) band reduction runs once for any number of
+    "v")`` bit for bit on the trimmed band, ``ab`` without its all-zero outer
+    rows, with its real part in place of a band whose imaginary part is all
+    zero, while the O(n^2 kd) band reduction runs once for any number of
     queries.
     """
 

@@ -13,9 +13,11 @@ Weight conventions:
 * power rungs for rapidly decreasing sequences: w_m(n) = (1 + n)^m;
 * super-polynomial surrogate rungs: w_k(n) = exp(k sqrt(n)).
 
-Index 0 always carries the flat weight so that the central space is exactly
-self-dual. Negative indices are stored as exact reciprocals of the positive
-ones, which makes the duality involution an identity on floats.
+One `ScaleWeights` class serves all four kinds, each a label prefix and a
+k > 0 formula in one table. Index 0 always carries the flat weight so that
+the central space is exactly self-dual. Negative indices are stored as
+exact reciprocals of the positive ones, which makes the duality involution
+an identity on floats.
 
 Each space holds one read-only weight array, as long as the longest prefix
 asked of ``ScaleSpace.weights`` so far, and hands out prefix views of it: the
@@ -96,98 +98,58 @@ def _as_index(value) -> Fraction:
 # weight families
 
 
+def _diagonal_values(symbol: str, m: np.ndarray) -> np.ndarray:
+    """The eigenvalues a_m of a diagonal generator at the float modes ``m``."""
+    return np.real(compile_expression(symbol, ("n",))(m))
+
+
+# kind -> (label prefix, w_k(m) for k > 0 from float(k), the float modes m and
+# the generator's symbol)
+_WEIGHT_KINDS = {
+    "diagonal": ("H", lambda k, m, symbol:
+                 np.sqrt(1.0 + _diagonal_values(symbol, m) ** (2.0 * k))),
+    "sobolev-torus": ("W", lambda k, m, symbol: (1.0 + m * m) ** (k / 2.0)),
+    "sequence-power": ("s", lambda k, m, symbol: (1.0 + np.abs(m)) ** k),
+    "exp-sqrt": ("x", lambda k, m, symbol: np.exp(k * np.sqrt(np.abs(m)))),
+}
+
+
 @dataclass(frozen=True)
-class DiagonalScaleWeights:
-    """Hilbert-scale weights generated by a diagonal operator a_n >= 1."""
+class ScaleWeights:
+    """The rungs of one weight kind of `_WEIGHT_KINDS`: w_0 = 1, the kind's
+    formula for k > 0 and w_(-k) = 1/w_k. ``symbol`` is the a_n >= 1 of a
+    diagonal generator, checked on its first 2048 modes, and None for the
+    other kinds."""
 
-    symbol: str = "n+1"
-    prefix: str = "H"
-    kind: str = field(default="diagonal", init=False)
+    kind: str
+    symbol: Optional[str] = None
 
-    def values(self, m: np.ndarray) -> np.ndarray:
-        a = compile_expression(self.symbol, ("n",))(np.asarray(m, dtype=float))
-        return np.real(a)
+    def __post_init__(self) -> None:
+        if self.kind not in _WEIGHT_KINDS:
+            raise FamilySpecError(f"unknown generator type {self.kind!r}")
+        if self.kind == "diagonal":
+            sample = _diagonal_values(self.symbol, np.arange(2048, dtype=float))
+            if not np.all(np.isfinite(sample)) or np.min(sample) < 1.0 - 1e-12:
+                raise FamilySpecError(
+                    f"diagonal scale symbol {self.symbol!r} must satisfy a_n >= 1")
+
+    @property
+    def prefix(self) -> str:
+        return _WEIGHT_KINDS[self.kind][0]
 
     def weight(self, k: Fraction, m: np.ndarray) -> np.ndarray:
         m = np.asarray(m, dtype=float)
         if k == 0:
             return np.ones_like(m)
         if k > 0:
-            a = self.values(m)
-            return np.sqrt(1.0 + a ** (2.0 * float(k)))
+            return _WEIGHT_KINDS[self.kind][1](float(k), m, self.symbol)
         return 1.0 / self.weight(-k, m)
 
-    def validate(self) -> None:
-        sample = self.values(np.arange(2048, dtype=float))
-        if not np.all(np.isfinite(sample)) or np.min(sample) < 1.0 - 1e-12:
-            raise FamilySpecError(f"diagonal scale symbol {self.symbol!r} must satisfy a_n >= 1")
-
     def to_spec(self) -> dict:
-        return {"type": "diagonal", "symbol": self.symbol}
-
-
-@dataclass(frozen=True)
-class SobolevTorusWeights:
-    prefix: str = "W"
-    kind: str = field(default="sobolev-torus", init=False)
-
-    def weight(self, k: Fraction, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        if k == 0:
-            return np.ones_like(m)
-        if k > 0:
-            return (1.0 + m * m) ** (float(k) / 2.0)
-        return 1.0 / self.weight(-k, m)
-
-    def validate(self) -> None:
-        pass
-
-    def to_spec(self) -> dict:
-        return {"type": "sobolev-torus"}
-
-
-@dataclass(frozen=True)
-class SequencePowerWeights:
-    """Rungs (1+n)^m of the rapidly-decreasing-sequence chain."""
-
-    prefix: str = "s"
-    kind: str = field(default="sequence-power", init=False)
-
-    def weight(self, k: Fraction, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        if k == 0:
-            return np.ones_like(m)
-        if k > 0:
-            return (1.0 + np.abs(m)) ** float(k)
-        return 1.0 / self.weight(-k, m)
-
-    def validate(self) -> None:
-        pass
-
-    def to_spec(self) -> dict:
-        return {"type": "sequence-power"}
-
-
-@dataclass(frozen=True)
-class ExpSqrtWeights:
-    """Super-polynomial surrogate rungs exp(k sqrt(n))."""
-
-    prefix: str = "x"
-    kind: str = field(default="exp-sqrt", init=False)
-
-    def weight(self, k: Fraction, m: np.ndarray) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        if k == 0:
-            return np.ones_like(m)
-        if k > 0:
-            return np.exp(float(k) * np.sqrt(np.abs(m)))
-        return 1.0 / self.weight(-k, m)
-
-    def validate(self) -> None:
-        pass
-
-    def to_spec(self) -> dict:
-        return {"type": "exp-sqrt"}
+        spec = {"type": self.kind}
+        if self.symbol is not None:
+            spec["symbol"] = self.symbol
+        return spec
 
 
 @dataclass(frozen=True)
@@ -213,28 +175,13 @@ class PointwiseMaxWeights:
             return 1.0 / base
         raise FamilySpecError("intersection space supports only its own index and its dual")
 
-    def validate(self) -> None:
-        pass
-
     def to_spec(self) -> dict:
         return {"type": "pointwise-max"}
 
 
-_GENERATORS = {
-    "diagonal": lambda spec: DiagonalScaleWeights(symbol=spec.get("symbol", "n+1")),
-    "sobolev-torus": lambda spec: SobolevTorusWeights(),
-    "sequence-power": lambda spec: SequencePowerWeights(),
-    "exp-sqrt": lambda spec: ExpSqrtWeights(),
-}
-
-
-def generator_from_spec(spec: dict):
+def generator_from_spec(spec: dict) -> ScaleWeights:
     kind = spec.get("type")
-    if kind not in _GENERATORS:
-        raise FamilySpecError(f"unknown generator type {kind!r}")
-    gen = _GENERATORS[kind](spec)
-    gen.validate()
-    return gen
+    return ScaleWeights(kind, spec.get("symbol", "n+1") if kind == "diagonal" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +414,7 @@ class ScaleFamily:
     def from_spec(cls, spec: dict) -> "ScaleFamily":
         basis = Basis.parse(spec["basis"])
         gen = generator_from_spec(spec.get("generator", {}))
-        if isinstance(gen, SobolevTorusWeights) and basis is not Basis.FOURIER:
+        if gen.kind == "sobolev-torus" and basis is not Basis.FOURIER:
             raise FamilySpecError("sobolev-torus weights require the fourier basis")
         indices = [_as_index(k) for k in spec.get("indices", [])]
         spaces = tuple(ScaleSpace(basis, k, gen) for k in indices)
@@ -486,23 +433,22 @@ class ScaleFamily:
 
 def hilbert_scale_family(symbol: str = "n+1", indices: Iterable = range(-3, 4),
                          basis: Basis = Basis.HERMITE) -> ScaleFamily:
-    gen = DiagonalScaleWeights(symbol=symbol)
-    gen.validate()
+    gen = ScaleWeights("diagonal", symbol)
     return ScaleFamily(basis, tuple(ScaleSpace(basis, _as_index(k), gen) for k in indices))
 
 
 def sobolev_torus_family(indices: Iterable = range(-4, 5)) -> ScaleFamily:
-    gen = SobolevTorusWeights()
+    gen = ScaleWeights("sobolev-torus")
     return ScaleFamily(Basis.FOURIER, tuple(ScaleSpace(Basis.FOURIER, _as_index(k), gen)
                                             for k in indices))
 
 
 def sequence_power_family(indices: Iterable = range(-4, 5),
                           basis: Basis = Basis.HERMITE) -> ScaleFamily:
-    gen = SequencePowerWeights()
+    gen = ScaleWeights("sequence-power")
     return ScaleFamily(basis, tuple(ScaleSpace(basis, _as_index(k), gen) for k in indices))
 
 
 def exp_sqrt_pair(basis: Basis = Basis.HERMITE) -> tuple:
-    gen = ExpSqrtWeights()
+    gen = ScaleWeights("exp-sqrt")
     return (ScaleSpace(basis, Fraction(1), gen), ScaleSpace(basis, Fraction(-1), gen))

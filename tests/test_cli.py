@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 from interspec import gallery
-from interspec.cli import main
+from interspec.cli import build_parser, main
 from interspec.config import RunConfig
 from interspec.expressions import parse_complex
 
@@ -191,6 +191,13 @@ def test_bad_arguments_exit_two(capsys):
     assert code == 2
     code, _, _ = run(capsys, "no-such-command")
     assert code == 2
+
+
+def test_the_parser_is_built_once_and_parses_after_a_failed_parse(capsys):
+    assert build_parser() is build_parser()
+    assert run(capsys, "geneig", "--lambda-grid=0:1:2", "--n", "x")[0] == 2
+    args = build_parser().parse_args(["geneig", "--lambda-grid=0:1:2"])
+    assert (args.s, args.n, args.out) == ("1", 1024, None)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -1,5 +1,7 @@
 """Point-evaluation eigenvectors, expansion reconstruction, restrictions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from interspec.geneig import (delta_eigenpair, expansion_check,
                               hermite_function_values,
                               membership_norm_stabilized, parseval_gap,
                               restricted_operator_report, smallest_stable_index)
-from interspec.spaces import Basis, CoefficientVector
+from interspec.spaces import Basis, CoefficientVector, ScaleSpace, norm
 
 CFG = RunConfig()
 
@@ -57,6 +59,17 @@ def test_eigenpair_residual_contract():
         pair = delta_eigenpair(lam, 1, 1024, cfg=CFG)
         assert pair.residual <= 1e-6
         assert np.isfinite(pair.membership_norm) and pair.membership_norm > 0
+
+
+def test_a_float_home_index_converts_as_rung_indices_do():
+    # 1.1 is the rung H_-11/10, with the weights of the exact binary 1.1
+    pair = delta_eigenpair(0.5, 1.1, 512, cfg=CFG)
+    assert pair.home_space.label == "H_-11/10"
+    exact = ScaleSpace(Basis.HERMITE, -Fraction(1.1), pair.home_space.family)
+    assert np.array_equal(pair.home_space.weights(512), exact.weights(512))
+    assert pair.membership_norm == norm(pair.vector, exact)
+    assert delta_eigenpair(0.5, 1.5, 512, cfg=CFG) == \
+        delta_eigenpair(0.5, Fraction(3, 2), 512, cfg=CFG)
 
 
 def test_eigenpair_tridiagonal_oracle():

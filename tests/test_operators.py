@@ -19,7 +19,7 @@ from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOpe
                                  weighted_norm_series)
 from interspec.gallery import BUILDERS, hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
-from interspec.spaces import (Basis, CoefficientVector, ExpSqrtWeights, ScaleFamily, ScaleSpace,
+from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, ScaleWeights,
                               dual_space, hilbert_scale_family, modes, running_sup, sequence_power_family,
                               sobolev_torus_family)
 
@@ -587,7 +587,7 @@ def test_an_overflowing_ratio_neither_reads_nor_replaces_the_held_row(monkeypatc
     x.rep.summaries(x.kernel(rung, rung, CFG), lams, n)
     key = (x.basis, n, CFG)
     held = x.rep._rows[key]
-    x4 = ScaleSpace(Basis.HERMITE, Fraction(4), ExpSqrtWeights())
+    x4 = ScaleSpace(Basis.HERMITE, Fraction(4), ScaleWeights("exp-sqrt"))
     rows = _count_rows(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):  # the weights overflow: inf / inf
         assert np.isnan(x4.weights(n) / x4.weights(n)).any()

@@ -18,7 +18,7 @@ from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, branch_re
                                  defect_number, point_status, union_spectrum_scan)
 from interspec.sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary,
                                 tail_slots)
-from interspec.spaces import Basis, DiagonalScaleWeights, ScaleFamily, modes
+from interspec.spaces import Basis, ScaleFamily, ScaleWeights, modes
 
 CFG = RunConfig()
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -270,6 +270,24 @@ def test_banded_gram_band_and_constants_match_dense(x, e, f, lam, n):
     assert abs(got.c_low ** 2 - sv[True][-1] ** 2) <= tol
     assert abs(got.d_high ** 2 - sv[True][0] ** 2) <= tol
     assert abs(got.surj_low ** 2 - sv[False][-1] ** 2) <= tol
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3 + 0.5j, 1.2])
+def test_one_sided_band_summary_matches_dense(lam):
+    # the right shift is bidiagonal, so both Gram bands have an all-zero outer
+    # row, which the reduction drops
+    x = operator_from_json(str(DATA / "right-shift.json"))
+    h0 = registry()["position"].family.space_at(0)
+    n, kernel = 512, PairKernel(x, h0, h0, CFG)
+    for tall in (True, False):
+        assert not np.any(x.rep.gram_band(kernel, lam, n, tall)[-1])
+    got = kernel.summary(lam, n)
+    rows = n + max(x.position_bandwidth(), 1)
+    tall = np.linalg.svd(_dense_mode_order_section(x, h0, h0, lam, rows, n), compute_uv=False)
+    wide = np.linalg.svd(_dense_mode_order_section(x, h0, h0, lam, n, rows), compute_uv=False)
+    assert got.c_low == pytest.approx(tall[-1], rel=1e-10)
+    assert got.d_high == pytest.approx(tall[0], rel=1e-10)
+    assert got.census == int(np.sum(wide < CFG.defect_eps * wide[0]))
 
 
 def _check_prescaled_band(name, lam, scale, f_index=0):
@@ -593,14 +611,14 @@ def test_held_symbol_is_bit_identical_to_a_fresh_evaluation(make):
 
 def _count_weight_evaluations(monkeypatch, below: int) -> list:
     counted = []
-    weight = DiagonalScaleWeights.weight
+    weight = ScaleWeights.weight
 
     def counting(self, k, m):
         if np.size(m) < below:
             counted.append(np.size(m))
         return weight(self, k, m)
 
-    monkeypatch.setattr(DiagonalScaleWeights, "weight", counting)
+    monkeypatch.setattr(ScaleWeights, "weight", counting)
     return counted
 
 

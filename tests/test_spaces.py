@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interspec.errors import BasisMismatchError
+from interspec.errors import BasisMismatchError, FamilySpecError
 from interspec.gallery import registry
 from interspec.config import RunConfig
 from interspec.spaces import (PROBE_BLOCK, Basis, CoefficientVector, ScaleFamily, ScaleSpace,
-                              DiagonalScaleWeights, SequencePowerWeights,
-                              dual_space, embedding_norm, exp_sqrt_pair, hilbert_scale_family,
-                              intersection, modes, norm, pairing, running_sup,
+                              ScaleWeights,
+                              dual_space, embedding_norm, exp_sqrt_pair, generator_from_spec,
+                              hilbert_scale_family, intersection, modes, norm, pairing, running_sup,
                               sequence_power_family, sobolev_torus_family)
 
 
@@ -68,7 +68,7 @@ def test_dual_space_power_weights():
 @given(st.integers(min_value=-6, max_value=6))
 @settings(max_examples=13, deadline=None)
 def test_duality_involution_exact(k):
-    for gen in (DiagonalScaleWeights("n+1"), SequencePowerWeights()):
+    for gen in (ScaleWeights("diagonal", "n+1"), ScaleWeights("sequence-power")):
         space = ScaleSpace(Basis.HERMITE, Fraction(k), gen)
         again = dual_space(dual_space(space))
         assert again == space
@@ -143,6 +143,25 @@ def test_family_json_roundtrip(tmp_path, scale):
     torus = sobolev_torus_family(range(-2, 3))
     torus.save(str(path))
     assert ScaleFamily.from_json(str(path)) == torus
+
+
+def test_scale_weights_keep_each_kind_formula_label_and_identity():
+    m, k = np.arange(-40, 41, dtype=float), Fraction(3, 2)
+    a = m * m + 1.0
+    formulas = {ScaleWeights("diagonal", "n*n+1"): ("H", np.sqrt(1.0 + a ** (2.0 * 1.5))),
+                ScaleWeights("sobolev-torus"): ("W", (1.0 + m * m) ** (1.5 / 2.0)),
+                ScaleWeights("sequence-power"): ("s", (1.0 + np.abs(m)) ** 1.5),
+                ScaleWeights("exp-sqrt"): ("x", np.exp(1.5 * np.sqrt(np.abs(m))))}
+    for gen, (prefix, expected) in formulas.items():
+        assert np.array_equal(gen.weight(k, m), expected)
+        assert np.array_equal(gen.weight(-k, m), 1.0 / expected)
+        assert np.array_equal(gen.weight(Fraction(0), m), np.ones_like(m))
+        assert ScaleSpace(Basis.FOURIER, k, gen).label == f"{prefix}_3/2"
+        assert generator_from_spec(gen.to_spec()) == gen
+    assert len(set(formulas) | {ScaleWeights("diagonal", "n+1")}) == 5
+    for spec in ({"type": "nope"}, {"type": "diagonal", "symbol": "n"}):
+        with pytest.raises(FamilySpecError):
+            generator_from_spec(spec)
 
 
 def test_admissible_pairs_orientation(scale):
