@@ -287,38 +287,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="interspec",
         description="spectral scans and checks for operators on Hilbert scales")
     sub = parser.add_subparsers(dest="command", required=True)
+    # options that several subcommands share, each declared once
+    operands, config, out = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    operands.add_argument("--operator", required=True,
+                          help="operator spec JSON path or gallery:NAME")
+    operands.add_argument("--family", required=True,
+                          help="family spec JSON path or gallery:NAME")
+    config.add_argument("--config", default=None)
+    out.add_argument("--out", default=None)
 
-    scan = sub.add_parser("scan", help="color a lambda grid for every admissible pair")
-    scan.add_argument("--operator", required=True,
-                      help="operator spec JSON path or gallery:NAME")
-    scan.add_argument("--family", required=True,
-                      help="family spec JSON path or gallery:NAME")
+    scan = sub.add_parser("scan", parents=[operands, config],
+                          help="color a lambda grid for every admissible pair")
     scan.add_argument("--grid", required=True, help="re0:re1:nRe,im0:im1:nIm")
-    scan.add_argument("--config", default=None)
     scan.add_argument("--out", required=True, help="output directory")
     scan.add_argument("--plot-data", default=None,
                       help="also write x/y/status columns to this file")
     scan.set_defaults(func=_cmd_scan)
 
-    branches = sub.add_parser("branches", help="resolvent branches at one point")
-    branches.add_argument("--operator", required=True)
-    branches.add_argument("--family", required=True)
+    branches = sub.add_parser("branches", parents=[operands, config, out],
+                              help="resolvent branches at one point")
     branches.add_argument("--lambda", required=True)
-    branches.add_argument("--config", default=None)
-    branches.add_argument("--out", default=None)
     branches.set_defaults(func=_cmd_branches)
 
-    neumann = sub.add_parser("neumann", help="series continuation vs direct solve")
-    neumann.add_argument("--operator", required=True)
-    neumann.add_argument("--family", required=True)
+    neumann = sub.add_parser("neumann", parents=[operands, config, out],
+                             help="series continuation vs direct solve")
     neumann.add_argument("--pair", required=True, help="E,F as family indices")
     neumann.add_argument("--lambda0", required=True)
     neumann.add_argument("--lambda", required=True)
-    neumann.add_argument("--config", default=None)
-    neumann.add_argument("--out", default=None)
     neumann.set_defaults(func=_cmd_neumann)
 
-    krein = sub.add_parser("krein", help="resolvent-difference check for two extensions")
+    krein = sub.add_parser("krein", parents=[config, out],
+                           help="resolvent-difference check for two extensions")
     krein.add_argument("--alpha", required=True, help="angle in radians or a+bi")
     krein.add_argument("--beta", required=True)
     krein.add_argument("--lambda", required=True)
@@ -326,38 +325,33 @@ def build_parser() -> argparse.ArgumentParser:
     krein.add_argument("--nodes", type=int, default=256)
     krein.add_argument("--nodes-out", default=None,
                        help="CSV of node values of both sides")
-    krein.add_argument("--config", default=None)
-    krein.add_argument("--out", default=None)
     krein.set_defaults(func=_cmd_krein)
 
-    cover = sub.add_parser("momentum-cover", help="union coverage of extension family")
+    cover = sub.add_parser("momentum-cover", parents=[out],
+                           help="union coverage of extension family")
     cover.add_argument("--alphas", required=True, help="comma list of angles or a+bi")
     cover.add_argument("--grid", required=True)
-    cover.add_argument("--out", default=None)
     cover.set_defaults(func=_cmd_momentum_cover)
 
-    delta = sub.add_parser("delta-bound", help="point-interaction bound state")
+    delta = sub.add_parser("delta-bound", parents=[out], help="point-interaction bound state")
     delta.add_argument("--alpha", type=float, required=True)
     delta.add_argument("--center", type=float, default=0.0)
     delta.add_argument("--L", type=float, default=20.0)
     delta.add_argument("--h0", type=float, default=0.1)
     delta.add_argument("--levels", type=int, default=3)
-    delta.add_argument("--out", default=None)
     delta.set_defaults(func=_cmd_delta_bound)
 
-    geneig = sub.add_parser("geneig", help="point-evaluation eigenvector residuals")
+    geneig = sub.add_parser("geneig", parents=[config, out],
+                            help="point-evaluation eigenvector residuals")
     geneig.add_argument("--lambda-grid", required=True, help="a:b:n (real axis)")
     geneig.add_argument("--s", default="1", help="home index, e.g. 1 or 3/2")
     geneig.add_argument("--n", type=int, default=1024)
-    geneig.add_argument("--config", default=None)
-    geneig.add_argument("--out", default=None)
     geneig.set_defaults(func=_cmd_geneig)
 
-    expansion = sub.add_parser("expansion", help="reconstruction error of expansion")
+    expansion = sub.add_parser("expansion", parents=[config, out],
+                               help="reconstruction error of expansion")
     expansion.add_argument("--phi", required=True,
                            help="e<k> or comma list of complex coefficients")
-    expansion.add_argument("--config", default=None)
-    expansion.add_argument("--out", default=None)
     expansion.set_defaults(func=_cmd_expansion)
 
     gallery = sub.add_parser("gallery", help="list or show model operators")
@@ -376,10 +370,7 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SpecParseError as exc:
-        sys.stderr.write(f"spec error: {exc}\n")
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (SpecParseError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return 2
     except _PRECONDITION_ERRORS as exc:

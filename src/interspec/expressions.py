@@ -57,9 +57,15 @@ def _validate(node: ast.AST, variables: Sequence[str]) -> None:
         raise SpecParseError(f"disallowed syntax: {ast.dump(node, annotate_fields=False)[:60]}")
 
 
-@functools.lru_cache(maxsize=None)
 def compile_expression(source: str, variables: tuple[str, ...]) -> Callable[..., np.ndarray]:
-    """Compile ``source`` into a vectorized callable of the named variables."""
+    """Compile the string ``source`` into a vectorized callable of the named variables."""
+    if not isinstance(source, str):
+        raise SpecParseError(f"expression {source!r} is not a string")
+    return _compile(source, variables)
+
+
+@functools.lru_cache(maxsize=None)
+def _compile(source: str, variables: tuple[str, ...]) -> Callable[..., np.ndarray]:
     text = source.replace("^", "**")
     try:
         tree = ast.parse(text, mode="eval")

@@ -67,9 +67,6 @@ class UnitIntervalQuadrature:
             return np.zeros_like(np.asarray(samples, dtype=complex))
         return legendre.legval(self._t, legendre.legder(coeffs)) * 2.0
 
-    def sample(self, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        return np.asarray(fn(self.nodes), dtype=complex)
-
     def legendre_probe(self, k: int) -> np.ndarray:
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0

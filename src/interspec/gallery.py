@@ -19,8 +19,8 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import SymbolGrowthError, UnsupportedSymbolError
 from .expressions import compile_expression
-from .operators import (Banded, CoefficientOperator, Diagonal, RankSum, RankSumTerm,
-                        certify)
+from .operators import (Banded, CoefficientOperator, RankSum, RankSumTerm, certify,
+                        operator_from_spec)
 from .spaces import (Basis, ScaleFamily, exp_sqrt_pair, hilbert_scale_family,
                      sequence_power_family, sobolev_torus_family)
 
@@ -42,8 +42,6 @@ class SpectrumDescriptor:
         lam = complex(lam)
         if self.kind == "all":
             return True
-        if self.kind == "empty":
-            return False
         hit = False
         if self.points:
             hit = hit or min(abs(lam - p) for p in self.points) <= tol
@@ -149,12 +147,9 @@ def hermite_diagonal(symbol: str, family_order: int = 4,
     if p > 12 or float(np.max(np.abs(sample))) > head * (1 << 14) ** 12:
         raise SymbolGrowthError(
             f"symbol {symbol!r} grows super-polynomially (fitted exponent {p:.1f})")
-    op = CoefficientOperator(
-        Basis.HERMITE,
-        Diagonal(lambda m, f=fn: np.asarray(f(np.asarray(m, dtype=float)), dtype=complex),
-                 source=symbol),
-        symmetric=bool(np.allclose(sample.imag, 0.0)),
-        name=f"diagonal multiplier a_n = {symbol}")
+    op = operator_from_spec({"basis": "hermite", "symmetric": bool(np.allclose(sample.imag, 0.0)),
+                             "name": f"diagonal multiplier a_n = {symbol}",
+                             "rep": {"type": "diagonal", "symbol": symbol}})
     family = sequence_power_family(range(-family_order, family_order + 1))
     descriptor = sequence_closure(symbol)
     return GalleryEntry(
@@ -166,14 +161,11 @@ def hermite_diagonal(symbol: str, family_order: int = 4,
 
 def scale_generator_entry(symbol: str = "n+1", order: int = 3) -> GalleryEntry:
     """The scale generator viewed on its own chain: resolvent lives on (k, k-1)."""
-    fn = compile_expression(symbol, ("n",))
-    op = CoefficientOperator(
-        Basis.HERMITE,
-        Diagonal(lambda m, f=fn: np.asarray(f(np.asarray(m, dtype=float)), dtype=complex),
-                 source=symbol),
-        symmetric=True, name=f"scale generator a_n = {symbol}")
+    op = operator_from_spec({"basis": "hermite", "symmetric": True,
+                             "name": f"scale generator a_n = {symbol}",
+                             "rep": {"type": "diagonal", "symbol": symbol}})
     family = hilbert_scale_family(symbol, range(-order, order + 1))
-    sample = np.asarray(fn(np.arange(1 << 12, dtype=float)), dtype=complex)
+    sample = np.asarray(op.rep.values(np.arange(1 << 12, dtype=float)), dtype=complex)
     return GalleryEntry(
         name="scale-generator", operator=op, family=family,
         expected_spectrum=sequence_closure(symbol),

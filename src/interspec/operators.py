@@ -47,16 +47,16 @@ An operator holds one `PairKernel` per (E, F, cfg), compared by equality
 certificate once one is taken. Membership in C(E, F) and the limit
 operators do not depend on lambda, so all the queries on one operator
 certify and probe each pair once; only the section walks depend on lambda.
-``certify_pairs`` certifies, in one call, the pairs whose kernels hold no
-certificate yet, and ``certify`` is its one-pair view. A
-diagonal representation takes them all in one pass over its probe, in
-blocks of slots (`spaces.probe_sups`): each rung's weights are evaluated
-once per block whatever the number of pairs, and no probe-length weight
-array is built; a real symbol is probed in real arithmetic. A rank
-sum's term norm is ||u||_{E^x} ||v||_F, each factor of which reads one
-rung, so its certificates sum each factor's weighted series once per
-(factor, space) in the call. The values are bit for bit those of one pair
-at a time.
+``certify_pairs`` certifies the pairs whose kernels hold no certificate yet
+in one call to ``Representation.certify_pairs``, a representation's only
+certificate method, and ``certify`` is its one-pair view. A diagonal
+representation takes them all in one pass over its probe, in blocks of
+slots (`spaces.probe_sups`): each rung's weights are evaluated once per
+block whatever the number of pairs, and no probe-length weight array is
+built; a real symbol is probed in real arithmetic. A rank sum's term norm
+is ||u||_{E^x} ||v||_F, each factor of which reads one rung, so its
+certificates sum each factor's weighted series once per (factor, space) in
+the call. The values are bit for bit those of one pair at a time.
 
 A `RankSum` holds, per basis, the n x r stacks of its factors u and v
 (`RankSum.factors`), read-only, like a diagonal symbol: the doubling
@@ -65,11 +65,11 @@ evaluating every term again for each pair and truncation.
 
 A band matrix is bounded exactly when its diagonals are:
 sup |a_ij| <= ||A|| <= sum_k sup_m |d_k(m)| (Schur's test; Lindner, *Infinite
-Matrices and their Finite Sections*, 2006, section 1.3). So ``Banded.certify``
-first probes the weighted diagonals w_F(m + k) X[m + k, m] / w_E(m) on the
-sampled tail slots of the limit probes, and fails the pair, with no section,
-when their running sup grows. Bounded diagonals, or a NaN among them, decide
-nothing, and the doubling schedule gives the certificate and its norm.
+Matrices and their Finite Sections*, 2006, section 1.3). So ``Banded.certify_pairs``
+probes the weighted diagonals w_F(m + k) X[m + k, m] / w_E(m), X evaluated once
+per call, on the sampled tail slots of the limit probes, and fails a pair, with
+no section, when their running sup grows. Bounded diagonals, or a NaN among
+them, decide nothing, and the doubling schedule gives the certificate and its norm.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ class Representation:
 
     A representation must supply ``entries`` and ``adjoint``; the remaining
     methods default to treating the matrix as dense and may be overridden
-    where the structure allows something cheaper or exact.
+    where the structure allows something cheaper or exact. ``certify_pairs``
+    is the one certificate method, and it takes all the pairs of a call.
     """
 
     def entries(self, mr: np.ndarray, mc: np.ndarray) -> np.ndarray:
@@ -144,14 +145,9 @@ class Representation:
         """Bandwidth in coefficient-slot order; None means full rows/columns."""
         return None
 
-    def certify(self, op: "CoefficientOperator", e: ScaleSpace, f: ScaleSpace,
-                cfg: RunConfig) -> "ContinuityCertificate":
-        """Closed-form certificate where one exists, else the doubling schedule."""
-        return _certify_by_truncation(op, e, f, cfg)
-
     def certify_pairs(self, op: "CoefficientOperator", pairs: list, cfg: RunConfig) -> list:
-        """``certify`` of every (E, F) in ``pairs``, in order."""
-        return [self.certify(op, e, f, cfg) for e, f in pairs]
+        """The certificate of each (E, F) in ``pairs``: here its doubling schedule."""
+        return [_certify_by_truncation(op, e, f, cfg) for e, f in pairs]
 
     def summary(self, kernel: PairKernel, lam: complex, n: int) -> SectionSummary:
         """Section summary of ``kernel``'s pair at truncation n, census
@@ -332,18 +328,19 @@ class Banded(Representation):
     def slot_bandwidth(self, basis):
         return 2 * self.bandwidth + 1 if basis is Basis.FOURIER else self.bandwidth
 
-    def certify(self, op, e, f, cfg):
+    def certify_pairs(self, op, pairs, cfg):
         # no entry of W_F X W_E^{-1} exceeds its norm: growing weighted
         # diagonals fail the pair with no section (see the module docstring)
         slots = tail_slots(cfg.symbol_probe)
         m = slot_modes(op.basis, slots).astype(float)
-        band = range(-self.bandwidth, self.bandwidth + 1)
-        mags = np.max([np.abs(f.weight_at(m + k) * np.asarray(self.entry(m + k, m), dtype=complex))
-                       for k in band], axis=0) / e.weight_at(m)
-        if running_sup(mags, cfg.growth_threshold, slots)[1]:
-            return ContinuityCertificate(op.describe(), e, f, float("inf"), CERT_FAILED,
-                                         cfg.symbol_probe)
-        return super().certify(op, e, f, cfg)
+        band = [(k, np.asarray(self.entry(m + k, m), dtype=complex))  # once for all pairs
+                for k in range(-self.bandwidth, self.bandwidth + 1)]
+        mags = [np.max([np.abs(f.weight_at(m + k) * d) for k, d in band], axis=0) / e.weight_at(m)
+                for e, f in pairs]
+        return [ContinuityCertificate(op.describe(), e, f, float("inf"), CERT_FAILED,
+                                      cfg.symbol_probe)
+                if running_sup(mag, cfg.growth_threshold, slots)[1]
+                else _certify_by_truncation(op, e, f, cfg) for (e, f), mag in zip(pairs, mags)]
 
     def gram_band(self, kernel: PairKernel, lam: complex, n: int, tall: bool) -> np.ndarray:
         """Lower band storage of the Gram matrix of S = W_F (X - lambda) W_E^{-1}
@@ -427,9 +424,6 @@ class RankSum(Representation):
     def adjoint(self):
         return RankSum(tuple(RankSumTerm(t.v, t.u, t.v_source, t.u_source)
                              for t in self.terms))
-
-    def certify(self, op, e, f, cfg):
-        return self.certify_pairs(op, [(e, f)], cfg)[0]
 
     def certify_pairs(self, op, pairs, cfg):
         """Each term's norm is ||u||_{E^x} ||v||_F, and each factor reads one

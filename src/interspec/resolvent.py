@@ -61,7 +61,7 @@ from .errors import (CertificateBoundError, NeumannRadiusError, NotCertifiedErro
 from .operators import CERT_FAILED, CoefficientOperator, certify, certify_pairs
 from .sections import PairKernel
 from .spaces import (CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
-                     embedding_norm)
+                     column_norms, embedding_norm, norm)
 
 STATUS_RESOLVENT = "resolvent"
 STATUS_REGULAR_DEFECT = "regular-defect"
@@ -282,17 +282,6 @@ def _factorize(x: CoefficientOperator, lam: complex, square) -> Callable:
     return lambda b: scipy.linalg.lu_solve(lu, b)
 
 
-def _column_norms(block: np.ndarray, space: Optional[ScaleSpace]) -> np.ndarray:
-    """The norm in ``space`` (plain l2 when None) of each column of ``block``, bit
-    for bit its `norm`: each sums as a contiguous row of the transpose."""
-    weights = space.weights(len(block)) if space is not None else 1.0
-    terms = np.abs(block.T, order="C")  # |x|^2 w w, formed in place
-    terms *= terms
-    terms *= weights
-    terms *= weights
-    return np.sqrt(np.sum(terms, axis=1))
-
-
 def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
                               eta: CoefficientVector, n: int) -> CoefficientVector:
     """Solve the square truncated system (X_n - lambda) xi = eta."""
@@ -308,7 +297,7 @@ def resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Scal
     one-column view of the block solve `_resolvent_solve`."""
     check_same_basis(x, eta)
     [(xi, residual, n)] = _resolvent_solve(x, lam, e, f, eta.coeffs[:, None], cfg, status, {})
-    return SolveResult(xi, float(_column_norms(xi.coeffs[:, None], e)[0]), residual, n)
+    return SolveResult(xi, norm(xi, e), residual, n)
 
 
 def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
@@ -322,7 +311,7 @@ def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Sca
     check_same_basis(x, e, f)
     status = _require_resolvent(status if status is not None
                                 else point_status(x, lam, e, f, cfg), lam, e, f)
-    eta_f = _column_norms(eta, f)
+    eta_f = column_norms(eta, f)
     results, todo = [None] * eta.shape[1], np.arange(eta.shape[1])
     n = max(status.witness_n, len(eta))
     while True:
@@ -335,7 +324,7 @@ def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Sca
         resid = block @ xi
         resid[:n] -= lam * xi
         resid[:len(rhs)] -= rhs
-        residual = _column_norms(resid, f)
+        residual = column_norms(resid, f)
         met = residual <= cfg.solve_tol * np.maximum(eta_f[todo], 1e-300)
         for j, vec, r in zip(todo[met].tolist(), xi[:, met].T, residual[met].tolist()):
             results[j] = (CoefficientVector(x.basis, vec.copy()), r, n)
@@ -513,8 +502,8 @@ def _agree(out_b: np.ndarray, out_c: np.ndarray, cfg: RunConfig,
     n = max(len(out_b), len(out_c))
     out_b, out_c = (out if len(out) == n else np.pad(out, ((0, n - len(out)), (0, 0)))
                     for out in (out_b, out_c))
-    size = _column_norms(out_b - out_c, norm_space)
-    b_norms = b_norms if b_norms is not None else _column_norms(out_b, norm_space)
+    size = column_norms(out_b - out_c, norm_space)
+    b_norms = b_norms if b_norms is not None else column_norms(out_b, norm_space)
     return ~(size > cfg.eq_tol * np.maximum(b_norms, 1.0))
 
 
@@ -740,7 +729,7 @@ def branch_report(x: CoefficientOperator, family: ScaleFamily, lam: complex,
         top = max(n for _, _, n in results)
         held.append(np.column_stack([vec.padded(top) for vec, _, _ in results]))
     finest = family.finest if len(family) else None
-    norms = [_column_norms(block, finest) for block in held]
+    norms = [column_norms(block, finest) for block in held]
     equivalences = [[i, j, bool(np.all(_agree(held[i], held[j], cfg, finest, norms[i])))]
                     for i in range(len(held)) for j in range(i + 1, len(held))]
     return BranchReport(lam, labels, equivalences)

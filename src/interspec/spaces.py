@@ -258,11 +258,20 @@ def check_same_basis(*tagged) -> Basis:
     return basis
 
 
+def column_norms(block: np.ndarray, space: Optional[ScaleSpace]) -> np.ndarray:
+    """The norm in ``space`` (plain l2 when None) of each column of ``block``."""
+    weights = space.weights(len(block)) if space is not None else 1.0
+    terms = np.abs(block.T, order="C")  # each column sums |x|^2 w w, in place, as a row
+    terms *= terms
+    terms *= weights
+    terms *= weights
+    return np.sqrt(np.sum(terms, axis=1))
+
+
 def norm(v: CoefficientVector, space: ScaleSpace) -> float:
-    """Weighted l2 norm of the stored truncation of v in the given space."""
+    """Weighted l2 norm of the stored truncation of v: one column of `column_norms`."""
     check_same_basis(v, space)
-    w = space.weights(v.n)
-    return float(np.sqrt(np.sum(np.abs(v.coeffs) ** 2 * w * w)))
+    return float(column_norms(v.coeffs[:, None], space)[0])
 
 
 def pairing(u: CoefficientVector, v: CoefficientVector) -> complex:

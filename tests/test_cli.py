@@ -276,3 +276,39 @@ def test_equal_rung_ranksum_censuses_at_the_default_config(tmp_path, capsys):
     statuses = Counter(cell["status"] for row in payload["cells"] for cell in row)
     assert statuses == {"not-regular": 633, "resolvent": 59, "no-extension": 252,
                         "inconclusive": 1}
+
+
+@pytest.mark.parametrize("which, spec", [
+    ("family", {"basis": "hermite", "indices": [1, 0],
+                "generator": {"type": "diagonal", "symbol": None}}),
+    ("family", {"basis": "hermite", "indices": [1, 0],
+                "generator": {"type": "diagonal", "symbol": ["n"]}}),
+    ("operator", {"basis": "hermite", "rep": {"type": "banded", "bandwidth": 1, "entry": 3}}),
+], ids=["symbol-null", "symbol-list", "entry-number"])
+def test_an_expression_that_is_not_a_string_is_a_spec_error(tmp_path, capsys, which, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    operands = {"operator": "gallery:scale-generator", "family": "gallery:scale-generator",
+                which: str(path)}
+    code, _, err = run(capsys, "scan", "--operator", operands["operator"],
+                       "--family", operands["family"], "--grid=0.5:1.5:2,0.5:0.5:1",
+                       "--out", str(tmp_path / "scan"))
+    assert code == 2 and err.startswith("spec error: ") and "not a string" in err
+
+
+def test_a_duality_mismatch_exits_one_and_still_writes_the_map(tmp_path, capsys):
+    # a non-real diagonal declared self-adjoint: its "adjoint" is itself, so
+    # the dual rows at conj(lambda) disagree with the primal rows
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code, _, err = run(capsys, "scan",
+                       "--operator", str(root / "tests" / "data" / "mislabelled-symmetric.json"),
+                       "--family", "gallery:scale-generator", "--grid=1:1:2,1:1:1",
+                       "--config", str(root / "bench" / "specs" / "smoke-config.json"),
+                       "--out", str(tmp_path))
+    assert code == 1 and err == "duality cross-check: 14 mismatching cells\n"
+    duality = json.loads((tmp_path / "spectrum.json").read_text())["duality"]
+    assert duality["checked"] is True and len(duality["mismatches"]) == 14
+    for cell in duality["mismatches"]:
+        e, f = cell["pair"].split("->")
+        assert (cell["lambda"], cell["primal"], cell["dual"], e) == \
+            ([1.0, 1.0], "not-regular", "resolvent", f)

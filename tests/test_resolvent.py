@@ -16,7 +16,7 @@ from interspec.errors import (NeumannRadiusError, NotCertifiedError,
 from interspec import operators, sections
 from interspec.operators import (CERT_FAILED, Banded, CoefficientOperator, ContinuityCertificate,
                                  DenseGenerator, Representation, certify,
-                                 certify_pairs, operator_from_spec)
+                                 certify_pairs, operator_from_json, operator_from_spec)
 from interspec.resolvent import (STATUS_NO_EXTENSION, STATUS_NOT_REGULAR, STATUS_RESOLVENT,
                                  CellStatus, _agree, _decide, _limit_status, _resolvent_solve,
                                  branch_report, defect_number, equivalent,
@@ -880,3 +880,19 @@ def test_every_resolvent_precondition_names_lambda_pair_and_status(scale):
             call()
         assert str(err.value) == "lambda=1.0 has status 'not-regular' on (H_1, H_0)"
         assert err.value.report.status == STATUS_NOT_REGULAR
+
+
+def test_banded_adjoint_is_the_conjugate_transpose_and_scans_with_no_mismatch():
+    # every banded gallery operator is symmetric: the right shift's duality
+    # pass is the one that decides rows of `Banded.adjoint`
+    root = pathlib.Path(__file__).resolve().parents[1]
+    x = operator_from_json(str(root / "tests" / "data" / "right-shift.json"))
+    mat = x.matrix(16)
+    assert not np.array_equal(mat, mat.conj().T)
+    assert np.array_equal(x.adjoint().matrix(16), mat.conj().T)
+    cfg = RunConfig.from_json(str(root / "bench" / "specs" / "smoke-config.json"))
+    smap = union_spectrum_scan(x, hermite_position().family,
+                               GridSpec.parse("-1.5:1.5:7,-0.5:0.5:3"), cfg)
+    assert smap.duality_checked and smap.duality_mismatches == []
+    assert sum(c.status == "regular-defect" and c.defect == 1
+               for row in smap.cells for c in row) == 36
