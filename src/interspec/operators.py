@@ -29,7 +29,9 @@ matrix straight into LAPACK band storage from ``entry`` and the held
 weights, with rows and columns in mode order, where its bandwidth is 2 b on
 either basis (slot order would give 4 b on the Fourier basis). A real band,
 as real operators give at lambda = 0 and real symmetric ones between rungs
-of weight 1 at any lambda, is reduced by dsbtrd.
+of weight 1 at any lambda, is reduced by dsbtrd. When the wide band equals
+the tall one bit for bit, as for a real symmetric X on W_0 -> W_0, it is
+reduced once and read for both views.
 The singular values are bit for bit those of ``eigvals_banded`` on that band
 without its all-zero outer rows (`sections._GramSpectrum`). ``section`` keeps slot order and serves solves
 and residuals.
@@ -381,11 +383,17 @@ class Banded(Representation):
     def summary(self, kernel, lam, n):
         if n <= _DENSE_ALWAYS:
             return super().summary(kernel, lam, n)
-        tall = _GramSpectrum(self.gram_band(kernel, lam, n, tall=True))
-        wide = _GramSpectrum(self.gram_band(kernel, lam, n, tall=False))
-        census = wide.count_up_to((kernel.cfg.defect_eps * wide.singular_value(-1)) ** 2)
-        return SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
-                              wide.singular_value(0), census)
+        tall_band = self.gram_band(kernel, lam, n, tall=True)
+        wide_band = self.gram_band(kernel, lam, n, tall=False)
+        tall = _GramSpectrum(tall_band)
+        c_low, d_high = tall.singular_value(0), tall.singular_value(-1)
+        if np.array_equal(wide_band, tall_band):  # one reduction serves both views
+            wide, surj_low, wide_high = tall, c_low, d_high
+        else:
+            wide = _GramSpectrum(wide_band)
+            surj_low, wide_high = wide.singular_value(0), wide.singular_value(-1)
+        census = wide.count_up_to((kernel.cfg.defect_eps * wide_high) ** 2)
+        return SectionSummary(n, c_low, d_high, surj_low, census)
 
     def norm_estimate(self, kernel, n):
         if n <= _DENSE_ALWAYS:
@@ -753,6 +761,9 @@ def framework_product(x: CoefficientOperator, y: CoefficientOperator,
 
 
 def operator_from_spec(spec: dict) -> CoefficientOperator:
+    if not isinstance(spec, dict):
+        raise SpecParseError(
+            f"an operator spec must be a JSON object, not a {type(spec).__name__}")
     basis = Basis.parse(spec.get("basis", "hermite"))
     rep_spec = spec.get("rep", {})
     kind = rep_spec.get("type")
@@ -764,7 +775,10 @@ def operator_from_spec(spec: dict) -> CoefficientOperator:
         rep = Diagonal(lambda m, f=fn: f(np.asarray(m, dtype=float)), source=source)
     elif kind == "banded":
         source = rep_spec["entry"]
-        bandwidth = int(rep_spec["bandwidth"])
+        try:
+            bandwidth = int(rep_spec["bandwidth"])
+        except TypeError as exc:
+            raise SpecParseError(f"bandwidth {rep_spec['bandwidth']!r} is not an integer") from exc
         fn = compile_expression(source, ("n", "m"))
         rep = Banded(bandwidth, lambda mr, mc, f=fn: f(mr, mc), source=source)
     elif kind == "ranksum":

@@ -296,18 +296,27 @@ def resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Scal
     """Apply the per-pair resolvent to eta with a residual contract in F: the
     one-column view of the block solve `_resolvent_solve`."""
     check_same_basis(x, eta)
-    [(xi, residual, n)] = _resolvent_solve(x, lam, e, f, eta.coeffs[:, None], cfg, status, {})
+    [(xi, residual, n)] = _resolvent_solve(x, lam, e, f, eta.coeffs[:, None], cfg, status,
+                                           {}, {})
     return SolveResult(xi, norm(xi, e), residual, n)
 
 
 def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleSpace,
                      eta: np.ndarray, cfg: RunConfig, status: Optional[CellStatus],
-                     factors: dict) -> list:
+                     factors: dict, solved: dict) -> list:
     """(solution, F-residual, truncation) of each column of ``eta`` (rows are
-    coefficient slots), drawing on ``factors``: n -> (solve, residual section).
-    Each column stops at the first truncation where its F-residual is at most
-    ``solve_tol`` times its F-norm; only the columns that miss go on to the
-    next doubling."""
+    coefficient slots). Each column stops at the first truncation where its
+    F-residual is at most ``solve_tol`` times its F-norm; only the columns
+    that miss go on to the next doubling.
+
+    Neither the truncated system (X_n - lambda) xi = eta nor its residual
+    depends on the pair: (E, F) enters only through the truncation each
+    column starts from (the status's ``witness_n``) and the F-norms that
+    stop it. So ``factors`` (n -> (solve, residual section)) may be shared by
+    any calls on X at lambda, and ``solved`` (n -> solutions, residuals and a
+    solved mask, one row per column of ``eta``) by calls on the same ``eta`` on
+    several pairs, as the branches of one report do: each (n, column) is then
+    factored and solved once for all of them."""
     check_same_basis(x, e, f)
     status = _require_resolvent(status if status is not None
                                 else point_status(x, lam, e, f, cfg), lam, e, f)
@@ -318,16 +327,25 @@ def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Sca
         if n not in factors:
             block = x.section(n + (x.position_bandwidth() or 0), n)
             factors[n] = (_factorize(x, lam, block[:n]), block)
-        solve, block = factors[n]
-        rhs = eta[:, todo]
-        xi = solve(np.pad(rhs, ((0, n - len(rhs)), (0, 0))))
-        resid = block @ xi
-        resid[:n] -= lam * xi
-        resid[:len(rhs)] -= rhs
-        residual = column_norms(resid, f)
+        if n not in solved:
+            rows = factors[n][1].shape[0]
+            solved[n] = (np.empty((eta.shape[1], n), dtype=complex),
+                         np.empty((eta.shape[1], rows), dtype=complex),
+                         np.zeros(eta.shape[1], dtype=bool))
+        xi_rows, resid_rows, done = solved[n]  # one row per column of eta
+        new = todo[~done[todo]]
+        if new.size:
+            solve, block = factors[n]
+            rhs = eta[:, new]
+            xi = solve(np.pad(rhs, ((0, n - len(rhs)), (0, 0))))
+            resid = block @ xi
+            resid[:n] -= lam * xi
+            resid[:len(rhs)] -= rhs
+            xi_rows[new], resid_rows[new], done[new] = xi.T, resid.T, True
+        residual = column_norms(resid_rows[todo].T, f)
         met = residual <= cfg.solve_tol * np.maximum(eta_f[todo], 1e-300)
-        for j, vec, r in zip(todo[met].tolist(), xi[:, met].T, residual[met].tolist()):
-            results[j] = (CoefficientVector(x.basis, vec.copy()), r, n)
+        for j, r in zip(todo[met].tolist(), residual[met].tolist()):
+            results[j] = (CoefficientVector(x.basis, xi_rows[j]), r, n)
         todo = todo[~met]
         if not todo.size:
             return results
@@ -344,7 +362,8 @@ def solver_handle(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
     one-column view of the block solve `_resolvent_solve`.
 
     The handle keeps the factorization of each truncation it visits, so every
-    vector it is applied to shares one factorization per n.
+    vector it is applied to shares one factorization per n; each vector is
+    solved afresh.
     """
     frozen_status = status if status is not None else point_status(x, lam, e, f, cfg)
     factors: dict = {}
@@ -352,7 +371,7 @@ def solver_handle(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
     def apply(vec: CoefficientVector) -> CoefficientVector:
         check_same_basis(x, vec)
         return _resolvent_solve(x, lam, e, f, vec.coeffs[:, None], cfg, frozen_status,
-                                factors)[0][0]
+                                factors, {})[0][0]
 
     apply.pair = (e, f)  # type: ignore[attr-defined]
     apply.lam = lam      # type: ignore[attr-defined]
@@ -619,7 +638,8 @@ class SpectrumMap:
 
 def _once_per_object(fmt: Callable) -> Callable:
     """``fmt`` with its results kept per argument object, compared by identity:
-    a writer's cells stay alive while it writes, so no id is reused."""
+    the callers (a writer's cells, a report's held blocks) keep every argument
+    alive while they use it, so no id is reused."""
     made: dict = {}
 
     def text(cell):
@@ -710,10 +730,14 @@ def branch_report(x: CoefficientOperator, family: ScaleFamily, lam: complex,
                   cfg: RunConfig = DEFAULT_CONFIG) -> BranchReport:
     """Every pair containing lambda, with the pairwise equivalence of their
     resolvent branches: that of `equivalent` over `solver_handle`s in the
-    finest norm, with no branch applied twice to a probe. Each branch solves
-    the ``equiv_probes`` unit probes as one block (`_resolvent_solve`), and
-    every two held output blocks are compared column by column by `_agree`,
-    with the column norms of each block taken once.
+    finest norm, with no probe solved twice. The branches solve the
+    ``equiv_probes`` unit probes as one block (`_resolvent_solve`) and share
+    each truncation's factorization, solutions and residuals, so each branch
+    only takes its F-norms and stops each column at its own truncation.
+    Branches whose columns stop at the same truncations hold one output block
+    and are equivalent without a comparison: their outputs are the same
+    numbers. Any two other held blocks are compared column by column by
+    `_agree`, with the column norms of each block taken once.
     """
     branches, labels = [], []
     pairs = family.admissible_pairs()
@@ -723,13 +747,17 @@ def branch_report(x: CoefficientOperator, family: ScaleFamily, lam: complex,
         if status.status == STATUS_RESOLVENT:
             branches.append((e, f, status))
             labels.append(f"{e.label}->{f.label}")
-    held, probes = [], np.eye(cfg.equiv_probes, dtype=complex)
+    held, blocks, factors, solved = [], {}, {}, {}
+    probes = np.eye(cfg.equiv_probes, dtype=complex)
     for e, f, status in branches if len(branches) > 1 else ():
-        results = _resolvent_solve(x, lam, e, f, probes, cfg, status, {})
-        top = max(n for _, _, n in results)
-        held.append(np.column_stack([vec.padded(top) for vec, _, _ in results]))
+        results = _resolvent_solve(x, lam, e, f, probes, cfg, status, factors, solved)
+        stops = tuple(n for _, _, n in results)
+        if stops not in blocks:
+            blocks[stops] = np.column_stack([vec.padded(max(stops)) for vec, _, _ in results])
+        held.append(blocks[stops])
     finest = family.finest if len(family) else None
-    norms = [column_norms(block, finest) for block in held]
-    equivalences = [[i, j, bool(np.all(_agree(held[i], held[j], cfg, finest, norms[i])))]
+    norms = _once_per_object(lambda block: column_norms(block, finest))
+    equivalences = [[i, j, held[i] is held[j]
+                     or bool(np.all(_agree(held[i], held[j], cfg, finest, norms(held[i]))))]
                     for i in range(len(held)) for j in range(i + 1, len(held))]
     return BranchReport(lam, labels, equivalences)

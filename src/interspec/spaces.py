@@ -91,7 +91,11 @@ def _as_index(value) -> Fraction:
         return value
     if isinstance(value, str):
         return Fraction(value)
-    return Fraction(value).limit_denominator(10**6) if isinstance(value, float) else Fraction(value)
+    try:
+        return Fraction(value).limit_denominator(10**6) if isinstance(value, float) \
+            else Fraction(value)
+    except TypeError as exc:
+        raise FamilySpecError(f"scale index {value!r} is not a number") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,21 @@ def test_an_expression_that_is_not_a_string_is_a_spec_error(tmp_path, capsys, wh
     assert code == 2 and err.startswith("spec error: ") and "not a string" in err
 
 
+@pytest.mark.parametrize("operator, family, message", [
+    ("gallery:position", "family-null-index.json", "scale index None is not a number"),
+    ("banded-null-bandwidth.json", "gallery:position", "bandwidth None is not an integer"),
+    ("operator-list.json", "gallery:position", "must be a JSON object, not a list"),
+], ids=["index-null", "bandwidth-null", "operator-list"])
+def test_a_spec_field_of_the_wrong_json_type_is_a_spec_error(tmp_path, capsys, operator, family,
+                                                              message):
+    data = pathlib.Path(__file__).resolve().parent / "data"
+    operands = [ref if ref.startswith("gallery:") else str(data / ref)
+                for ref in (operator, family)]
+    code, _, err = run(capsys, "scan", "--operator", operands[0], "--family", operands[1],
+                       "--grid=0:1:2,0.5:0.5:1", "--out", str(tmp_path / "scan"))
+    assert code == 2 and err.startswith("spec error: ") and message in err
+
+
 def test_a_duality_mismatch_exits_one_and_still_writes_the_map(tmp_path, capsys):
     # a non-real diagonal declared self-adjoint: its "adjoint" is itself, so
     # the dual rows at conj(lambda) disagree with the primal rows

@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from interspec.config import GridSpec, RunConfig
 from interspec.errors import (NeumannRadiusError, NotCertifiedError,
                               NotInResolventError, NotRegularError)
-from interspec import operators, sections
+from interspec import operators, resolvent, sections
 from interspec.operators import (CERT_FAILED, Banded, CoefficientOperator, ContinuityCertificate,
                                  DenseGenerator, Representation, certify,
                                  certify_pairs, operator_from_json, operator_from_spec)
@@ -239,7 +239,7 @@ def _block_and_vector_solves(x, lam, e, f, eta, status):
     """Each column of ``eta`` solved in one block by `_resolvent_solve`, and its
     `SolveResult` one by one, after checking that each column stops at the
     same truncation both ways."""
-    block = _resolvent_solve(x, lam, e, f, eta, CFG, status, {})
+    block = _resolvent_solve(x, lam, e, f, eta, CFG, status, {}, {})
     singles = [resolvent_solve(x, lam, e, f, CoefficientVector(x.basis, eta[:, j].copy()), CFG,
                                status=status) for j in range(eta.shape[1])]
     assert [n for _, _, n in block] == [r.witness_n for r in singles]
@@ -291,7 +291,9 @@ def test_block_solve_columns_stop_at_their_own_truncations():
 
 
 def test_branch_report_solves_each_probe_once_per_branch(monkeypatch):
-    # the pairwise route solved every probe twice per comparison: 2 * C(k, 2) * 64
+    # the branches share each truncation's factorization and probe solutions; a
+    # solve per branch took k factorizations and k * 64 column solves, and the
+    # pairwise route solved every probe twice per comparison: 2 * C(k, 2) * 64
     factored, solved = [], []
 
     class CountingLU:
@@ -307,10 +309,9 @@ def test_branch_report_solves_each_probe_once_per_branch(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
     family = ScaleFamily.from_spec(json.loads(TORUS_W1.read_text()))
     report = branch_report(torus_multiplication("cos(t)").operator, family, 0.3 + 0.5j, CFG)
-    handles = len(report.pair_labels)
-    assert handles >= 2 and all(same for _, _, same in report.equivalences)
-    assert len(factored) == handles  # every column met its contract at the first truncation
-    assert len(solved) == handles * CFG.equiv_probes
+    assert len(report.pair_labels) == 3 and all(same for _, _, same in report.equivalences)
+    assert len(factored) == 1  # every column met its contract at the first truncation
+    assert len(solved) == CFG.equiv_probes
     assert all(shape == (factored[0],) for shape in solved)
 
 
@@ -433,6 +434,40 @@ def test_branch_report_matches_the_pairwise_route_on_the_gallery():
             assert (report.pair_labels, report.equivalences) == (labels, equivalences), (name, lam)
             compared += len(equivalences)
     assert compared >= 100
+
+
+def test_branches_that_stop_at_different_truncations_are_compared(monkeypatch):
+    # forged statuses: E = F branches start at n = 256 and the others at 512, so
+    # their columns stop at different truncations and the report reaches `_agree`;
+    # near the spectrum of cos(t) a truncation at 256 differs from one at 512
+    def forged(x, lam, e, f, cfg):
+        return CellStatus(STATUS_RESOLVENT, witness_n=256 if e.index == f.index else 512)
+
+    compared = []
+    monkeypatch.setattr(resolvent, "point_status", forged)
+    monkeypatch.setitem(globals(), "point_status", forged)
+    monkeypatch.setattr(resolvent, "_agree",
+                        lambda *args: compared.append(1) or _agree(*args))
+    family = ScaleFamily.from_spec(json.loads(TORUS_W1.read_text()))
+    x, lam = torus_multiplication("cos(t)").operator, 0.3 + 0.1j
+    report = branch_report(x, family, lam, CFG)
+    assert compared
+    labels, equivalences = _pairwise_report(x, family, lam, CFG)
+    assert (report.pair_labels, report.equivalences) == (labels, equivalences)
+    assert len(labels) == 6
+    assert {same for _, _, same in equivalences} == {True, False}
+
+
+def test_shared_solutions_are_each_branchs_own_solves():
+    # the 256 branch doubles to 512 and reads the columns the first branch solved
+    family = ScaleFamily.from_spec(json.loads(TORUS_W1.read_text()))
+    x, lam = torus_multiplication("cos(t)").operator, 0.3 + 0.1j
+    probes, factors, solved = np.eye(CFG.equiv_probes, dtype=complex), {}, {}
+    for (e, f), n in zip(family.admissible_pairs(), (512, 256, 512, 256)):
+        status = CellStatus(STATUS_RESOLVENT, witness_n=n)
+        shared = _resolvent_solve(x, lam, e, f, probes, CFG, status, factors, solved)
+        assert shared == _resolvent_solve(x, lam, e, f, probes, CFG, status, {}, {})
+    assert {256, 512} <= set(solved)
 
 
 def test_equivalent_and_held_blocks_share_one_rule_on_a_perturbed_column(scale):

@@ -362,6 +362,22 @@ def test_banded_point_status_reduces_each_gram_matrix_once(monkeypatch):
     assert len(counts) >= 2 and set(counts.values()) == {2}  # tall and wide, per n
 
 
+def test_equal_tall_and_wide_bands_are_reduced_once(monkeypatch):
+    # a real symmetric multiplier on W_0 -> W_0: S S^H equals S^H S bit for bit
+    entry = registry()["multiplier[cos(t)]"]
+    x, w0, lam, n = entry.operator, entry.family.space_at(0), 0.3 + 0.5j, 512
+    kernel = PairKernel(x, w0, w0, CFG)
+    tall_band = x.rep.gram_band(kernel, lam, n, tall=True)
+    assert np.array_equal(x.rep.gram_band(kernel, lam, n, tall=False), tall_band)
+    tall = wide = sections._GramSpectrum(tall_band)  # what two reductions give
+    census = wide.count_up_to((CFG.defect_eps * wide.singular_value(-1)) ** 2)
+    apart = SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
+                           wide.singular_value(0), census)
+    sizes = _count_reductions(monkeypatch)
+    assert x.rep.summary(kernel, lam, n) == apart
+    assert sizes == [n]
+
+
 def test_banded_census_comes_from_the_summary_reductions(monkeypatch):
     # one reduction per view gives the constants and the census, and a summary
     # asked for again is the held one
