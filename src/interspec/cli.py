@@ -252,7 +252,7 @@ def _parse_phi(text: str, n_default: int = 40) -> CoefficientVector:
 def _cmd_expansion(args) -> int:
     cfg = _load_config(args.config)
     phi = _parse_phi(args.phi)
-    check = expansion_check(phi, cfg=cfg)
+    check = expansion_check(phi)
     gap = parseval_gap(phi)
     _emit_json({
         "modes": phi.n,

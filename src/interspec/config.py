@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import SpecParseError
+from .errors import SpecParseError, json_typed
 
 
 @dataclass(frozen=True)
@@ -118,18 +118,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = set(json_typed(data, dict, "config")) - set(cls.__dataclass_fields__)
         if unknown:
             raise SpecParseError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():  # each key takes the JSON type of its default
+            json_typed(value, type(cls.__dataclass_fields__[name].default), f"config {name}")
         return cls(**data)
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
         with open(path, encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
-
-    def with_updates(self, **kwargs) -> "RunConfig":
-        return replace(self, **kwargs)
 
 
 DEFAULT_CONFIG = RunConfig()

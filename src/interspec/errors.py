@@ -1,6 +1,8 @@
 """Typed errors. Messages name the violated contract so the CLI can map them
 to exit codes (parse errors vs precondition violations vs tolerance failures)."""
 
+import reprlib
+
 
 class InterspecError(Exception):
     """Base class for all library errors."""
@@ -8,6 +10,20 @@ class InterspecError(Exception):
 
 class SpecParseError(InterspecError):
     """A JSON spec file, expression string or CLI literal failed to parse."""
+
+
+_JSON_NAMES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "integer",
+               float: "number"}
+
+
+def json_typed(value, kind: type, what: str):
+    """``value`` when its JSON type is ``kind``, one of dict, list, str, bool,
+    int and float (which an int also passes; a bool is no number), else a
+    `SpecParseError` that names ``what``."""
+    if isinstance(value, bool) != (kind is bool) or \
+            not isinstance(value, (int, float) if kind is float else kind):
+        raise SpecParseError(f"{what} {reprlib.repr(value)} is not a JSON {_JSON_NAMES[kind]}")
+    return value
 
 
 class BasisMismatchError(InterspecError):

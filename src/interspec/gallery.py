@@ -130,8 +130,7 @@ def _polynomial_growth_exponent(values: np.ndarray) -> float:
     return float(np.polyfit(np.log1p(idx), np.log(mags), 1)[0])
 
 
-def hermite_diagonal(symbol: str, family_order: int = 4,
-                     cfg: RunConfig = DEFAULT_CONFIG) -> GalleryEntry:
+def hermite_diagonal(symbol: str, family_order: int = 4) -> GalleryEntry:
     """Diagonal operator on the power-weight chain of the Hermite model.
 
     Rejects symbols of super-polynomial growth, for which the operator does

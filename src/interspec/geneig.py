@@ -139,8 +139,7 @@ class ExpansionCheck:
 
 
 def expansion_check(phi: CoefficientVector, nodes: Optional[np.ndarray] = None,
-                    weights: Optional[np.ndarray] = None,
-                    cfg: RunConfig = DEFAULT_CONFIG) -> ExpansionCheck:
+                    weights: Optional[np.ndarray] = None) -> ExpansionCheck:
     """Reconstruct coefficients from the sampled transform against its basis.
 
     c_n -> integral of phi(lam) phi_n(lam) d lam, which returns c_n exactly
@@ -190,8 +189,7 @@ class RestrictionReport:
     note: str
 
 
-def restricted_operator_report(x: CoefficientOperator, family: ScaleFamily,
-                               index: int = 1, n: int = 256,
+def restricted_operator_report(x: CoefficientOperator, n: int = 256,
                                cfg: RunConfig = DEFAULT_CONFIG) -> RestrictionReport:
     """Truncation-level proxy for the operator restricted to the central space."""
     mat = x.matrix(n)

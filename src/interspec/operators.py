@@ -24,17 +24,19 @@ pair whose ratio is identically 1.0, and every such pair that asks at an
 equal row of lambda reads it: a scan computes each truncation's E = F row
 once per pass instead of once per rung, bit for bit the same.
 
-A banded summary builds no section: `Banded.gram_band` assembles each Gram
-matrix straight into LAPACK band storage from ``entry`` and the held
-weights, with rows and columns in mode order, where its bandwidth is 2 b on
-either basis (slot order would give 4 b on the Fourier basis). A real band,
+A banded summary builds no section: `Banded.gram_bands` evaluates the
+2 b + 1 diagonals of the section once, from ``entry`` and the held weights,
+and assembles both Gram matrices from them straight into LAPACK band
+storage, with rows and columns in mode order, where their bandwidth is 2 b
+on either basis (slot order would give 4 b on the Fourier basis). A real band,
 as real operators give at lambda = 0 and real symmetric ones between rungs
 of weight 1 at any lambda, is reduced by dsbtrd. When the wide band equals
 the tall one bit for bit, as for a real symmetric X on W_0 -> W_0, it is
 reduced once and read for both views.
 The singular values are bit for bit those of ``eigvals_banded`` on that band
-without its all-zero outer rows (`sections._GramSpectrum`). ``section`` keeps slot order and serves solves
-and residuals.
+without its all-zero outer rows (`sections._GramSpectrum`). ``section`` keeps
+slot order and serves residuals and solves, which `Representation.factorize`
+factors: dense LU by default, SuperLU for `Banded`, the symbol for `Diagonal`.
 
 ``certify`` decides membership in C(E, F) through a three-valued outcome:
 certified (analytic-exact or truncation-stabilized), failed (norm grows
@@ -81,10 +83,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .config import RunConfig, DEFAULT_CONFIG
-from .errors import ProductUndefinedError, SpecParseError
+from .errors import ProductUndefinedError, SpecParseError, json_typed
 from .expressions import compile_expression
 from .sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary, _GramSpectrum,
                        _constant_shift_constants, _low_rank_census, _svdvals, gram_band,
@@ -142,6 +146,14 @@ class Representation:
         """Leading rows x cols block in slot order: dense here, sparse where
         the structure allows; solves and residuals use it."""
         return self.entries(modes(basis, rows).astype(float), modes(basis, cols).astype(float))
+
+    def factorize(self, basis: Basis, lam: complex, square) -> Callable:
+        """B -> (X_n - lambda)^(-1) B for n x m blocks B, factored once from the
+        n x n ``square`` of ``section``; here by LAPACK LU."""
+        mat = square.astype(complex)
+        mat[np.diag_indices_from(mat)] -= lam
+        lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
+        return lambda b: scipy.linalg.lu_solve(lu, b)
 
     def slot_bandwidth(self, basis: Basis) -> Optional[int]:
         """Bandwidth in coefficient-slot order; None means full rows/columns."""
@@ -221,6 +233,10 @@ class Diagonal(Representation):
     def section(self, basis, rows, cols):
         return scipy.sparse.diags(self.symbol(basis, min(rows, cols)), shape=(rows, cols),
                                   format="csr")
+
+    def factorize(self, basis, lam, square):
+        shifted = (self.symbol(basis, square.shape[0]) - lam)[:, None]
+        return lambda b: b / shifted
 
     def slot_bandwidth(self, basis):
         return 0
@@ -327,6 +343,12 @@ class Banded(Representation):
             shape=(rows, cols), dtype=complex)
         return mat.tocsr()
 
+    def factorize(self, basis, lam, square):
+        # by columns: SuperLU solves a block of 64 several times slower than its columns
+        shifted = square - lam * scipy.sparse.identity(square.shape[0])
+        solve = scipy.sparse.linalg.splu(shifted.tocsc()).solve
+        return lambda b: np.column_stack([solve(col) for col in b.T])
+
     def slot_bandwidth(self, basis):
         return 2 * self.bandwidth + 1 if basis is Basis.FOURIER else self.bandwidth
 
@@ -344,47 +366,42 @@ class Banded(Representation):
                 if running_sup(mag, cfg.growth_threshold, slots)[1]
                 else _certify_by_truncation(op, e, f, cfg) for (e, f), mag in zip(pairs, mags)]
 
-    def gram_band(self, kernel: PairKernel, lam: complex, n: int, tall: bool) -> np.ndarray:
-        """Lower band storage of the Gram matrix of S = W_F (X - lambda) W_E^{-1}
-        at truncation n, with rows and columns in mode order: S^H S of the tall
-        view (n + margin rows, n columns) or S S^H of the wide one.
+    def gram_bands(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
+        """Lower band storage of S^H S, of the tall view (n + margin rows, n
+        columns), and of S S^H, of the wide one, for S = W_F (X - lambda) W_E^{-1}
+        at truncation n, with rows and columns in mode order.
 
         Both views span the first n slots and the first n + margin slots, and
         each holds a contiguous range of modes (`spaces.sorted_modes`). Sorting
         rows and columns by mode leaves the singular values as they are, and
         the Gram matrix has bandwidth 2 b, while slot order interleaves the
-        signed Fourier modes and doubles it. The band is filled straight from
-        the 2 b + 1 diagonals of the tall view, or of S^H for the wide one
-        (`sections.gram_band`), each entry formed as (X - lambda) w_F / w_E.
+        signed Fourier modes and doubles it. One evaluation of the 2 b + 1
+        diagonals of S over the outer modes, each entry formed as
+        (X - lambda) w_F / w_E, fills both bands (`sections.gram_band`): the
+        tall view reads its n columns, the wide one the diagonals of S^H,
+        conj(S[c, c + k]) at column c of diagonal k.
         """
         basis, b = kernel.x.basis, self.bandwidth
         outer = n + max(self.slot_bandwidth(basis), 1)
         outer_modes = sorted_modes(basis, outer)
-        shift = int(sorted_modes(basis, n)[0] - outer_modes[0])
+        shift = b + int(sorted_modes(basis, n)[0] - outer_modes[0])
         to_slots = mode_to_position(basis, outer_modes)
         wf, we = kernel.f.weights(outer)[to_slots], kernel.e.weights(outer)[to_slots]
-        m = outer_modes[shift:shift + n].astype(float)
-        diagonals = np.zeros((2 * b + 1, n), dtype=complex)
+        m = outer_modes.astype(float)
+        # s[k + b, b + c] = S[c + k, c] in outer mode order, zero past either end
+        s = np.zeros((2 * b + 1, outer + 2 * b), dtype=complex)
         for k in range(-b, b + 1):
-            # column c (mode m[c]) meets mode m[c] + k at index c + shift + k of the
-            # outer range, which holds it for c in [lo, hi)
-            lo, hi = max(0, -shift - k), min(n, outer - shift - k)
-            c = slice(lo, hi)
-            at_m, at_mk = slice(lo + shift, hi + shift), slice(lo + shift + k, hi + shift + k)
-            if tall:  # S[m + k, m]
-                vals = np.asarray(self.entry(m[c] + k, m[c]), dtype=complex)
-                diagonals[k + b, c] = (vals - lam if k == 0 else vals) * wf[at_mk] / we[at_m]
-            else:  # conj(S[m, m + k]), the diagonals of S^H
-                vals = np.asarray(self.entry(m[c], m[c] + k), dtype=complex)
-                diagonals[k + b, c] = np.conj(
-                    (vals - lam if k == 0 else vals) * wf[at_m] / we[at_mk])
-        return gram_band(diagonals)
+            lo, hi = max(0, -k), min(outer, outer - k)
+            vals = np.asarray(self.entry(m[lo:hi] + k, m[lo:hi]), dtype=complex)
+            s[k + b, b + lo:b + hi] = (vals - lam if k == 0 else vals) \
+                * wf[lo + k:hi + k] / we[lo:hi]
+        wide = np.conj([s[b - k, shift + k:shift + k + n] for k in range(-b, b + 1)])
+        return gram_band(s[:, shift:shift + n]), gram_band(wide)
 
     def summary(self, kernel, lam, n):
         if n <= _DENSE_ALWAYS:
             return super().summary(kernel, lam, n)
-        tall_band = self.gram_band(kernel, lam, n, tall=True)
-        wide_band = self.gram_band(kernel, lam, n, tall=False)
+        tall_band, wide_band = self.gram_bands(kernel, lam, n)
         tall = _GramSpectrum(tall_band)
         c_low, d_high = tall.singular_value(0), tall.singular_value(-1)
         if np.array_equal(wide_band, tall_band):  # one reduction serves both views
@@ -398,7 +415,7 @@ class Banded(Representation):
     def norm_estimate(self, kernel, n):
         if n <= _DENSE_ALWAYS:
             return super().norm_estimate(kernel, n)
-        return _GramSpectrum(self.gram_band(kernel, 0.0, n, tall=True)).singular_value(-1)
+        return _GramSpectrum(self.gram_bands(kernel, 0.0, n)[0]).singular_value(-1)
 
     def max_n(self, cfg):
         return cfg.scan_n_max
@@ -761,29 +778,26 @@ def framework_product(x: CoefficientOperator, y: CoefficientOperator,
 
 
 def operator_from_spec(spec: dict) -> CoefficientOperator:
-    if not isinstance(spec, dict):
-        raise SpecParseError(
-            f"an operator spec must be a JSON object, not a {type(spec).__name__}")
-    basis = Basis.parse(spec.get("basis", "hermite"))
-    rep_spec = spec.get("rep", {})
+    basis = Basis.parse(json_typed(spec, dict, "operator spec").get("basis", "hermite"))
+    rep_spec = json_typed(spec.get("rep", {}), dict, "operator rep")
     kind = rep_spec.get("type")
-    symmetric = bool(spec.get("symmetric", False))
-    name = spec.get("name", "")
+    symmetric = json_typed(spec.get("symmetric", False), bool, "symmetric")
+    name = json_typed(spec.get("name", ""), str, "operator name")
     if kind == "diagonal":
         source = rep_spec["symbol"]
         fn = compile_expression(source, ("n",))
         rep = Diagonal(lambda m, f=fn: f(np.asarray(m, dtype=float)), source=source)
     elif kind == "banded":
         source = rep_spec["entry"]
-        try:
-            bandwidth = int(rep_spec["bandwidth"])
-        except TypeError as exc:
-            raise SpecParseError(f"bandwidth {rep_spec['bandwidth']!r} is not an integer") from exc
+        bandwidth = rep_spec["bandwidth"]
+        if isinstance(bandwidth, bool) or not isinstance(bandwidth, int) or bandwidth < 0:
+            raise SpecParseError(f"bandwidth {bandwidth!r} is not an integer >= 0")
         fn = compile_expression(source, ("n", "m"))
         rep = Banded(bandwidth, lambda mr, mc, f=fn: f(mr, mc), source=source)
     elif kind == "ranksum":
         terms = []
-        for term in rep_spec.get("terms", []):
+        for term in json_typed(rep_spec.get("terms", []), list, "rank-sum terms"):
+            json_typed(term, dict, "rank-sum term")
             terms.append(RankSumTerm(_term_vector(term["u"], basis),
                                      _term_vector(term["v"], basis),
                                      u_source=str(term["u"]), v_source=str(term["v"])))

@@ -51,9 +51,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .config import DEFAULT_CONFIG, GridSpec, RunConfig
 from .errors import (CertificateBoundError, NeumannRadiusError, NotCertifiedError,
@@ -259,34 +256,11 @@ def _require_resolvent(status: CellStatus, lam: complex, e: ScaleSpace,
 # solves
 
 
-def _factorize(x: CoefficientOperator, lam: complex, square) -> Callable:
-    """Factor X_n - lambda once, from the n x n ``square`` section of X;
-    returns B -> (X_n - lambda)^(-1) B for an n x m block B of right-hand sides.
-
-    Diagonal representations divide by the shifted symbol (the same floating
-    expression as the analytic inverse), dense sections go through LAPACK LU
-    and sparse ones through SuperLU, column by column: SuperLU solves a block
-    of 64 columns several times slower than the 64 columns one by one.
-    """
-    n = square.shape[0]
-    symbol = x.rep.symbol(x.basis, n)
-    if symbol is not None:
-        shifted = (symbol - lam)[:, None]
-        return lambda b: b / shifted
-    if scipy.sparse.issparse(square):
-        solve = scipy.sparse.linalg.splu((square - lam * scipy.sparse.identity(n)).tocsc()).solve
-        return lambda b: np.column_stack([solve(col) for col in b.T])
-    mat = square.astype(complex)
-    mat[np.arange(n), np.arange(n)] -= lam
-    lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
-    return lambda b: scipy.linalg.lu_solve(lu, b)
-
-
 def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
                               eta: CoefficientVector, n: int) -> CoefficientVector:
     """Solve the square truncated system (X_n - lambda) xi = eta."""
     check_same_basis(x, eta)
-    xi = _factorize(x, lam, x.section(n))(eta.padded(n)[:, None])
+    xi = x.rep.factorize(x.basis, lam, x.section(n))(eta.padded(n)[:, None])
     return CoefficientVector(x.basis, xi[:, 0])
 
 
@@ -326,7 +300,7 @@ def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Sca
     while True:
         if n not in factors:
             block = x.section(n + (x.position_bandwidth() or 0), n)
-            factors[n] = (_factorize(x, lam, block[:n]), block)
+            factors[n] = (x.rep.factorize(x.basis, lam, block[:n]), block)
         if n not in solved:
             rows = factors[n][1].shape[0]
             solved[n] = (np.empty((eta.shape[1], n), dtype=complex),
@@ -374,7 +348,6 @@ def solver_handle(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: ScaleS
                                 factors, {})[0][0]
 
     apply.pair = (e, f)  # type: ignore[attr-defined]
-    apply.lam = lam      # type: ignore[attr-defined]
     return apply
 
 

@@ -30,7 +30,8 @@ rung, and the duality pass, evaluate each weight sequence once.
 
 A banded section's Gram matrix (S^H S for the tall view, S S^H for the wide
 one) is assembled straight into LAPACK lower band storage (`gram_band`),
-diagonal by diagonal from the entries of S, with no sparse product. Rows
+diagonal by diagonal from the entries of S, with no sparse product; both
+views read one evaluation of the diagonals of S (`Banded.gram_bands`). Rows
 and columns are taken in mode order, where both views span contiguous
 ranges of modes: sorting them by mode leaves the singular values as they
 are, while the slot order of the Fourier basis interleaves the signed modes

@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BasisMismatchError, FamilySpecError, SpecParseError
+from .errors import BasisMismatchError, FamilySpecError, SpecParseError, json_typed
 from .expressions import compile_expression
 
 
@@ -184,7 +184,7 @@ class PointwiseMaxWeights:
 
 
 def generator_from_spec(spec: dict) -> ScaleWeights:
-    kind = spec.get("type")
+    kind = json_typed(spec, dict, "family generator").get("type")
     return ScaleWeights(kind, spec.get("symbol", "n+1") if kind == "diagonal" else None)
 
 
@@ -425,11 +425,11 @@ class ScaleFamily:
 
     @classmethod
     def from_spec(cls, spec: dict) -> "ScaleFamily":
-        basis = Basis.parse(spec["basis"])
+        basis = Basis.parse(json_typed(spec, dict, "family spec")["basis"])
         gen = generator_from_spec(spec.get("generator", {}))
         if gen.kind == "sobolev-torus" and basis is not Basis.FOURIER:
             raise FamilySpecError("sobolev-torus weights require the fourier basis")
-        indices = [_as_index(k) for k in spec.get("indices", [])]
+        indices = json_typed(spec.get("indices", []), list, "family indices")
         spaces = tuple(ScaleSpace(basis, k, gen) for k in indices)
         return cls(basis, spaces)
 

@@ -7,6 +7,7 @@ tolerance is pinned here; nothing is deferred to later calibration.
 import cmath
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +47,7 @@ def test_criterion_01_diagonal_spectrum_grid():
     family = sequence_power_family(range(-2, 3))
     op = diag_op("1/(n+1)")
     grid = GridSpec(-0.5, 1.5, 41, -0.5, 0.5, 21)
-    smap = union_spectrum_scan(op, family, grid, CFG.with_updates(duality_check=False))
+    smap = union_spectrum_scan(op, family, grid, replace(CFG, duality_check=False))
     points = np.array([1.0 / (k + 1) for k in range(10 ** 6)] + [0.0])
     mismatches = 0
     conclusive = 0
@@ -67,7 +68,7 @@ def test_criterion_02_scale_generator_union():
     family = hilbert_scale_family("n+1", range(-3, 4))
     op = diag_op("n+1")
     grid = GridSpec(0.0, 7.0, 36, -1.0, 1.0, 9)
-    smap = union_spectrum_scan(op, family, grid, CFG.with_updates(duality_check=False))
+    smap = union_spectrum_scan(op, family, grid, replace(CFG, duality_check=False))
     integers = np.arange(1.0, 8.0)
     offending_pairs = set()
     for pi, label in enumerate(smap.pair_labels):
@@ -258,7 +259,7 @@ def test_criterion_10_cosine_multiplier():
     norm_at_two = 1.0 / sv[-1]
     norm_ok = abs(norm_at_two - 1.0) <= 0.10
     status = point_status(entry.operator, 0.5, w0, w0,
-                          CFG.with_updates(scan_n0=256, scan_n_max=2048))
+                          replace(CFG, scan_n0=256, scan_n_max=2048))
     status_ok = status.status == "not-regular"
     report(10, "cosine-multiplier", norm_ok and status_ok,
            f"resolvent norm at 2: {norm_at_two:.4f}, status at 0.5: {status.status}")
@@ -274,7 +275,7 @@ def test_criterion_11_generalized_eigenvectors():
         coeffs = np.zeros(40, dtype=complex)
         coeffs[:32] = rng.normal(size=32) + 1j * rng.normal(size=32)
         phi = CoefficientVector(Basis.HERMITE, coeffs)
-        worst_expansion = max(worst_expansion, expansion_check(phi, cfg=CFG).max_error)
+        worst_expansion = max(worst_expansion, expansion_check(phi).max_error)
         worst_parseval = max(worst_parseval,
                              parseval_gap(phi) / float(np.sum(np.abs(coeffs) ** 2)))
     passed = worst_residual <= 1e-6 and worst_expansion <= 1e-6 \
@@ -287,7 +288,7 @@ def test_criterion_11_generalized_eigenvectors():
 def test_criterion_12_duality_of_statuses():
     rng = np.random.default_rng(12345 + 3)
     lams = [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(10)]
-    cfg_fast = CFG.with_updates(scan_n0=64, scan_n_max=512)
+    cfg_fast = replace(CFG, scan_n0=64, scan_n_max=512)
     mismatches = []
     for name, entry in sorted(registry().items()):
         cfg = CFG if isinstance(entry.operator.rep, Diagonal) else cfg_fast

@@ -296,18 +296,40 @@ def test_an_expression_that_is_not_a_string_is_a_spec_error(tmp_path, capsys, wh
     assert code == 2 and err.startswith("spec error: ") and "not a string" in err
 
 
-@pytest.mark.parametrize("operator, family, message", [
-    ("gallery:position", "family-null-index.json", "scale index None is not a number"),
-    ("banded-null-bandwidth.json", "gallery:position", "bandwidth None is not an integer"),
-    ("operator-list.json", "gallery:position", "must be a JSON object, not a list"),
-], ids=["index-null", "bandwidth-null", "operator-list"])
+@pytest.mark.parametrize("operator, family, config, message", [
+    ("gallery:position", "family-null-index.json", None, "scale index None is not a number"),
+    ("banded-null-bandwidth.json", "gallery:position", None, "bandwidth None is not an integer"),
+    ("operator-list.json", "gallery:position", None, "is not a JSON object"),
+    ("banded-fractional-bandwidth.json", "gallery:position", None,
+     "bandwidth 0.5 is not an integer >= 0"),
+    ("banded-negative-bandwidth.json", "gallery:position", None,
+     "bandwidth -1 is not an integer >= 0"),
+    ("banded-boolean-bandwidth.json", "gallery:position", None,
+     "bandwidth True is not an integer >= 0"),
+    ("symmetric-string.json", "gallery:position", None, "symmetric 'false' is not a JSON boolean"),
+    ("operator-name-number.json", "gallery:position", None,
+     "operator name 5 is not a JSON string"),
+    ("operator-rep-string.json", "gallery:position", None,
+     "operator rep 'diagonal' is not a JSON object"),
+    ("ranksum-terms-string.json", "gallery:position", None,
+     "rank-sum terms 'ab' is not a JSON array"),
+    ("gallery:position", "family-generator-string.json", None,
+     "family generator 'diagonal' is not a JSON object"),
+    ("gallery:position", "family-indices-string.json", None,
+     "family indices '10' is not a JSON array"),
+    ("gallery:position", "gallery:position", "config-string-n0.json",
+     "config n0 '256' is not a JSON integer"),
+], ids=["index-null", "bandwidth-null", "operator-list", "bandwidth-fractional",
+        "bandwidth-negative", "bandwidth-boolean", "symmetric-string", "name-number", "rep-string",
+        "terms-string", "generator-string", "indices-string", "config-n0-string"])
 def test_a_spec_field_of_the_wrong_json_type_is_a_spec_error(tmp_path, capsys, operator, family,
-                                                              message):
+                                                              config, message):
     data = pathlib.Path(__file__).resolve().parent / "data"
     operands = [ref if ref.startswith("gallery:") else str(data / ref)
                 for ref in (operator, family)]
+    options = ["--config", str(data / config)] if config else []
     code, _, err = run(capsys, "scan", "--operator", operands[0], "--family", operands[1],
-                       "--grid=0:1:2,0.5:0.5:1", "--out", str(tmp_path / "scan"))
+                       *options, "--grid=0:1:2,0.5:0.5:1", "--out", str(tmp_path / "scan"))
     assert code == 2 and err.startswith("spec error: ") and message in err
 
 

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from dataclasses import replace
 
 import jsonschema
 import numpy as np
@@ -77,7 +78,7 @@ def test_neumann_matches_direct_across_gallery():
         (hermite_diagonal("1/(n+1)"), 1, 1, -0.4 - 0.6j, CFG),
         (hermite_diagonal("n+1"), 1, 0, -1.0 + 0.4j, CFG),
         (torus_multiplication("cos(t)"), 0, 0, 1.8 + 0.3j,
-         CFG.with_updates(scan_n0=64, scan_n_max=512)),
+         replace(CFG, scan_n0=64, scan_n_max=512)),
     ]
     for entry, ke, kf, center_hint, cfg in jobs:
         e, f = entry.family.space_at(ke), entry.family.space_at(kf)
@@ -108,7 +109,7 @@ def test_branch_multiplicity_recorded():
     entry = registry()["scale-generator"]
     grid = GridSpec(-1.2, -0.8, 2, 0.0, 0.0, 1)
     smap = union_spectrum_scan(entry.operator, entry.family, grid,
-                               CFG.with_updates(duality_check=False))
+                               replace(CFG, duality_check=False))
     winners = [smap.pair_labels[pi] for pi in range(len(smap.pair_labels))
                if smap.cells[pi][0].status == STATUS_RESOLVENT]
     assert len(winners) >= 2

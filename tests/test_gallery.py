@@ -1,5 +1,7 @@
 """Model catalog: entries, their oracles, and agreement with grid scans."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,7 @@ SCAN_CASES = [
     pytest.param(*case, id=f"{case[0]}-grid{i}") for i, case in enumerate(SCAN_CASES)])
 def test_scan_agrees_with_expected_spectrum(name, grid, schedule):
     entry = registry()[name]
-    cfg = CFG.with_updates(duality_check=False, **schedule)
+    cfg = replace(CFG, duality_check=False, **schedule)
     smap = union_spectrum_scan(entry.operator, entry.family, grid, cfg)
     for li, lam in enumerate(smap.lambdas):
         statuses = [smap.cells[pi][li].status for pi in range(len(smap.pair_labels))]

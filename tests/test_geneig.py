@@ -120,10 +120,10 @@ def test_smallest_stable_index_is_one():
 def test_expansion_reconstructs_basis_vectors():
     e0 = CoefficientVector.unit(Basis.HERMITE, 0, 40)
     e3 = CoefficientVector.unit(Basis.HERMITE, 3, 40)
-    assert expansion_check(e0, cfg=CFG).max_error <= 1e-8
-    assert expansion_check(e3, cfg=CFG).max_error <= 1e-7
+    assert expansion_check(e0).max_error <= 1e-8
+    assert expansion_check(e3).max_error <= 1e-7
     zero = CoefficientVector(Basis.HERMITE, np.zeros(8))
-    assert expansion_check(zero, cfg=CFG).max_error == 0.0
+    assert expansion_check(zero).max_error == 0.0
 
 
 def test_expansion_contract_for_32_mode_vectors():
@@ -131,7 +131,7 @@ def test_expansion_contract_for_32_mode_vectors():
     coeffs = np.zeros(40, dtype=complex)
     coeffs[:32] = rng.normal(size=32) + 1j * rng.normal(size=32)
     phi = CoefficientVector(Basis.HERMITE, coeffs)
-    check = expansion_check(phi, cfg=CFG)
+    check = expansion_check(phi)
     assert check.rapidly_decreasing
     assert check.max_error <= 1e-6
     assert parseval_gap(phi) <= 1e-6 * float(np.sum(np.abs(coeffs) ** 2))
@@ -146,9 +146,9 @@ def test_expansion_linearity(seed):
     phi = pad.copy(); phi[:24] = rng.normal(size=24)
     psi = pad.copy(); psi[:24] = rng.normal(size=24)
     combo = CoefficientVector(Basis.HERMITE, a * phi + b * psi)
-    err_combo = expansion_check(combo, cfg=CFG).max_error
-    err_phi = expansion_check(CoefficientVector(Basis.HERMITE, phi), cfg=CFG).max_error
-    err_psi = expansion_check(CoefficientVector(Basis.HERMITE, psi), cfg=CFG).max_error
+    err_combo = expansion_check(combo).max_error
+    err_phi = expansion_check(CoefficientVector(Basis.HERMITE, phi)).max_error
+    err_psi = expansion_check(CoefficientVector(Basis.HERMITE, psi)).max_error
     assert err_combo <= abs(a) * err_phi + abs(b) * err_psi + 1e-12
 
 
@@ -162,12 +162,12 @@ def test_parseval_gap_small_for_smooth_vector():
 def test_non_rapid_tail_flagged():
     coeffs = np.full(64, 0.1)
     phi = CoefficientVector(Basis.HERMITE, coeffs)
-    assert not expansion_check(phi, cfg=CFG).rapidly_decreasing
+    assert not expansion_check(phi).rapidly_decreasing
 
 
 def test_restriction_position_real_spectrum():
     entry = hermite_position()
-    report = restricted_operator_report(entry.operator, entry.family, n=256, cfg=CFG)
+    report = restricted_operator_report(entry.operator, n=256, cfg=CFG)
     assert report.max_imag_eigenvalue is not None
     assert report.max_imag_eigenvalue <= 1e-12
     assert report.symmetry_defect == 0.0
@@ -176,7 +176,7 @@ def test_restriction_position_real_spectrum():
 
 def test_restriction_point_mass_rank_one():
     entry = torus_delta()
-    report = restricted_operator_report(entry.operator, entry.family, n=128, cfg=CFG)
+    report = restricted_operator_report(entry.operator, n=128, cfg=CFG)
     assert report.rank == 1
     assert report.finite_column_count == 128
     assert report.stable_column_count == 0  # column norms keep growing
@@ -184,7 +184,7 @@ def test_restriction_point_mass_rank_one():
 
 def test_restriction_diagonal_self_adjoint():
     entry = hermite_diagonal("n+1")
-    report = restricted_operator_report(entry.operator, entry.family, n=128, cfg=CFG)
+    report = restricted_operator_report(entry.operator, n=128, cfg=CFG)
     assert report.symmetry_defect == 0.0
     assert report.max_imag_eigenvalue == 0.0
     assert report.rank == 128

@@ -444,7 +444,7 @@ def test_a_held_certificate_takes_no_representation_call(monkeypatch):
     certify(skew, *pairs[0], CFG)
     assert calls == [3, len(pairs) - 3]
     # another cfg, a rebuilt operator and each adjoint of a non-symmetric one recompute
-    other = CFG.with_updates(symbol_probe=CFG.symbol_probe // 2)
+    other = replace(CFG, symbol_probe=CFG.symbol_probe // 2)
     certify(skew, *pairs[0], other)
     certify(operator_from_spec(spec), *pairs[0], CFG)
     dual = (w1.dual_of(pairs[0][1]), w1.dual_of(pairs[0][0]))
@@ -602,7 +602,7 @@ def test_configurations_differing_in_defect_eps_share_no_row(monkeypatch):
     x, rung, lams = entry.operator, entry.family.spaces[4], np.array([0.0, 0.5 + 0.1j])
     rows = _count_rows(monkeypatch)
     censuses = []
-    for cfg in (CFG, CFG.with_updates(defect_eps=1e-2)):
+    for cfg in (CFG, replace(CFG, defect_eps=1e-2)):
         got = x.rep.summaries(x.kernel(rung, rung, cfg), lams, 256)
         assert _bits(got) == _bits(_unshared_row(x, rung, rung, lams, 256, cfg))
         censuses.append(got[3].tolist())

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_defect_requires_regularity(scale):
 def test_defect_monotone_under_family_moves(scale):
     # enlarge F (smaller index) or shrink E (larger index): census never drops;
     # run at a fixed truncation with a loose census threshold to see the counts
-    loose = CFG.with_updates(defect_eps=1e-3, scan_n0=512)
+    loose = replace(CFG, defect_eps=1e-3, scan_n0=512)
     from interspec.sections import PairKernel
     op = diag_op("n+1")
     lam = 0.5j
@@ -540,7 +541,7 @@ def test_a_held_fake_certificate_decides_its_pair(scale):
         regular_point(x, -1.0, e, f, CFG)
     # the fake is held for its pair and configuration only
     assert point_status(x, -1.0, scale.space_at(2), e, CFG).status == STATUS_RESOLVENT
-    assert point_status(x, -1.0, e, f, CFG.with_updates(scan_n_max=512)).status == \
+    assert point_status(x, -1.0, e, f, replace(CFG, scan_n_max=512)).status == \
         STATUS_RESOLVENT
     assert point_status(diag_op("n+1"), -1.0, e, f, CFG).status == STATUS_RESOLVENT
 
@@ -548,7 +549,7 @@ def test_a_held_fake_certificate_decides_its_pair(scale):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_cold_and_warm_statuses_are_equal(name):
     # a warm operator answers after other lambda; a cold one is built for one lambda
-    cfg = CFG.with_updates(scan_n_max=512)
+    cfg = replace(CFG, scan_n_max=512)
     warm = BUILDERS[name]()
     pairs, lams = warm.family.admissible_pairs(), (0.3 + 0.5j, 2.5 + 0.5j)
 
@@ -603,7 +604,7 @@ def test_scan_openness_proxy(scale):
     op = diag_op("n+1")
     grid = GridSpec(-1.0, 0.0, 11, 0.0, 0.0, 1)
     smap = union_spectrum_scan(op, scale, grid,
-                               CFG.with_updates(duality_check=False))
+                               replace(CFG, duality_check=False))
     pi = smap.pair_labels.index("H_1->H_0")
     for li, lam in enumerate(smap.lambdas):
         cell = smap.cells[pi][li]
@@ -617,7 +618,7 @@ def test_scan_openness_proxy(scale):
 def test_scan_duality_boolean_symmetry_banded(scale):
     pos = hermite_position().operator
     grid = GridSpec(-1.0, 1.0, 3, 0.3, 0.9, 2)
-    cfg = CFG.with_updates(scan_n0=64, scan_n_max=512)
+    cfg = replace(CFG, scan_n0=64, scan_n_max=512)
     smap = union_spectrum_scan(pos, scale, grid, cfg)
     assert smap.duality_checked
     assert smap.duality_mismatches == []
@@ -640,7 +641,7 @@ def test_a_row_decision_is_its_points_decisions(name):
     # banded walks stop at 512 to keep the test short; diagonal ones still
     # reach 32768
     entry = registry()[name]
-    _row_against_points(entry.operator, entry.family, ROW, CFG.with_updates(scan_n_max=512))
+    _row_against_points(entry.operator, entry.family, ROW, replace(CFG, scan_n_max=512))
 
 
 @pytest.mark.parametrize("name", ["diagonal[1/(n+1)]", "scale-generator"])
@@ -741,7 +742,7 @@ def test_branch_report_equivalclasses(scale):
 
 def test_point_mass_never_resolvent():
     entry = torus_delta()
-    cfg = CFG.with_updates(scan_n0=64, scan_n_max=512, duality_check=False)
+    cfg = replace(CFG, scan_n0=64, scan_n_max=512, duality_check=False)
     grid = GridSpec(-2.0, 1.0, 4, 0.0, 1.0, 2)
     smap = union_spectrum_scan(entry.operator, entry.family, grid, cfg)
     assert all(not u for u in smap.union_resolvent)
@@ -837,7 +838,7 @@ def test_limit_rule_agrees_with_its_dual_on_the_gallery():
 
 # -- one decision, three views ------------------------------------------------
 
-SMALL = CFG.with_updates(n0=32, scan_n0=32, n_max=256, scan_n_max=256, dense_cap=256)
+SMALL = replace(CFG, n0=32, scan_n0=32, n_max=256, scan_n_max=256, dense_cap=256)
 
 
 def _dense(entry, name):

@@ -186,10 +186,9 @@ def _reference_count(ab, bound):
 
 
 def _reference_banded_summary(kernel, lam, n):
-    # the bands are the route's own (`Banded.gram_band`); only their eigenvalues
+    # the bands are the route's own (`Banded.gram_bands`); only their eigenvalues
     # come from eigvals_banded here
-    tall = kernel.x.rep.gram_band(kernel, lam, n, tall=True)
-    wide = kernel.x.rep.gram_band(kernel, lam, n, tall=False)
+    tall, wide = kernel.x.rep.gram_bands(kernel, lam, n)
     c_low, d_high = _reference_extremes(tall)
     surj_low, surj_high = _reference_extremes(wide)
     census = _reference_count(wide, (kernel.cfg.defect_eps * surj_high) ** 2)
@@ -252,11 +251,10 @@ def test_banded_gram_band_and_constants_match_dense(x, e, f, lam, n):
     got = kernel.summary(lam, n)
     rows = n + max(x.position_bandwidth(), 1)
     sv = {}
-    for tall in (True, False):
+    for tall, ab in zip((True, False), x.rep.gram_bands(kernel, lam, n)):
         s_mat = _dense_mode_order_section(x, e, f, lam, *((rows, n) if tall else (n, rows)))
         a = s_mat if tall else s_mat.conj().T  # the band is A^H A
         ref, scale = a.conj().T @ a, np.abs(a).T @ np.abs(a)
-        ab = x.rep.gram_band(kernel, lam, n, tall)
         assert ab.shape == (2 * b + 1, n)  # bandwidth 2b in mode order, on either basis
         band = np.zeros((n, n), dtype=complex)
         for d in range(ab.shape[0]):
@@ -272,6 +270,28 @@ def test_banded_gram_band_and_constants_match_dense(x, e, f, lam, n):
     assert abs(got.surj_low ** 2 - sv[False][-1] ** 2) <= tol
 
 
+@pytest.mark.parametrize("name", ["position", "multiplier[cos(t)]"])
+def test_a_banded_summary_evaluates_each_band_entry_once(name):
+    # the 2 b + 1 diagonals of S are evaluated once, over the outer modes, and
+    # both Gram views read them: one call of ``entry`` per diagonal
+    calls = []
+
+    def entry(mr, mc):
+        calls.append(np.shape(mr))
+        return (2.0 + 0.5j * (mr - mc)) / (1.0 + np.abs(mr) + np.abs(mc))
+
+    family = registry()[name].family
+    b, basis = 2, family.basis
+    x = operators.CoefficientOperator(basis, Banded(b, entry))
+    kernel = PairKernel(x, family.space_at(1), family.space_at(0), CFG)
+    n = 2 * _DENSE_ALWAYS + 1
+    x.rep.summary(kernel, 0.3 + 0.5j, n)
+    assert len(calls) == 2 * b + 1
+    calls.clear()
+    x.rep.norm_estimate(kernel, n)
+    assert len(calls) <= 2 * b + 1
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.3 + 0.5j, 1.2])
 def test_one_sided_band_summary_matches_dense(lam):
     # the right shift is bidiagonal, so both Gram bands have an all-zero outer
@@ -279,8 +299,8 @@ def test_one_sided_band_summary_matches_dense(lam):
     x = operator_from_json(str(DATA / "right-shift.json"))
     h0 = registry()["position"].family.space_at(0)
     n, kernel = 512, PairKernel(x, h0, h0, CFG)
-    for tall in (True, False):
-        assert not np.any(x.rep.gram_band(kernel, lam, n, tall)[-1])
+    for ab in x.rep.gram_bands(kernel, lam, n):
+        assert not np.any(ab[-1])
     got = kernel.summary(lam, n)
     rows = n + max(x.position_bandwidth(), 1)
     tall = np.linalg.svd(_dense_mode_order_section(x, h0, h0, lam, rows, n), compute_uv=False)
@@ -296,7 +316,7 @@ def _check_prescaled_band(name, lam, scale, f_index=0):
     entry = registry()[name]
     kernel = PairKernel(entry.operator, entry.family.space_at(1),
                         entry.family.space_at(f_index), CFG)
-    ab = kernel.x.rep.gram_band(kernel, lam, 256, tall=True) * scale
+    ab = kernel.x.rep.gram_bands(kernel, lam, 256)[0] * scale
     spectrum = sections._GramSpectrum(ab)
     assert spectrum.sigma != 1.0
     lo, hi = _reference_extremes(ab)
@@ -367,8 +387,8 @@ def test_equal_tall_and_wide_bands_are_reduced_once(monkeypatch):
     entry = registry()["multiplier[cos(t)]"]
     x, w0, lam, n = entry.operator, entry.family.space_at(0), 0.3 + 0.5j, 512
     kernel = PairKernel(x, w0, w0, CFG)
-    tall_band = x.rep.gram_band(kernel, lam, n, tall=True)
-    assert np.array_equal(x.rep.gram_band(kernel, lam, n, tall=False), tall_band)
+    tall_band, wide_band = x.rep.gram_bands(kernel, lam, n)
+    assert np.array_equal(wide_band, tall_band)
     tall = wide = sections._GramSpectrum(tall_band)  # what two reductions give
     census = wide.count_up_to((CFG.defect_eps * wide.singular_value(-1)) ** 2)
     apart = SectionSummary(n, tall.singular_value(0), tall.singular_value(-1),
