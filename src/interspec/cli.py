@@ -17,15 +17,12 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, GridSpec, RunConfig
-from .errors import (EigenvalueCollisionError, InterspecError, NeumannRadiusError,
-                     NoBoundStateError, NotCertifiedError, NotInResolventError,
-                     NotRegularError, ProductUndefinedError, SpecParseError)
+from .errors import InterspecError, NoBoundStateError, PreconditionError, SpecParseError
 from .expressions import compile_expression, format_complex, parse_complex
 from .extensions import (DeltaInteraction, UnitIntervalQuadrature,
                          bound_state_estimate, krein_difference_check,
@@ -36,10 +33,6 @@ from .operators import operator_from_json
 from .resolvent import (branch_report, neumann_continue, resolvent_solve,
                         union_spectrum_scan)
 from .spaces import Basis, CoefficientVector, ScaleFamily
-
-_PRECONDITION_ERRORS = (NotCertifiedError, NotRegularError, NotInResolventError,
-                        NeumannRadiusError, EigenvalueCollisionError,
-                        NoBoundStateError, ProductUndefinedError)
 
 
 def _load_operands(args) -> tuple:
@@ -226,7 +219,7 @@ def _cmd_geneig(args) -> int:
     # every row before the target is opened: a rejected input leaves no file;
     # only the written scalars are kept, not the length-n vectors
     rows = [(p.lam, p.residual, p.membership_norm)
-            for p in (delta_eigenpair(float(lam), Fraction(args.s), args.n, cfg=cfg)
+            for p in (delta_eigenpair(float(lam), args.s, args.n, cfg=cfg)
                       for lam in grid.re_points())]
     with _csv_target(args.out) as handle:
         writer = csv.writer(handle)
@@ -373,7 +366,7 @@ def main(argv: Optional[list] = None) -> int:
     except (SpecParseError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(f"spec error: {exc}\n")
         return 2
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         sys.stderr.write(f"precondition violated: {exc}\n")
         return 3
     except InterspecError as exc:

@@ -26,6 +26,10 @@ def json_typed(value, kind: type, what: str):
     return value
 
 
+class PreconditionError(InterspecError):
+    """A call's precondition does not hold; the message names the contract."""
+
+
 class BasisMismatchError(InterspecError):
     """Vectors/operators/spaces with different basis tags were combined."""
 
@@ -42,7 +46,7 @@ class UnsupportedSymbolError(InterspecError):
     """A multiplication symbol is outside the supported class."""
 
 
-class NotCertifiedError(InterspecError):
+class NotCertifiedError(PreconditionError):
     """Operation requires a certified continuous extension on the given pair."""
 
 
@@ -50,11 +54,11 @@ class CertificateBoundError(InterspecError):
     """A section norm exceeded the bound its continuity certificate promises."""
 
 
-class NotRegularError(InterspecError):
+class NotRegularError(PreconditionError):
     """Defect numbers are defined only at regular points."""
 
 
-class NotInResolventError(InterspecError):
+class NotInResolventError(PreconditionError):
     """lambda is not in the per-pair resolvent set; carries the point report."""
 
     def __init__(self, message, report=None):
@@ -66,17 +70,17 @@ class SolveToleranceError(InterspecError):
     """A resolvent solve could not meet its residual contract within n_max."""
 
 
-class NeumannRadiusError(InterspecError):
+class NeumannRadiusError(PreconditionError):
     """Requested point lies outside the certified Neumann disk."""
 
 
-class EigenvalueCollisionError(InterspecError):
+class EigenvalueCollisionError(PreconditionError):
     """lambda is an eigenvalue of the requested extension."""
 
 
-class NoBoundStateError(InterspecError):
+class NoBoundStateError(PreconditionError):
     """Bound-state estimate requested for a coupling without a bound state."""
 
 
-class ProductUndefinedError(InterspecError):
+class ProductUndefinedError(PreconditionError):
     """No admissible interspace triple exists: the partial product is undefined."""

@@ -82,7 +82,8 @@ def _compile(source: str, variables: tuple[str, ...]) -> Callable[..., np.ndarra
             raise TypeError(f"expression expects {len(variables)} argument(s)")
         local = dict(zip(variables, args))
         value = eval(code, namespace, local)  # noqa: S307 - AST is whitelisted above
-        return np.asarray(value) + np.zeros_like(np.asarray(args[0], dtype=float))
+        # an expression that reads only some variables still has their joint shape
+        return np.asarray(value) + np.zeros(np.broadcast(*args).shape)
 
     evaluate.source = source  # type: ignore[attr-defined]
     return evaluate

@@ -240,6 +240,8 @@ def bound_state_estimate(d: DeltaInteraction, box: float = 20.0, h0: float = 0.1
             f"no bound state: coupling alpha={d.alpha} is not attractive")
     if levels < 3:
         raise SpecParseError("Richardson extrapolation needs at least three meshes")
+    if not (0 < box < math.inf and 0 < h0 < math.inf):
+        raise SpecParseError(f"box={box} and mesh width h0={h0} must be finite and positive")
     samples = []
     h = h0
     for _ in range(levels):

@@ -63,7 +63,8 @@ def delta_eigenpair(lam: float, s=1, n: int = 1024,
                     cfg: RunConfig = DEFAULT_CONFIG) -> GeneralizedEigenpair:
     """Point-evaluation functional as a generalized eigenvector of the
     coordinate multiplier, certified in the rung of index -s."""
-    if not float(s) >= 1:
+    s = _as_index(s)
+    if not s >= 1:
         raise SpecParseError("home space needs index -s with s >= 1")
     if n < 1:
         raise SpecParseError(f"truncation n={n} must be at least 1")
@@ -72,7 +73,7 @@ def delta_eigenpair(lam: float, s=1, n: int = 1024,
             f"truncation n={n} too short for lam={lam}; residual decays only "
             f"for |lam| <= {math.sqrt(1.8 * n):.3g}")
     family = family if family is not None else hilbert_scale_family("n+1", range(-4, 5))
-    index = -_as_index(s)
+    index = -s
     try:
         home = family.space_at(index)
     except FamilySpecError:  # not a rung of the family: the same weights at -s

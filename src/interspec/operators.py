@@ -203,10 +203,6 @@ class Representation:
         """Deepest truncation a scan may ask for."""
         return min(cfg.scan_n_max, cfg.dense_cap)
 
-    def symbol(self, basis: Basis, n: int) -> Optional[np.ndarray]:
-        """Diagonal symbol on the leading n slots, or None if not diagonal."""
-        return None
-
     def limit_profile(self, op: "CoefficientOperator", e: ScaleSpace, f: ScaleSpace,
                       cfg: RunConfig) -> Optional[LimitProfile]:
         """Limit data of W_F (X - lambda) W_E^{-1}, or None where it has no closed form."""

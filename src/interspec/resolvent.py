@@ -380,21 +380,27 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
                      check_radius: bool = True) -> NeumannContinuation:
     """Partial-sum continuation of the resolvent from lam0 toward lam.
 
-    The disk radius is 1/|R_lam0 restricted to E|; the number of terms is
-    chosen so the geometric tail bound (restriction norm to the n-1, times
-    the F-to-E norm once) falls below series_tol.
+    Every term applies R_lam0 = (X_n - lam0)^(-1) at the witness truncation n
+    through its one factorization (`Representation.factorize`). The disk
+    radius is 1/|R_lam0 restricted to E|; the number of terms is chosen so
+    the geometric tail bound (restriction norm to the n-1, times the F-to-E
+    norm once) falls below series_tol. Both norms come from a dense SVD of
+    R_lam0, except where X has position bandwidth 0: R_lam0 is then
+    diagonal, and they are maxima over its diagonal on max(n, 4096) slots,
+    the factorization there applied to a column of ones.
     """
     if not math.isfinite(embedding_norm(e, f, cfg)):
         raise NotCertifiedError("Neumann continuation requires E embedded in F")
     n = _require_resolvent(point_status(x, lam0, e, f, cfg), lam0, e, f).witness_n
-    probe = max(n, 4096)
-    entries = _diagonal_inverse(x, lam0, probe)
-    if entries is not None:
-        norm_ee = float(np.max(np.abs(entries)))
-        norm_fe = float(np.max(np.abs(entries) * e.weights(probe) / f.weights(probe)))
-        r0 = entries[:n]
+    solve = x.rep.factorize(x.basis, lam0, x.section(n))
+    if x.position_bandwidth() == 0:
+        probe = max(n, 4096)
+        diagonal = np.abs(x.rep.factorize(x.basis, lam0, x.section(probe))(
+            np.ones((probe, 1)))[:, 0])
+        norm_ee = float(np.max(diagonal))
+        norm_fe = float(np.max(diagonal * e.weights(probe) / f.weights(probe)))
     else:
-        r0 = _resolvent_matrix(x, lam0, n)
+        r0 = solve(np.eye(n, dtype=complex))
         norm_ee = _weighted_op_norm(r0, e, e)
         norm_fe = _weighted_op_norm(r0, f, e)
     radius = 1.0 / norm_ee
@@ -414,32 +420,19 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
                                               / max(norm_fe, 1e-300)) / math.log(q)) - 1)
             terms = min(terms, 10_000)
 
-    apply_r0 = (lambda v: r0 * v) if r0.ndim == 1 else (lambda v: r0 @ v)
-
     def apply(vec: CoefficientVector) -> CoefficientVector:
-        acc = apply_r0(vec.padded(n))
-        term = acc.copy()
+        acc = term = solve(vec.padded(n)[:, None])
         for _ in range(terms):
-            term = (lam - lam0) * apply_r0(term)
+            term = (lam - lam0) * solve(term)
             acc = acc + term
-        return CoefficientVector(x.basis, acc)
+        return CoefficientVector(x.basis, acc[:, 0])
 
     return NeumannContinuation(lam0, lam, radius, terms, apply)
 
 
-def _diagonal_inverse(x: CoefficientOperator, lam: complex, n: int) -> Optional[np.ndarray]:
-    """Diagonal of (X_n - lambda)^(-1) when X is diagonal, else None."""
-    symbol = x.rep.symbol(x.basis, n)
-    return None if symbol is None else 1.0 / (symbol - lam)
-
-
 def _resolvent_matrix(x: CoefficientOperator, lam: complex, n: int) -> np.ndarray:
-    inverse = _diagonal_inverse(x, lam, n)
-    if inverse is not None:
-        return np.diag(inverse)
-    mat = x.matrix(n).astype(complex)
-    mat[np.arange(n), np.arange(n)] -= lam
-    return np.linalg.inv(mat)
+    """(X_n - lambda)^(-1): the factorization of X_n - lambda applied to the identity."""
+    return x.rep.factorize(x.basis, lam, x.section(n))(np.eye(n, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

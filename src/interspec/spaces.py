@@ -89,12 +89,11 @@ def mode_to_position(basis: Basis, m: np.ndarray) -> np.ndarray:
 def _as_index(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(value)
     try:
         return Fraction(value).limit_denominator(10**6) if isinstance(value, float) \
             else Fraction(value)
-    except TypeError as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        # None, "abc", "1/0", Infinity and NaN
         raise FamilySpecError(f"scale index {value!r} is not a number") from exc
 
 

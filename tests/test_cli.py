@@ -349,3 +349,36 @@ def test_a_duality_mismatch_exits_one_and_still_writes_the_map(tmp_path, capsys)
         e, f = cell["pair"].split("->")
         assert (cell["lambda"], cell["primal"], cell["dual"], e) == \
             ([1.0, 1.0], "not-regular", "resolvent", f)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--operator", "gallery:position", "--family", "family-zero-denominator-index.json",
+     "--grid=0:1:2,0.5:0.5:1"],
+    ["scan", "--operator", "gallery:position", "--family", "family-infinite-index.json",
+     "--grid=0:1:2,0.5:0.5:1"],
+    ["neumann", "--operator", "gallery:scale-generator", "--family", "gallery:scale-generator",
+     "--pair", "1/0,0", "--lambda0=-1", "--lambda=-1.05"],
+    ["geneig", "--lambda-grid=0:1:2", "--s", "1/0"],
+    ["delta-bound", "--alpha", "-2", "--h0", "0"],
+    ["delta-bound", "--alpha", "-2", "--L", "inf"],
+], ids=["family-index-1/0", "family-index-infinity", "neumann-pair-1/0", "geneig-s-1/0",
+        "delta-bound-h0-0", "delta-bound-box-inf"])
+def test_a_zero_or_infinite_index_or_mesh_is_a_spec_error(tmp_path, capsys, argv):
+    data = pathlib.Path(__file__).resolve().parent / "data"
+    (tmp_path / "family-infinite-index.json").write_text(
+        '{"basis": "hermite", "indices": [1, Infinity, 0],'
+        ' "generator": {"type": "diagonal", "symbol": "n+1"}}')
+    argv = [str(tmp_path / ref) if ref == "family-infinite-index.json"
+            else str(data / ref) if ref.endswith(".json") else ref for ref in argv]
+    out = ["--out", str(tmp_path / "out")]
+    code, _, err = run(capsys, *argv, *out)
+    assert code == 2 and err.startswith("spec error: ")
+
+
+def test_precondition_errors_exit_three_through_one_class():
+    from interspec import errors
+    named = {cls.__name__ for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, errors.PreconditionError)}
+    assert named == {"PreconditionError", "NotCertifiedError", "NotRegularError",
+                     "NotInResolventError", "NeumannRadiusError", "EigenvalueCollisionError",
+                     "NoBoundStateError", "ProductUndefinedError"}

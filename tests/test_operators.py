@@ -782,3 +782,13 @@ def test_real_diagonal_symbols_are_probed_in_real_arithmetic(monkeypatch):
     certify_pairs(entry.operator, entry.family.admissible_pairs(), CFG)
     certify_pairs(skew, w1.admissible_pairs(), CFG)
     assert probed == [np.dtype(float), np.dtype(complex)]
+
+
+def test_an_entry_that_reads_only_some_variables_has_the_full_shape():
+    # "1" reads neither n nor m, "1/(1+n^2)" only the row mode n
+    band = operator_from_json(DATA / "banded-constant-entry.json").matrix(4)
+    assert np.array_equal(band, np.tri(4, k=1) * np.tri(4, k=1).T)
+    dense = operator_from_spec({"basis": "hermite",
+                                "rep": {"type": "dense", "entry": "1/(1+n^2)"}}).matrix(3)
+    assert dense.shape == (3, 3)
+    assert np.array_equal(dense, np.repeat(1.0 / (1.0 + np.arange(3.0) ** 2), 3).reshape(3, 3))

@@ -371,6 +371,44 @@ def test_neumann_requires_embedding(scale):
         neumann_continue(op, -1.0, -1.05, scale.space_at(0), scale.space_at(1), CFG)
 
 
+def test_neumann_on_cos_t_factors_once_and_never_inverts(monkeypatch):
+    entry = torus_multiplication("cos(t)")
+    e = f = entry.family.space_at(0)
+    cfg = replace(CFG, scan_n0=64, scan_n_max=512)
+    factorize, calls = Banded.factorize, []
+    monkeypatch.setattr(Banded, "factorize",
+                        lambda *args: calls.append("factorize") or factorize(*args))
+    monkeypatch.setattr(np.linalg, "inv", lambda *args: calls.append("inv"))
+    cont = neumann_continue(entry.operator, 1.8 + 0.3j, 1.85 + 0.3j, e, f, cfg)
+    cont(CoefficientVector.unit(Basis.FOURIER, 0, 16))
+    assert cont.terms > 0 and calls == ["factorize"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_resolvent_matrix_is_the_dense_inverse(name):
+    # the dense inverse of the shifted matrix(64) was the route before factorize
+    x, lam, n = BUILDERS[name]().operator, 0.3 + 0.7j, 64
+    mat = x.matrix(n).astype(complex)
+    mat[np.diag_indices(n)] -= lam
+    reference = np.linalg.inv(mat)
+    got = resolvent._resolvent_matrix(x, lam, n)
+    assert np.linalg.norm(got - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_a_bandwidth_zero_band_continues_in_closed_form_like_its_diagonal(scale, monkeypatch):
+    band = operator_from_spec({"basis": "hermite",
+                               "rep": {"type": "banded", "bandwidth": 0, "entry": "n+1"}})
+    diagonal = diag_op("n+1")
+    e, f = scale.space_at(1), scale.space_at(0)
+    monkeypatch.setattr(resolvent, "_weighted_op_norm", None)  # no dense SVD of R_lam0
+    got = [neumann_continue(x, -1.0 + 0.5j, -1.1 + 0.6j, e, f, CFG) for x in (band, diagonal)]
+    assert got[0].terms == got[1].terms > 0
+    assert abs(got[0].radius - got[1].radius) <= 1e-14 * got[1].radius
+    probe = CoefficientVector.unit(Basis.HERMITE, 2, 32)
+    series = [cont(probe).coeffs for cont in got]
+    assert np.max(np.abs(series[0] - series[1])) <= 1e-14 * np.max(np.abs(series[1]))
+
+
 # -- resolvent identities ----------------------------------------------------
 
 
