@@ -15,7 +15,12 @@ and, above ``_DENSE_ALWAYS`` slots, banded Gram eigenvalues
 (`Banded.summary`) or, for a rank sum with a constant shifted weight ratio,
 k x k reductions on the range of its factors (`RankSum.summary`). A
 strategy reads the pair's spaces and configuration from the `PairKernel` it
-is handed, and the kernel keeps the summary it returns.
+is handed, and the kernel keeps the summary it returns. A representation
+also says whether every entry that a scan reads is real
+(`Representation.real`: False by default, and from the held symbol, the
+band's diagonals or the held factor stacks where overridden); the duality
+pass of a real self-adjoint operator then reads its dual rows from the
+primal ones.
 
 On a diagonal operator the section depends on the pair only through
 w_F / w_E, which is exactly 1.0 on every E = F pair. So a `Diagonal` holds,
@@ -36,7 +41,8 @@ reduced once and read for both views.
 The singular values are bit for bit those of ``eigvals_banded`` on that band
 without its all-zero outer rows (`sections._GramSpectrum`). ``section`` keeps
 slot order and serves residuals and solves, which `Representation.factorize`
-factors: dense LU by default, SuperLU for `Banded`, the symbol for `Diagonal`.
+factors: dense LU by default, SuperLU for `Banded`, the symbol for
+`Diagonal`, which builds no section.
 
 ``certify`` decides membership in C(E, F) through a three-valued outcome:
 certified (analytic-exact or truncation-stabilized), failed (norm grows
@@ -147,10 +153,11 @@ class Representation:
         the structure allows; solves and residuals use it."""
         return self.entries(modes(basis, rows).astype(float), modes(basis, cols).astype(float))
 
-    def factorize(self, basis: Basis, lam: complex, square) -> Callable:
+    def factorize(self, basis: Basis, lam: complex, n: int, square=None) -> Callable:
         """B -> (X_n - lambda)^(-1) B for n x m blocks B, factored once from the
-        n x n ``square`` of ``section``; here by LAPACK LU."""
-        mat = square.astype(complex)
+        n x n ``square`` of ``section``, built here unless the caller holds it;
+        here by LAPACK LU."""
+        mat = (self.section(basis, n, n) if square is None else square).astype(complex)
         mat[np.diag_indices_from(mat)] -= lam
         lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
         return lambda b: scipy.linalg.lu_solve(lu, b)
@@ -158,6 +165,14 @@ class Representation:
     def slot_bandwidth(self, basis: Basis) -> Optional[int]:
         """Bandwidth in coefficient-slot order; None means full rows/columns."""
         return None
+
+    def real(self, basis: Basis, cfg: RunConfig) -> bool:
+        """Is the imaginary part of every matrix entry that a scan at ``cfg``
+        reads exactly 0? Weights are real, so W_F (X - conj(lambda)) W_E^{-1}
+        is then the entrywise conjugate of W_F (X - lambda) W_E^{-1}, with the
+        same singular values, censuses and limit bounds. Here False: dense
+        entries are not probed."""
+        return False
 
     def certify_pairs(self, op: "CoefficientOperator", pairs: list, cfg: RunConfig) -> list:
         """The certificate of each (E, F) in ``pairs``: here its doubling schedule."""
@@ -230,12 +245,16 @@ class Diagonal(Representation):
         return scipy.sparse.diags(self.symbol(basis, min(rows, cols)), shape=(rows, cols),
                                   format="csr")
 
-    def factorize(self, basis, lam, square):
-        shifted = (self.symbol(basis, square.shape[0]) - lam)[:, None]
+    def factorize(self, basis, lam, n, square=None):
+        shifted = (self.symbol(basis, n) - lam)[:, None]  # no section read
         return lambda b: b / shifted
 
     def slot_bandwidth(self, basis):
         return 0
+
+    def real(self, basis, cfg):
+        # the slots that certificates, limit probes and walks read
+        return not np.any(self.symbol(basis, max(cfg.symbol_probe, self.max_n(cfg))).imag)
 
     def certify_pairs(self, op, pairs, cfg):
         # one blocked pass over the probe for all pairs (see the module
@@ -339,14 +358,26 @@ class Banded(Representation):
             shape=(rows, cols), dtype=complex)
         return mat.tocsr()
 
-    def factorize(self, basis, lam, square):
+    def factorize(self, basis, lam, n, square=None):
         # by columns: SuperLU solves a block of 64 several times slower than its columns
-        shifted = square - lam * scipy.sparse.identity(square.shape[0])
+        square = self.section(basis, n, n) if square is None else square
+        shifted = square - lam * scipy.sparse.identity(n)
         solve = scipy.sparse.linalg.splu(shifted.tocsc()).solve
         return lambda b: np.column_stack([solve(col) for col in b.T])
 
     def slot_bandwidth(self, basis):
         return 2 * self.bandwidth + 1 if basis is Basis.FOURIER else self.bandwidth
+
+    def real(self, basis, cfg):
+        # the diagonals of `gram_bands` at max_n, whose outer modes hold those
+        # of every shallower and every dense view, and at the limit probes'
+        # tail slots
+        m = sorted_modes(basis, self.max_n(cfg) + max(self.slot_bandwidth(basis), 1))
+        tail = slot_modes(basis, tail_slots(cfg.symbol_probe)).astype(float)
+        b = self.bandwidth
+        return not any(np.any(np.asarray(self.entry(at + k, at), dtype=complex).imag)
+                       for k in range(-b, b + 1)
+                       for at in (m[max(0, -k):len(m) - max(0, k)].astype(float), tail))
 
     def certify_pairs(self, op, pairs, cfg):
         # no entry of W_F X W_E^{-1} exceeds its norm: growing weighted
@@ -481,6 +512,11 @@ class RankSum(Representation):
         upper = float("inf") if any(math.isinf(t) or math.isnan(t) for t in term_norms) \
             else float(sum(term_norms))
         return replace(_certify_by_truncation(op, e, f, cfg), upper_bound=upper)
+
+    def real(self, basis, cfg):
+        # every slot of the walks' sections, the dense views' margin rows included
+        v, u = self.factors(basis, self.max_n(cfg) + cfg.section_margin)
+        return not (np.any(v.imag) or np.any(u.imag))
 
     def limit_profile(self, op, e, f, cfg):
         # a bounded finite-rank operator is compact: no diagonal survives in the limit

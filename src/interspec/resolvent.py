@@ -187,8 +187,8 @@ def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace,
             cfg: RunConfig) -> tuple:
     """The one classification of each lambda of ``lams`` on (E, F), and for each
     the (n, d_high) of the last summary it walked (None when the certificate or
-    the limit operators decide, each once for the whole row). The rest walks in
-    lock step. Everything is read from the pair's held kernel
+    the limit operators decide, each once for the whole row). The rest, if any,
+    walks in lock step. Everything is read from the pair's held kernel
     (`CoefficientOperator.kernel`).
     """
     lams = np.asarray(lams, dtype=complex)
@@ -200,8 +200,9 @@ def _decide(x: CoefficientOperator, lams, e: ScaleSpace, f: ScaleSpace,
     cells = _limit_status(kernel, lams)
     lasts = [None] * len(lams)
     walking = [i for i, cell in enumerate(cells) if cell is None]
-    for i, cell, last in zip(walking, *_walk(kernel, lams[walking])):
-        cells[i], lasts[i] = cell, last
+    if walking:
+        for i, cell, last in zip(walking, *_walk(kernel, lams[walking])):
+            cells[i], lasts[i] = cell, last
     return cells, lasts
 
 
@@ -260,7 +261,7 @@ def truncated_resolvent_apply(x: CoefficientOperator, lam: complex,
                               eta: CoefficientVector, n: int) -> CoefficientVector:
     """Solve the square truncated system (X_n - lambda) xi = eta."""
     check_same_basis(x, eta)
-    xi = x.rep.factorize(x.basis, lam, x.section(n))(eta.padded(n)[:, None])
+    xi = x.rep.factorize(x.basis, lam, n)(eta.padded(n)[:, None])
     return CoefficientVector(x.basis, xi[:, 0])
 
 
@@ -300,7 +301,7 @@ def _resolvent_solve(x: CoefficientOperator, lam: complex, e: ScaleSpace, f: Sca
     while True:
         if n not in factors:
             block = x.section(n + (x.position_bandwidth() or 0), n)
-            factors[n] = (x.rep.factorize(x.basis, lam, block[:n]), block)
+            factors[n] = (x.rep.factorize(x.basis, lam, n, block[:n]), block)
         if n not in solved:
             rows = factors[n][1].shape[0]
             solved[n] = (np.empty((eta.shape[1], n), dtype=complex),
@@ -392,10 +393,10 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
     if not math.isfinite(embedding_norm(e, f, cfg)):
         raise NotCertifiedError("Neumann continuation requires E embedded in F")
     n = _require_resolvent(point_status(x, lam0, e, f, cfg), lam0, e, f).witness_n
-    solve = x.rep.factorize(x.basis, lam0, x.section(n))
+    solve = x.rep.factorize(x.basis, lam0, n)
     if x.position_bandwidth() == 0:
         probe = max(n, 4096)
-        diagonal = np.abs(x.rep.factorize(x.basis, lam0, x.section(probe))(
+        diagonal = np.abs(x.rep.factorize(x.basis, lam0, probe)(
             np.ones((probe, 1)))[:, 0])
         norm_ee = float(np.max(diagonal))
         norm_fe = float(np.max(diagonal * e.weights(probe) / f.weights(probe)))
@@ -432,7 +433,7 @@ def neumann_continue(x: CoefficientOperator, lam0: complex, lam: complex,
 
 def _resolvent_matrix(x: CoefficientOperator, lam: complex, n: int) -> np.ndarray:
     """(X_n - lambda)^(-1): the factorization of X_n - lambda applied to the identity."""
-    return x.rep.factorize(x.basis, lam, x.section(n))(np.eye(n, dtype=complex))
+    return x.rep.factorize(x.basis, lam, n)(np.eye(n, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +637,15 @@ def union_spectrum_scan(x: CoefficientOperator, family: ScaleFamily, grid: GridS
     Each pair's row of grid points is decided at once (see `_decide`).
     When the family is closed under duality the scan also verifies, per cell,
     that resolvent membership of lambda for (E, F) matches membership of
-    conj(lambda) for (F^x, E^x) with the adjoint operator. A self-adjoint
-    operator is its own adjoint and its dual pairs are primal pairs, so each
-    dual row is decided, at conj(lambda) and from its own summaries, with the
-    held kernel, certificate and limit profile of a primal pair.
+    conj(lambda) for (F^x, E^x) with the adjoint operator, each dual row
+    decided at conj(lambda) on the adjoint. A self-adjoint operator is its
+    own adjoint, and its dual pairs are primal pairs, whose held kernels the
+    dual rows read. If it is also real (`Representation.real`), its section
+    at conj(lambda) is the entrywise conjugate of the one at lambda, with the
+    same singular values, censuses and limit bounds, and a certificate does
+    not depend on lambda; so the statuses of a dual row are those of the
+    primal row of its pair at lambda, and only a pair missing from the
+    primal rows is decided afresh.
     """
     lambdas = list(grid.points())
     lams = np.array(lambdas, dtype=complex)
@@ -657,8 +663,10 @@ def union_spectrum_scan(x: CoefficientOperator, family: ScaleFamily, grid: GridS
         adj = x.adjoint()
         dual_pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs]
         certify_pairs(adj, dual_pairs, cfg)  # in one pass; `_decide` reads them held
+        rows = dict(zip(pairs, cells)) if adj is x and x.rep.real(x.basis, cfg) else {}
         for pi, (ed, fd) in enumerate(dual_pairs):
-            row = [cell.status for cell in _decide(adj, lams.conj(), ed, fd, cfg)[0]]
+            row = [cell.status for cell in rows.get((ed, fd))
+                   or _decide(adj, lams.conj(), ed, fd, cfg)[0]]
             for li, lam in enumerate(lambdas):
                 primal = cells[pi][li].status == STATUS_RESOLVENT
                 dual = row[li] == STATUS_RESOLVENT

@@ -568,16 +568,21 @@ def test_every_e_equals_f_row_is_the_unshared_row(monkeypatch, name, n):
     assert rows == [(n, True)] * 4
 
 
-def test_a_diagonal_scan_computes_two_e_equals_f_rows_per_truncation(monkeypatch):
-    # one per pass: the primal rows at lambda, the dual rows at conj(lambda);
-    # the grid is offset like the benchmark's, so no row is its own conjugate
+@pytest.mark.parametrize("symmetric, passes", [(True, 1), (False, 2)],
+                         ids=["real-self-adjoint", "undeclared"])
+def test_a_diagonal_scan_computes_one_e_equals_f_row_per_truncation_and_pass(
+        monkeypatch, symmetric, passes):
+    # the primal pass at lambda, and the dual pass at conj(lambda) unless the
+    # operator is real and self-adjoint; the grid is offset like the
+    # benchmark's, so no row is its own conjugate
     entry = registry()["diagonal[1/(n+1)]"]
+    x = CoefficientOperator(Basis.HERMITE, entry.operator.rep, symmetric=symmetric)
     rows = _count_rows(monkeypatch)
-    scan = resolvent.union_spectrum_scan(entry.operator, entry.family,
+    scan = resolvent.union_spectrum_scan(x, entry.family,
                                          GridSpec.parse("-0.53:1.47:12,-0.46:0.54:9"), CFG)
     assert scan.duality_checked and not scan.duality_mismatches
     shared = [n for n, ones in rows if ones]
-    assert {n: shared.count(n) for n in shared} == {256 << k: 2 for k in range(6)}
+    assert {n: shared.count(n) for n in shared} == {256 << k: passes for k in range(6)}
 
 
 def test_an_overflowing_ratio_neither_reads_nor_replaces_the_held_row(monkeypatch):
@@ -792,3 +797,55 @@ def test_an_entry_that_reads_only_some_variables_has_the_full_shape():
                                 "rep": {"type": "dense", "entry": "1/(1+n^2)"}}).matrix(3)
     assert dense.shape == (3, 3)
     assert np.array_equal(dense, np.repeat(1.0 / (1.0 + np.arange(3.0) ** 2), 3).reshape(3, 3))
+
+
+def _complex_from(mode: float):
+    # 1 at modes below ``mode`` in modulus, and i from it on
+    return lambda m: np.where(np.abs(np.asarray(m, dtype=float)) >= mode, 1j, 1.0)
+
+
+def _band(complex_row) -> Banded:
+    # entries 1, and i in the row modes where ``complex_row`` holds
+    return Banded(1, lambda mr, mc: np.where(complex_row(np.asarray(mr)), 1j, 1.0)
+                  * np.ones(np.broadcast(mr, mc).shape))
+
+
+def _ranksum(u_mode: float, v_mode: float) -> RankSum:
+    real = lambda m: np.ones(np.shape(m))
+    return RankSum((RankSumTerm(real, real),
+                    RankSumTerm(_complex_from(u_mode), _complex_from(v_mode))))
+
+
+# (representation, basis, real?) at the default configuration. A diagonal's
+# scans read max(symbol_probe, max_n) = 2^17 slots; a band's read its diagonals
+# over modes 0..2048 (the outer modes of max_n = 2048) and at the limit probes'
+# tail slots, the last of which is 2^17 - 1 (one more row on its upper
+# diagonal); a rank sum's read max_n + section_margin = 1032 slots, modes
+# -516..516 on the Fourier basis
+REALNESS = {
+    "complex symbol": (Diagonal(lambda m: np.full(np.shape(m), 1 + 1j)), Basis.HERMITE, False),
+    "symbol complex from slot 100000": (Diagonal(_complex_from(100_000)), Basis.HERMITE, False),
+    "symbol complex past the probe": (Diagonal(_complex_from(1 << 17)), Basis.HERMITE, True),
+    "complex band": (operator_from_json(DATA / "hermitian-band.json").rep, Basis.HERMITE, False),
+    # 1903 lies among the outer modes of max_n, and no tail slot is 1902, 1903 or 1904
+    "band complex in row 1903 only": (_band(lambda m: m == 1903), Basis.HERMITE, False),
+    "band complex from row 100000": (_band(lambda m: m >= 100_000), Basis.HERMITE, False),
+    "band complex past the tail": (_band(lambda m: m > 1 << 17), Basis.HERMITE, True),
+    "complex point factors": (registry()["torus-comb-4"].operator.rep, Basis.FOURIER, False),
+    "u complex from |mode| 500": (_ranksum(500, 600), Basis.FOURIER, False),
+    "v complex from |mode| 500": (_ranksum(600, 500), Basis.FOURIER, False),
+    "factors complex from |mode| 600": (_ranksum(600, 600), Basis.FOURIER, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REALNESS))
+def test_a_representation_is_real_exactly_when_the_entries_a_scan_reads_are(case):
+    rep, basis, real = REALNESS[case]
+    assert rep.real(basis, CFG) is real
+
+
+def test_the_gallery_is_real_but_for_the_comb_and_dense_generators_are_never_real():
+    assert [name for name, entry in registry().items()
+            if not entry.operator.rep.real(entry.operator.basis, CFG)] == ["torus-comb-4"]
+    dense = operator_from_json(DATA / "dense-toeplitz.json")
+    assert dense.rep.real(dense.basis, CFG) is False

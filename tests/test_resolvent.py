@@ -33,6 +33,8 @@ from interspec.spaces import (Basis, CoefficientVector, ScaleFamily,
                               sobolev_torus_family)
 
 CFG = RunConfig()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SMOKE = RunConfig.from_json(str(ROOT / "bench" / "specs" / "smoke-config.json"))
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +403,7 @@ def test_a_bandwidth_zero_band_continues_in_closed_form_like_its_diagonal(scale,
     diagonal = diag_op("n+1")
     e, f = scale.space_at(1), scale.space_at(0)
     monkeypatch.setattr(resolvent, "_weighted_op_norm", None)  # no dense SVD of R_lam0
+    monkeypatch.setattr(operators.Diagonal, "section", None)  # its factorization reads none
     got = [neumann_continue(x, -1.0 + 0.5j, -1.1 + 0.6j, e, f, CFG) for x in (band, diagonal)]
     assert got[0].terms == got[1].terms > 0
     assert abs(got[0].radius - got[1].radius) <= 1e-14 * got[1].radius
@@ -811,6 +814,7 @@ def test_compact_cell_is_decided_without_any_section(monkeypatch):
     calls = []
     monkeypatch.setattr(PairKernel, "summary", lambda *args, **kw: calls.append("summary"))
     monkeypatch.setattr(sections, "_band_tridiagonal", lambda ab: calls.append("reduction"))
+    monkeypatch.setattr(resolvent, "_walk", lambda *args: calls.append("walk"))  # nor a walk
     status = point_status(x, 0.3 + 0.5j, e, f, CFG)
     assert calls == []
     assert status.status == STATUS_NOT_REGULAR and status.c_low == 0.0
@@ -970,3 +974,50 @@ def test_banded_adjoint_is_the_conjugate_transpose_and_scans_with_no_mismatch():
     assert smap.duality_checked and smap.duality_mismatches == []
     assert sum(c.status == "regular-defect" and c.defect == 1
                for row in smap.cells for c in row) == 36
+
+
+# the gallery's real self-adjoint operators: all but torus-comb-4, whose
+# point factors are complex
+REAL_SELF_ADJOINT = [name for name in sorted(BUILDERS) if name != "torus-comb-4"]
+
+
+@pytest.mark.parametrize("name", REAL_SELF_ADJOINT)
+def test_a_real_self_adjoint_operator_decides_conj_lambda_as_lambda(name):
+    # what the duality pass of such an operator rests on, and no longer
+    # computes: the dual row (F^x, E^x) at conj(lambda) is the primal row of
+    # that pair at lambda, status for status
+    entry = BUILDERS[name]()
+    x, family = entry.operator, entry.family
+    assert x.adjoint() is x and x.rep.real(x.basis, SMOKE)
+    grid = GridSpec.parse("-1.37:1.41:7,-0.43:0.61:3")
+    lams = np.array(list(grid.points()))
+    smap = union_spectrum_scan(x, family, grid, SMOKE)
+    pairs = family.admissible_pairs()
+    for e, f in pairs:
+        ed, fd = family.dual_of(f), family.dual_of(e)
+        primal = smap.cells[pairs.index((ed, fd))]
+        dual = _decide(x, lams.conj(), ed, fd, SMOKE)[0]
+        assert [c.status for c in dual] == [c.status for c in primal], (ed.label, fd.label)
+
+
+@pytest.mark.parametrize("operator, family, passes", [
+    ("gallery:multiplier[cos(t)]", "gallery:multiplier[cos(t)]", 1),
+    ("gallery:torus-comb-4", "gallery:torus-comb-4", 2),  # complex factors
+    ("mislabelled-symmetric.json", "gallery:scale-generator", 2),  # complex symbol
+    ("right-shift.json", "gallery:position", 2),  # not self-adjoint
+    ("hermitian-band.json", "gallery:position", 2),  # self-adjoint, complex band
+])
+def test_only_a_real_self_adjoint_scan_skips_its_dual_decisions(monkeypatch, operator, family,
+                                                                passes):
+    def load(ref, part):
+        if ref.startswith("gallery:"):
+            return getattr(BUILDERS[ref.split(":", 1)[1]](), part)
+        return operator_from_json(str(ROOT / "tests" / "data" / ref))
+
+    decided, decide = [], resolvent._decide
+    monkeypatch.setattr(resolvent, "_decide",
+                        lambda *args: decided.append(args) or decide(*args))
+    smap = union_spectrum_scan(load(operator, "operator"), load(family, "family"),
+                               GridSpec.parse("-1.5:1.5:3,0.5:0.5:1"), SMOKE)
+    assert smap.duality_checked
+    assert len(decided) == passes * len(smap.pair_labels)
