@@ -37,7 +37,8 @@ on either basis (slot order would give 4 b on the Fourier basis). A real band,
 as real operators give at lambda = 0 and real symmetric ones between rungs
 of weight 1 at any lambda, is reduced by dsbtrd. When the wide band equals
 the tall one bit for bit, as for a real symmetric X on W_0 -> W_0, it is
-reduced once and read for both views.
+reduced once and read for both views. A norm estimate, which reads only the
+tall view, assembles only its band.
 The singular values are bit for bit those of ``eigvals_banded`` on that band
 without its all-zero outer rows (`sections._GramSpectrum`). ``section`` keeps
 slot order and serves residuals and solves, which `Representation.factorize`
@@ -62,8 +63,10 @@ in one call to ``Representation.certify_pairs``, a representation's only
 certificate method, and ``certify`` is its one-pair view. A diagonal
 representation takes them all in one pass over its probe, in blocks of
 slots (`spaces.probe_sups`): each rung's weights are evaluated once per
-block whatever the number of pairs, and no probe-length weight array is
-built; a real symbol is probed in real arithmetic. A rank sum's term norm
+block whatever the number of pairs (a rung -k as the reciprocals of rung k),
+no probe-length weight array is built, the E = F pairs share one maximum per
+chunk and a chunk that cannot raise a pair's sup is skipped; a real symbol
+is probed in real arithmetic, as |a| w_F / w_E. A rank sum's term norm
 is ||u||_{E^x} ||v||_F, each factor of which reads one rung, so its
 certificates sum each factor's weighted series once per (factor, space) in
 the call. The values are bit for bit those of one pair at a time.
@@ -402,12 +405,21 @@ class Banded(Representation):
         each holds a contiguous range of modes (`spaces.sorted_modes`). Sorting
         rows and columns by mode leaves the singular values as they are, and
         the Gram matrix has bandwidth 2 b, while slot order interleaves the
-        signed Fourier modes and doubles it. One evaluation of the 2 b + 1
-        diagonals of S over the outer modes, each entry formed as
-        (X - lambda) w_F / w_E, fills both bands (`sections.gram_band`): the
-        tall view reads its n columns, the wide one the diagonals of S^H,
+        signed Fourier modes and doubles it. One evaluation of the diagonals
+        of S (`_diagonals`) fills both bands (`sections.gram_band`): the tall
+        view reads its n columns, the wide one the diagonals of S^H,
         conj(S[c, c + k]) at column c of diagonal k.
         """
+        s, shift = self._diagonals(kernel, lam, n)
+        b = self.bandwidth
+        wide = np.conj([s[b - k, shift + k:shift + k + n] for k in range(-b, b + 1)])
+        return gram_band(s[:, shift:shift + n]), gram_band(wide)
+
+    def _diagonals(self, kernel: PairKernel, lam: complex, n: int) -> tuple:
+        """(s, shift): the 2 b + 1 diagonals of S at truncation n over the outer
+        modes, s[k + b, b + c] = S[c + k, c] in outer mode order and zero past
+        either end, each entry formed as (X - lambda) w_F / w_E; the tall view's
+        n columns are s[:, shift:shift + n]."""
         basis, b = kernel.x.basis, self.bandwidth
         outer = n + max(self.slot_bandwidth(basis), 1)
         outer_modes = sorted_modes(basis, outer)
@@ -415,15 +427,13 @@ class Banded(Representation):
         to_slots = mode_to_position(basis, outer_modes)
         wf, we = kernel.f.weights(outer)[to_slots], kernel.e.weights(outer)[to_slots]
         m = outer_modes.astype(float)
-        # s[k + b, b + c] = S[c + k, c] in outer mode order, zero past either end
         s = np.zeros((2 * b + 1, outer + 2 * b), dtype=complex)
         for k in range(-b, b + 1):
             lo, hi = max(0, -k), min(outer, outer - k)
             vals = np.asarray(self.entry(m[lo:hi] + k, m[lo:hi]), dtype=complex)
             s[k + b, b + lo:b + hi] = (vals - lam if k == 0 else vals) \
                 * wf[lo + k:hi + k] / we[lo:hi]
-        wide = np.conj([s[b - k, shift + k:shift + k + n] for k in range(-b, b + 1)])
-        return gram_band(s[:, shift:shift + n]), gram_band(wide)
+        return s, shift
 
     def summary(self, kernel, lam, n):
         if n <= _DENSE_ALWAYS:
@@ -442,7 +452,8 @@ class Banded(Representation):
     def norm_estimate(self, kernel, n):
         if n <= _DENSE_ALWAYS:
             return super().norm_estimate(kernel, n)
-        return _GramSpectrum(self.gram_bands(kernel, 0.0, n)[0]).singular_value(-1)
+        s, shift = self._diagonals(kernel, 0.0, n)  # the tall view only
+        return _GramSpectrum(gram_band(s[:, shift:shift + n])).singular_value(-1)
 
     def max_n(self, cfg):
         return cfg.scan_n_max

@@ -359,11 +359,11 @@ class LimitProfile:
             tails = [int(np.searchsorted(slots[pick], c)) for c in checkpoints]
             if tails[-1] >= len(m):
                 continue  # no sample past the deepest checkpoint: no limit to read
-            w_e = e.weight_at(m)
-            seqs = [f.weight_at(m + k) * np.asarray(diagonals[k](m), dtype=complex) / w_e
-                    for k in ks]
+            w_e, w_f = e.weight_at(m), f.weight_at(m)  # w_f serves k = 0 and rho
+            seqs = [(w_f if k == 0 else f.weight_at(m + k))
+                    * np.asarray(diagonals[k](m), dtype=complex) / w_e for k in ks]
             limits = [_limit(v, tails, cfg.growth_threshold) for v in seqs]
-            rho, rho_error = _limit(f.weight_at(m) / w_e, tails, cfg.growth_threshold)
+            rho, rho_error = _limit(w_f / w_e, tails, cfg.growth_threshold)
             values = np.array([lim for lim, _ in limits], dtype=complex)
             live = values != 0
             width = int(np.max(np.abs(offsets[live]), initial=0))

@@ -28,7 +28,13 @@ Tail probes over ``symbol_probe`` slots (`embedding_norm`, certificates,
 limit profiles) evaluate ``weight_at`` on their modes and hold nothing: at
 the default probe that would be 1 MB per rung. `probe_sups` walks the probe
 in blocks of at most ``PROBE_BLOCK`` slots, evaluating each rung once per
-block for all the pairs it serves, so no probe-length array is built.
+block for all the pairs it serves, so no probe-length array is built. A rung
+-k whose rung k is probed too reads the reciprocals of rung k's block, every
+E = F pair reads one shared maximum per chunk, and a chunk whose rigorous
+bound stays below a pair's running maximum is not formed for that pair, so
+the cost of a certificate pass grows with the rungs and the pairs that
+still rise, not with every pair times the probe; the sups stay bit for bit
+those of the whole probe.
 """
 
 from __future__ import annotations
@@ -290,6 +296,8 @@ def dual_space(space: ScaleSpace) -> ScaleSpace:
 
 PROBE_BLOCK = 1 << 15  # slots per block of `probe_sups`
 _PAIR_CHUNK = 1 << 14  # slots per product in `probe_sups`
+_BOUND_MARGIN = 1.0 + 1e-14  # relative slack of the chunk bound of `probe_sups`
+_TINY = float(np.finfo(float).tiny)  # its absolute slack, for products that underflow
 
 
 def _checkpoints(n: int) -> tuple:
@@ -315,31 +323,95 @@ def running_sup(values: np.ndarray, growth_threshold: float, slots=None):
     return maxima[-1], diverged
 
 
+def _pair_chunk_max(a: Optional[np.ndarray], wf: np.ndarray, we: np.ndarray) -> float:
+    """max |a w_F / w_E| over one chunk of `probe_sups`, where ``a`` is None
+    (no symbol), |symbol| (a real one) or a complex symbol. Weights are >= 0
+    or NaN, and so is their ratio r, so on the real path |a| r is bit for
+    bit |a r| and r needs no modulus."""
+    r = wf / we
+    if a is None:
+        return np.max(r)
+    if np.iscomplexobj(a):
+        return np.max(np.abs(a * r))
+    r *= a
+    return np.max(r)
+
+
 def probe_sups(basis: Basis, probe: int, pairs: list, growth_threshold: float,
                symbol: Optional[np.ndarray] = None) -> list:
     """`running_sup` of ``symbol`` * w_F / w_E (of w_F / w_E when ``symbol`` is
     None) over the first ``probe`` slots, one (sup, diverged) per (E, F) in
-    ``pairs``.
+    ``pairs``, bit for bit that of `running_sup` over the whole probe, NaN
+    included.
 
     The slots are walked in blocks of at most ``PROBE_BLOCK`` whose edges
-    include the checkpoints, and each rung is evaluated once per block. Every
-    value is the elementwise expression of a whole-probe evaluation, and the
-    maximum of chunk maxima is the maximum, so the result is bit for bit that
-    of `running_sup` over the whole probe, NaN included.
+    include the checkpoints, and each block in chunks of at most
+    ``_PAIR_CHUNK``. Every value is the elementwise expression of a
+    whole-probe evaluation, and the maximum of the chunk maxima is the
+    maximum. Each rung is evaluated once per block for all the pairs it
+    serves, except that a `ScaleWeights` rung -k whose rung k is probed too
+    is the reciprocal of rung k's block, which is how `ScaleWeights.weight`
+    forms it. Per chunk:
+
+    * an E = F pair whose weight is finite and nonzero on the chunk has ratio
+      exactly 1.0 there, so one chunk maximum serves every such pair: max |a|
+      (1.0 without a symbol, and the product taken once for a complex one);
+    * every other element is at most
+      B = A * (max w_F / min w_E) * (1 + 1e-14) + 2^-1022, where A is
+      max |a| for a real symbol, max |Re a| + max |Im a| for a complex one
+      and 1 without. On the real path rounding is monotone, so B bounds each
+      computed element with no margin at all; on the complex path the factor
+      covers the few roundings of the product and its modulus, and the
+      smallest normal float those of products that underflow. If B is below
+      the pair's running maximum of its computed chunk maxima, the chunk
+      cannot change the maximum of any prefix that `running_sup` compares,
+      since each prefix starts at slot 0 and so holds the earlier chunks:
+      0 is recorded and the ratio is not formed. A NaN, infinite or zero
+      weight, or a NaN or infinite symbol, makes B NaN or infinite, which
+      never skips, and a NaN chunk maximum makes the running maximum NaN,
+      which stops every later skip.
     """
     edges = sorted({*range(0, probe, PROBE_BLOCK), *(min(c, probe) for c in _checkpoints(probe))})
-    rungs = dict.fromkeys(space for pair in pairs for space in pair)
+    rungs = list(dict.fromkeys(space for pair in pairs for space in pair))
+    at = {space: i for i, space in enumerate(rungs)}
+    ei, fi = (np.array([at[pair[side]] for pair in pairs], dtype=int) for side in (0, 1))
+    positive = {(space.family, space.index): i for i, space in enumerate(rungs) if space.index > 0}
+    mirrored = {i: positive[space.family, -space.index] for i, space in enumerate(rungs)
+                if isinstance(space.family, ScaleWeights)
+                and (space.family, -space.index) in positive}
+    complex_symbol = np.iscomplexobj(symbol)
+    running = np.zeros(len(pairs))  # per pair: the max of its computed chunk maxima
     maxima, ends = [], []
     for lo, hi in zip(edges, edges[1:]):
         m = slot_modes(basis, np.arange(lo, hi)).astype(float)
-        w = {space: space.weight_at(m) for space in rungs}
+        w = {i: space.weight_at(m) for i, space in enumerate(rungs) if i not in mirrored}
         del m  # here and below: at most one block of weights is alive
-        # products in chunks of a block keep the complex temporaries small
+        w.update({i: 1.0 / w[pos] for i, pos in mirrored.items()})
         for a, b in ((a, min(a + _PAIR_CHUNK, hi)) for a in range(lo, hi, _PAIR_CHUNK)):
-            ratios = (w[f][a - lo:b - lo] / w[e][a - lo:b - lo] for e, f in pairs)
-            maxima.append([np.max(np.abs(r if symbol is None else symbol[a:b] * r)) for r in ratios])
+            part = [w[i][a - lo:b - lo] for i in range(len(rungs))]
+            low = np.array([np.min(v) for v in part])
+            high = np.array([np.max(v) for v in part])
+            if symbol is None:
+                mag, top = None, 1.0
+            elif complex_symbol:
+                mag = symbol[a:b]
+                top = np.max(np.abs(mag.real)) + np.max(np.abs(mag.imag))
+            else:
+                mag = np.abs(symbol[a:b])
+                top = np.max(mag)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                bound = top * (high[fi] / low[ei]) * _BOUND_MARGIN + _TINY
+            ones = (ei == fi) & (low[ei] > 0.0) & (high[ei] < np.inf)
+            row = np.zeros(len(pairs))
+            if ones.any():  # top is max |a| (1.0 without a symbol) but on the complex path
+                e = ei[np.argmax(ones)]
+                row[ones] = _pair_chunk_max(mag, part[e], part[e]) if complex_symbol else top
+            for p in np.flatnonzero(~ones & ~(bound < running)):
+                row[p] = _pair_chunk_max(mag, part[fi[p]], part[ei[p]])
+            np.maximum(running, row, out=running)
+            maxima.append(row)
             ends.append(b - 1)
-        del w
+        del w, part
     maxima = np.array(maxima)
     return [running_sup(maxima[:, p], growth_threshold, np.array(ends)) for p in range(len(pairs))]
 

@@ -18,7 +18,7 @@ from interspec.resolvent import (STATUS_NOT_REGULAR, STATUS_RESOLVENT, branch_re
                                  defect_number, point_status, union_spectrum_scan)
 from interspec.sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary,
                                 tail_slots)
-from interspec.spaces import Basis, ScaleFamily, ScaleWeights, modes
+from interspec.spaces import Basis, ScaleFamily, ScaleWeights, modes, slot_modes
 
 CFG = RunConfig()
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -686,3 +686,76 @@ def test_tail_slots_are_held_read_only_per_probe_length():
         assert tail_slots.__wrapped__(probe) is not slots
         with pytest.raises(ValueError):
             slots[0] = 0
+
+
+@pytest.mark.parametrize("name", ["position", "multiplier[cos(t)]"])
+def test_a_banded_norm_estimate_assembles_only_the_tall_band(monkeypatch, name):
+    entry = registry()[name]
+    x = entry.operator
+    assembled, gram_band = [], operators.gram_band
+    monkeypatch.setattr(operators, "gram_band", lambda d: assembled.append(d.shape) or gram_band(d))
+    for e, f in entry.family.admissible_pairs():
+        kernel = PairKernel(x, e, f, CFG)
+        for n in (_DENSE_ALWAYS + 1, 512):
+            assembled.clear()
+            got = x.rep.norm_estimate(kernel, n)
+            assert len(assembled) == 1, (e.label, f.label, n)
+            tall, _ = x.rep.gram_bands(kernel, 0.0, n)
+            assert repr(got) == repr(sections._GramSpectrum(tall).singular_value(-1))
+
+
+def _profile_directions_per_offset(basis, e, f, cfg, diagonals):
+    """The directions of `LimitProfile.probe` as it read when every offset k,
+    0 included, evaluated f at m + k and rho evaluated f at m once more."""
+    probe = cfg.symbol_probe
+    checkpoints = (max(16, probe >> 9), max(32, probe >> 6), max(64, probe >> 3))
+    slots = tail_slots(probe)
+    slot_m = slot_modes(basis, slots).astype(float)
+    ks = sorted(diagonals)
+    offsets = np.array(ks, dtype=float)
+    directions = []
+    for sign in (1.0, -1.0):
+        pick = np.sign(slot_m) == sign
+        if not pick.any():
+            continue
+        m = slot_m[pick]
+        tails = [int(np.searchsorted(slots[pick], c)) for c in checkpoints]
+        if tails[-1] >= len(m):
+            continue
+        w_e = e.weight_at(m)
+        limits = [sections._limit(f.weight_at(m + k) * np.asarray(diagonals[k](m), dtype=complex)
+                                  / w_e, tails, cfg.growth_threshold) for k in ks]
+        rho, rho_error = sections._limit(f.weight_at(m) / w_e, tails, cfg.growth_threshold)
+        values = np.array([lim for lim, _ in limits], dtype=complex)
+        live = values != 0
+        width = int(np.max(np.abs(offsets[live]), initial=0))
+        directions.append((offsets[live], values[live], width,
+                           np.sum(values[live]) if width == 0 else None,
+                           float(sum(err for _, err in limits)), rho, rho_error))
+    return directions
+
+
+@pytest.mark.parametrize("name", ["diagonal[1/(n+1)]", "scale-generator", "position",
+                                  "multiplier[cos(t)]", "multiplier[2+cos(t)]"])
+def test_a_limit_profile_evaluates_f_once_per_offset_and_direction(monkeypatch, name):
+    entry = registry()[name]
+    x = entry.operator
+    weight_at, calls = sections.ScaleSpace.weight_at, []
+
+    def counted(self, m):
+        calls.append(self)
+        return weight_at(self, m)
+
+    for e, f in entry.family.admissible_pairs():
+        monkeypatch.setattr(sections.ScaleSpace, "weight_at", counted)
+        calls.clear()
+        profile = x.rep.limit_profile(x, e, f, CFG)
+        monkeypatch.setattr(sections.ScaleSpace, "weight_at", weight_at)
+        bandwidth = getattr(x.rep, "bandwidth", 0)
+        directions = 2 if x.basis is Basis.FOURIER else 1
+        # e once and f once per offset, k = 0 and rho sharing one evaluation
+        assert len(calls) == directions * (2 + 2 * bandwidth), (e.label, f.label)
+        diagonals = ({0: x.rep.values} if bandwidth == 0 else
+                     {k: lambda m, k=k: x.rep.entry(m + k, m) for k in range(-bandwidth, bandwidth + 1)})
+        want = _profile_directions_per_offset(x.basis, e, f, CFG, diagonals)
+        assert repr(profile.directions) == repr(tuple(want)), (e.label, f.label)

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interspec import spaces
 from interspec.errors import BasisMismatchError, FamilySpecError
 from interspec.gallery import registry
 from interspec.config import RunConfig
 from interspec.spaces import (PROBE_BLOCK, Basis, CoefficientVector, ScaleFamily, ScaleSpace,
                               ScaleWeights,
                               dual_space, embedding_norm, exp_sqrt_pair, generator_from_spec,
-                              hilbert_scale_family, intersection, modes, norm, pairing, running_sup,
-                              sequence_power_family, sobolev_torus_family)
+                              hilbert_scale_family, intersection, modes, norm, pairing, probe_sups,
+                              running_sup, sequence_power_family, sobolev_torus_family)
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +237,98 @@ def test_held_weights_are_read_only(scale):
         w[0] = 2.0
     assert np.array_equal(scale.space_at(2).weights(16),
                           scale.space_at(2).weight_at(modes(Basis.HERMITE, 16)))
+
+
+# -- blocked probe sups ----------------------------------------------------------
+
+GENERATORS = (ScaleWeights("diagonal", "n+1"), ScaleWeights("sobolev-torus"),
+              ScaleWeights("sequence-power"), ScaleWeights("exp-sqrt"))
+SPECIALS = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, complex(np.nan, np.inf),
+            complex(np.inf, 1.0), complex(1.0, -np.inf), complex(0.0, np.nan))
+
+
+def _whole_probe_sups(basis, probe, pairs, growth_threshold, symbol):
+    """`probe_sups` as one evaluation of each pair over the whole probe."""
+    m = modes(basis, probe)
+    sups = []
+    for e, f in pairs:
+        ratio = f.weight_at(m) / e.weight_at(m)
+        sups.append(running_sup(ratio if symbol is None else symbol * ratio, growth_threshold))
+    return sups
+
+
+@st.composite
+def _probe_cases(draw):
+    basis = draw(st.sampled_from(Basis))
+    gen = draw(st.sampled_from(GENERATORS))
+    indices = draw(st.sets(st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3])),
+                           min_size=1, max_size=4))
+    if draw(st.booleans()):  # duals: the rungs -k that `probe_sups` reads as reciprocals
+        indices |= {-k for k in indices}
+    rungs = [ScaleSpace(basis, k, gen) for k in sorted(indices)]
+    if draw(st.booleans()):
+        rungs.append(intersection(rungs[0], rungs[-1]))
+    pairs = [(e, f) for e in rungs for f in rungs]
+    probe = draw(st.sampled_from([40, 3000, 100_000, 1 << 17]))
+    kind = draw(st.sampled_from(["none", "real", "complex"]))
+    symbol = None
+    if kind != "none":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        slope = draw(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]))
+        symbol = rng.standard_normal(probe) * (1.0 + np.arange(probe)) ** slope
+        if kind == "complex":
+            symbol = symbol + 1j * rng.standard_normal(probe)
+        for value in draw(st.lists(st.sampled_from(SPECIALS), max_size=3)):
+            if kind == "real" and isinstance(value, complex):
+                continue
+            symbol[int(draw(st.floats(0.0, 1.0, exclude_max=True)) * probe)] = value
+    threshold = draw(st.sampled_from([RunConfig().growth_threshold, 1.5, 1e3]))
+    return basis, probe, pairs, threshold, symbol
+
+
+@given(_probe_cases())
+@settings(max_examples=60, deadline=None)
+def test_probe_sups_are_the_whole_probe_sups(case):
+    # sups and verdicts, bit for bit, with NaN and inf symbol entries, weights
+    # that overflow (exp-sqrt past index 2) or turn NaN (n+1 on negative modes
+    # at fractional indices), reciprocal rungs and intersections
+    with np.errstate(all="ignore"):
+        got = probe_sups(*case)
+        want = _whole_probe_sups(*case)
+    assert repr(got) == repr(want)
+
+
+def test_a_chunk_is_skipped_only_when_it_cannot_raise_the_sup(monkeypatch):
+    # 2^17 slots: chunks [0, 2048), [2048, 16384), then 2^14 slots at a time
+    cfg, chunks = RunConfig(), 9
+    calls, chunk_max = [], spaces._pair_chunk_max
+    monkeypatch.setattr(spaces, "_pair_chunk_max",
+                        lambda *args: calls.append(args) or chunk_max(*args))
+
+    def computed(x, pair):
+        """How many chunks `probe_sups` computes for ``pair`` alone, and its (sup, diverged)."""
+        calls.clear()
+        symbol = x.rep.symbol(x.basis, cfg.symbol_probe).real
+        [sup] = probe_sups(x.basis, cfg.symbol_probe, [pair], cfg.growth_threshold, symbol)
+        return len(calls), sup
+
+    compact = registry()["diagonal[1/(n+1)]"]
+    for e, f in compact.family.admissible_pairs():
+        # an E = F pair reads the chunk's shared max |a|; every other pair
+        # decays from slot 0, so only its first chunk is computed
+        assert computed(compact.operator, (e, f)) == ((0 if e == f else 1), (1.0, False)), \
+            (e.label, f.label)
+    generator = registry()["scale-generator"].operator
+    halves = hilbert_scale_family("n+1", [Fraction(k, 2) for k in range(-4, 5)])
+    seen = set()
+    for e, f in halves.admissible_pairs():
+        n_computed, (sup, diverged) = computed(generator, (e, f))
+        step = e.index - f.index
+        if step == 0:  # unbounded symbol, one shared chunk max for every rung
+            assert (n_computed, diverged) == (0, True)
+        elif step <= 1:  # rising toward 1 (E - F = 1) or diverging (E - F = 1/2)
+            assert n_computed == chunks and diverged == (step < 1), (e.label, f.label)
+        else:
+            assert n_computed < chunks, (e.label, f.label)
+        seen.add(step)
+    assert {0, Fraction(1, 2), 1} < seen
