@@ -9,41 +9,18 @@ The rest of the library reaches a representation only through the
 `Representation` protocol, whose defaults treat the matrix as dense. Each
 representation owns its section strategy, the singular-value summary of
 W_F (X - lambda) W_E^{-1} at a truncation (`sections.SectionSummary`),
-census included: dense SVDs by default (`Representation.summary`), closed
-forms over a whole row of lambda for a diagonal (`Diagonal.summaries`),
-and, above ``_DENSE_ALWAYS`` slots, banded Gram eigenvalues
-(`Banded.summary`) or, for a rank sum with a constant shifted weight ratio,
-k x k reductions on the range of its factors (`RankSum.summary`). A
-strategy reads the pair's spaces and configuration from the `PairKernel` it
-is handed, and the kernel keeps the summary it returns. A representation
-also says whether every entry that a scan reads is real
-(`Representation.real`: False by default, and from the held symbol, the
-band's diagonals or the held factor stacks where overridden); the duality
-pass of a real self-adjoint operator then reads its dual rows from the
-primal ones.
-
-On a diagonal operator the section depends on the pair only through
-w_F / w_E, which is exactly 1.0 on every E = F pair. So a `Diagonal` holds,
-per basis, truncation and configuration, the last row it computed for a
-pair whose ratio is identically 1.0, and every such pair that asks at an
-equal row of lambda reads it: a scan computes each truncation's E = F row
-once per pass instead of once per rung, bit for bit the same.
-
-A banded summary builds no section: `Banded.gram_bands` evaluates the
-2 b + 1 diagonals of the section once, from ``entry`` and the held weights,
-and assembles both Gram matrices from them straight into LAPACK band
-storage, with rows and columns in mode order, where their bandwidth is 2 b
-on either basis (slot order would give 4 b on the Fourier basis). A real band,
-as real operators give at lambda = 0 and real symmetric ones between rungs
-of weight 1 at any lambda, is reduced by dsbtrd. When the wide band equals
-the tall one bit for bit, as for a real symmetric X on W_0 -> W_0, it is
-reduced once and read for both views. A norm estimate, which reads only the
-tall view, assembles only its band.
-The singular values are bit for bit those of ``eigvals_banded`` on that band
-without its all-zero outer rows (`sections._GramSpectrum`). ``section`` keeps
-slot order and serves residuals and solves, which `Representation.factorize`
-factors: dense LU by default, SuperLU for `Banded`, the symbol for
-`Diagonal`, which builds no section.
+census included: dense SVDs by default, closed forms over a whole row of
+lambda for a diagonal (`Diagonal.summaries`, which shares the rows of the
+E = F pairs) and, above ``_DENSE_ALWAYS`` slots, banded Gram eigenvalues
+(`Banded.gram_bands`: mode order, no section built) or k x k reductions on
+the range of a rank sum's factors (`RankSum.summary`). A strategy reads the
+pair's spaces and configuration from the `PairKernel` it is handed, and the
+kernel keeps the summary it returns. `Representation.real` says whether
+every entry that a scan reads is real; the duality pass of a real
+self-adjoint operator then reads its dual rows from the primal ones.
+``section`` keeps slot order and serves residuals and solves, which
+`Representation.factorize` factors: dense LU by default, SuperLU for
+`Banded`, the symbol for `Diagonal`, which builds no section.
 
 ``certify`` decides membership in C(E, F) through a three-valued outcome:
 certified (analytic-exact or truncation-stabilized), failed (norm grows
@@ -55,34 +32,23 @@ three doublings.
 
 An operator holds one `PairKernel` per (E, F, cfg), compared by equality
 (`CoefficientOperator.kernel`), and each kernel holds its pair's
-certificate once one is taken. Membership in C(E, F) and the limit
-operators do not depend on lambda, so all the queries on one operator
-certify and probe each pair once; only the section walks depend on lambda.
-``certify_pairs`` certifies the pairs whose kernels hold no certificate yet
-in one call to ``Representation.certify_pairs``, a representation's only
-certificate method, and ``certify`` is its one-pair view. A diagonal
-representation takes them all in one pass over its probe, in blocks of
-slots (`spaces.probe_sups`): each rung's weights are evaluated once per
-block whatever the number of pairs (a rung -k as the reciprocals of rung k),
-no probe-length weight array is built, the E = F pairs share one maximum per
-chunk and a chunk that cannot raise a pair's sup is skipped; a real symbol
-is probed in real arithmetic, as |a| w_F / w_E. A rank sum's term norm
-is ||u||_{E^x} ||v||_F, each factor of which reads one rung, so its
-certificates sum each factor's weighted series once per (factor, space) in
-the call. The values are bit for bit those of one pair at a time.
-
-A `RankSum` holds, per basis, the n x r stacks of its factors u and v
-(`RankSum.factors`), read-only, like a diagonal symbol: the doubling
-schedule's norm estimates and the walks weight prefixes of them instead of
-evaluating every term again for each pair and truncation.
-
-A band matrix is bounded exactly when its diagonals are:
-sup |a_ij| <= ||A|| <= sum_k sup_m |d_k(m)| (Schur's test; Lindner, *Infinite
-Matrices and their Finite Sections*, 2006, section 1.3). So ``Banded.certify_pairs``
-probes the weighted diagonals w_F(m + k) X[m + k, m] / w_E(m), X evaluated once
-per call, on the sampled tail slots of the limit probes, and fails a pair, with
-no section, when their running sup grows. Bounded diagonals, or a NaN among
-them, decide nothing, and the doubling schedule gives the certificate and its norm.
+certificate once one is taken, so all the queries on one operator certify
+each pair once. ``certify_pairs`` certifies the pairs whose kernels hold no
+certificate yet in one call to ``Representation.certify_pairs``, a
+representation's only certificate method, and ``certify`` is its one-pair
+view. A diagonal takes every pair in one blocked pass over its probe
+(`spaces.probe_sups`). A band matrix is bounded exactly when its diagonals
+are: sup |a_ij| <= ||A|| <= sum_k sup_m |d_k(m)| (Schur's test; Lindner,
+*Infinite Matrices and their Finite Sections*, 2006, section 1.3), so
+``Banded.certify_pairs`` fails a pair, with no section, when the running
+sup of its weighted diagonals on the limit probes' tail slots grows, and
+otherwise runs the doubling schedule. A rank sum's term norm is
+||u||_{E^x} ||v||_F, each factor of which reads one rung, so its
+certificates sum each factor's series once per (factor, space) in the call,
+from the held factor stacks (`RankSum.factors`); with several terms the
+doubling schedule's triangle bounds read one held table of running column
+sums per (side, rung) (`RankSum.table`). Every value is bit for bit that of
+one pair at a time.
 """
 
 from __future__ import annotations
@@ -476,6 +442,7 @@ class RankSumTerm:
 class RankSum(Representation):
     terms: tuple
     _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entries(self, mr, mc):
         out = np.zeros((len(mr), len(mc)), dtype=complex)
@@ -492,37 +459,73 @@ class RankSum(Representation):
         """Each term's norm is ||u||_{E^x} ||v||_F, and each factor reads one
         rung only, so every `weighted_norm_series` is summed once per
         (factor function, space) in the call, spaces compared by equality: a
-        term with u is v shares its series between E^x and F = E^x."""
-        series = {}
+        term with u is v shares its series between E^x and F = E^x. The
+        truncation walks of several terms read the held tables (`table`)."""
+        rungs = {s: s for pair in pairs for s in pair}  # one object per equal space
+        series, certs = {}, []
 
         def norm(fn, space):
-            key = (fn, space)
-            if key not in series:
-                series[key] = weighted_norm_series(fn, space, cfg)
-            return series[key]
+            if (fn, id(space)) not in series:
+                series[fn, id(space)] = self.weighted_norm_series(fn, space, cfg)
+            return series[fn, id(space)]
 
-        return [self._certify(op, e, f, cfg, norm) for e, f in pairs]
-
-    def _certify(self, op, e, f, cfg, norm) -> "ContinuityCertificate":
-        e_dual = dual_space(e)
-        term_norms = []
-        for term in self.terms:
-            nu, verdict_u = norm(term.u, e_dual)
-            nv, verdict_v = norm(term.v, f)
-            if "diverged" in (verdict_u, verdict_v):
-                term_norms.append(float("inf"))
-            elif "inconclusive" in (verdict_u, verdict_v):
-                term_norms.append(float("nan"))
+        for e, f in pairs:
+            e_dual = dual_space(e)
+            e_dual, f_rung = rungs.setdefault(e_dual, e_dual), rungs[f]
+            term_norms = []
+            for term in self.terms:
+                (nu, verdict_u), (nv, verdict_v) = norm(term.u, e_dual), norm(term.v, f_rung)
+                term_norms.append(float("inf") if "diverged" in (verdict_u, verdict_v) else
+                                  float("nan") if "inconclusive" in (verdict_u, verdict_v) else
+                                  nu * nv)
+            if len(self.terms) == 1 and not math.isnan(term_norms[0]):
+                value = term_norms[0]  # exact for one term; inf when a factor diverges
+                certs.append(ContinuityCertificate(
+                    op.describe(), e, f, value, CERT_FAILED if math.isinf(value) else CERT_EXACT,
+                    cfg.symbol_probe))
             else:
-                term_norms.append(nu * nv)
-        if len(self.terms) == 1 and not math.isnan(term_norms[0]):
-            value = term_norms[0]  # exact for one term; inf when a factor diverges
-            return ContinuityCertificate(op.describe(), e, f, value,
-                                         CERT_FAILED if math.isinf(value) else CERT_EXACT,
-                                         cfg.symbol_probe)
-        upper = float("inf") if any(math.isinf(t) or math.isnan(t) for t in term_norms) \
-            else float(sum(term_norms))
-        return replace(_certify_by_truncation(op, e, f, cfg), upper_bound=upper)
+                upper = float(sum(term_norms)) if all(map(math.isfinite, term_norms)) \
+                    else float("inf")
+                certs.append(replace(_certify_by_truncation(op, e, f, cfg), upper_bound=upper))
+        return certs
+
+    def weighted_norm_series(self, fn: Callable, space: ScaleSpace,
+                             cfg: RunConfig = DEFAULT_CONFIG) -> tuple:
+        """(value, verdict) of the norm in ``space`` of ``fn``, a term's u or v,
+        by partial sums over slots [0, 256), then [n, 2 n) while n <
+        ``symbol_probe``: "converged" (plus a geometric tail estimate from the
+        last two increments), "diverged" or "inconclusive". Blocks within
+        ``n_max`` slots read the held stacks and the rung's held weights."""
+        rows = cfg.n_max
+        column = next(stack[:, k] for stack, side in zip(self.factors(space.basis, rows), "vu")
+                      for k, term in enumerate(self.terms) if getattr(term, side) is fn)
+
+        def block(lo, hi):  # the sum of |fn|^2 w^2 over slots [lo, hi)
+            if hi <= rows:
+                return float(np.sum(np.abs(column[lo:hi]) ** 2 * space.weights(rows)[lo:hi] ** 2))
+            m = slot_modes(space.basis, np.arange(lo, hi))
+            return float(np.sum(np.abs(fn(m)) ** 2 * space.weight_at(m) ** 2))
+
+        n, increments = 256, []
+        total = block(0, n)
+        while n < cfg.symbol_probe:
+            inc = block(n, 2 * n)
+            increments.append(inc)
+            total += inc
+            n *= 2
+            if len(increments) >= 2:
+                prev, last = increments[-2], increments[-1]
+                if last <= 1e-18 * max(total, 1.0):
+                    return math.sqrt(total), "converged"
+                rho = last / prev if prev > 0 else 0.0
+                if rho < 0.75:
+                    tail = last * rho / (1.0 - rho)
+                    if tail <= cfg.rel_tol * total:
+                        return math.sqrt(total + tail), "converged"
+                if len(increments) >= 3 and last >= prev and increments[-3] <= prev:
+                    if total >= cfg.growth_threshold * max(total - prev - last, 1e-300):
+                        return float("inf"), "diverged"
+        return math.sqrt(total), "inconclusive"
 
     def real(self, basis, cfg):
         # every slot of the walks' sections, the dense views' margin rows included
@@ -560,6 +563,21 @@ class RankSum(Representation):
             held = self._held[basis] = (v, u)
         return held[0][:n], held[1][:n]
 
+    def table(self, space: ScaleSpace, side: str, n: int) -> np.ndarray:
+        """Running sums down the columns of |V w_F|^2 (``side`` "v", F =
+        ``space``) or |U / w_E|^2 ("u", E = ``space``) on the first n slots, a
+        read-only view into the one table held per (side, rung), the rung
+        keyed by identity; only a longer prefix than any held is summed."""
+        held = self._tables.get((side, id(space)))
+        if held is None or len(held[1]) < n:
+            v, u = self.factors(space.basis, n)
+            w = space.weights(n)[:, None]
+            x = v * w if side == "v" else u / w
+            table = np.cumsum((x.conj() * x).real, axis=0)
+            table.flags.writeable = False
+            held = self._tables[side, id(space)] = (space, table)  # the rung keeps its id
+        return held[1][:n]
+
     @staticmethod
     def _triangle_bound(diag: np.ndarray, vt: np.ndarray, ut: np.ndarray) -> float:
         # exactly invariant under the duality swap
@@ -567,9 +585,21 @@ class RankSum(Representation):
                      + np.sum(np.linalg.norm(vt, axis=0) * np.linalg.norm(ut, axis=0)))
 
     def norm_estimate(self, kernel, n):
+        # above n = 96 the triangle bound max |-0 w_F / w_E| + sum ||v w_F|| ||u / w_E||,
+        # whose norms with r >= 2 are bit for bit row n - 1 of the tables: numpy
+        # sums axis 0 of an n x r array row by row, but one column pairwise. The
+        # max is 0 before the pair's first non-finite ratio (held on the kernel), NaN from it
         if n <= _DENSE_ALWAYS:
             return super().norm_estimate(kernel, n)
-        return self._triangle_bound(*self._weighted_factors(kernel, 0.0, n))
+        if len(self.terms) == 1:
+            return self._triangle_bound(*self._weighted_factors(kernel, 0.0, n))
+        rows = max(n, kernel.cfg.n_max)
+        if kernel.held.get("finite ratios", (0,))[0] < rows:
+            ok = np.isfinite(kernel.f.weights(rows) / kernel.e.weights(rows))
+            kernel.held["finite ratios"] = rows, int(np.append(ok, False).argmin())
+        top = 0.0 if n <= kernel.held["finite ratios"][1] else float("nan")
+        v, u = self.table(kernel.f, "v", rows)[n - 1], self.table(kernel.e, "u", rows)[n - 1]
+        return float(top + np.sum(np.sqrt(v) * np.sqrt(u)))
 
     def summary(self, kernel, lam, n):
         if n <= _DENSE_ALWAYS:
@@ -684,39 +714,6 @@ class ContinuityCertificate:
             "witness_n": self.witness_n,
             "upper_bound": self.upper_bound,
         }
-
-
-def weighted_norm_series(vec_fn: Callable[[np.ndarray], np.ndarray], space: ScaleSpace,
-                         cfg: RunConfig = DEFAULT_CONFIG):
-    """Norm of an infinite coefficient vector in ``space`` by partial sums.
-
-    Returns (value, verdict) with verdict in {"converged", "diverged",
-    "inconclusive"}. Convergence adds a geometric tail estimate from the
-    last two partial-sum increments.
-    """
-    n = 256
-    m = modes(space.basis, n)
-    total = float(np.sum(np.abs(vec_fn(m)) ** 2 * space.weight_at(m) ** 2))
-    increments = []
-    while n < cfg.symbol_probe:
-        m_new = modes(space.basis, 2 * n)[n:]
-        inc = float(np.sum(np.abs(vec_fn(m_new)) ** 2 * space.weight_at(m_new) ** 2))
-        increments.append(inc)
-        total += inc
-        n *= 2
-        if len(increments) >= 2:
-            prev, last = increments[-2], increments[-1]
-            if last <= 1e-18 * max(total, 1.0):
-                return math.sqrt(total), "converged"
-            rho = last / prev if prev > 0 else 0.0
-            if rho < 0.75:
-                tail = last * rho / (1.0 - rho)
-                if tail <= cfg.rel_tol * total:
-                    return math.sqrt(total + tail), "converged"
-            if len(increments) >= 3 and last >= prev and increments[-3] <= prev:
-                if total >= cfg.growth_threshold * max(total - prev - last, 1e-300):
-                    return float("inf"), "diverged"
-    return math.sqrt(total), "inconclusive"
 
 
 def certify(x: CoefficientOperator, e: ScaleSpace, f: ScaleSpace,
@@ -844,6 +841,8 @@ def operator_from_spec(spec: dict) -> CoefficientOperator:
             terms.append(RankSumTerm(_term_vector(term["u"], basis),
                                      _term_vector(term["v"], basis),
                                      u_source=str(term["u"]), v_source=str(term["v"])))
+        if not terms:
+            raise SpecParseError("rank-sum terms must list at least one term")
         rep = RankSum(tuple(terms))
     elif kind == "dense":
         source = rep_spec["entry"]

@@ -313,6 +313,8 @@ def test_an_expression_that_is_not_a_string_is_a_spec_error(tmp_path, capsys, wh
      "operator rep 'diagonal' is not a JSON object"),
     ("ranksum-terms-string.json", "gallery:position", None,
      "rank-sum terms 'ab' is not a JSON array"),
+    ("ranksum-no-terms.json", "gallery:torus-delta", None,
+     "rank-sum terms must list at least one term"),
     ("gallery:position", "family-generator-string.json", None,
      "family generator 'diagonal' is not a JSON object"),
     ("gallery:position", "family-indices-string.json", None,
@@ -321,7 +323,7 @@ def test_an_expression_that_is_not_a_string_is_a_spec_error(tmp_path, capsys, wh
      "config n0 '256' is not a JSON integer"),
 ], ids=["index-null", "bandwidth-null", "operator-list", "bandwidth-fractional",
         "bandwidth-negative", "bandwidth-boolean", "symmetric-string", "name-number", "rep-string",
-        "terms-string", "generator-string", "indices-string", "config-n0-string"])
+        "terms-string", "no-terms", "generator-string", "indices-string", "config-n0-string"])
 def test_a_spec_field_of_the_wrong_json_type_is_a_spec_error(tmp_path, capsys, operator, family,
                                                               config, message):
     data = pathlib.Path(__file__).resolve().parent / "data"

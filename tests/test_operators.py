@@ -1,5 +1,6 @@
 """Forms, adjoints, continuity certificates, and the partial product."""
 
+import math
 import pathlib
 import tracemalloc
 from dataclasses import replace
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from interspec import operators, resolvent, sections
 from interspec.config import GridSpec, RunConfig
@@ -15,8 +17,7 @@ from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOpe
                                  ContinuityCertificate, Diagonal, RankSum, RankSumTerm,
                                  _certify_by_truncation, certify, certify_pairs,
                                  Representation, find_product_triple, framework_product,
-                                 operator_from_json, operator_from_spec, sesq_form,
-                                 weighted_norm_series)
+                                 operator_from_json, operator_from_spec, sesq_form)
 from interspec.gallery import BUILDERS, hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
 from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, ScaleWeights,
@@ -290,7 +291,7 @@ def test_list_term_vectors_follow_mode_numbers(torus):
     u_norm = np.sqrt(1 + 4 / 4 + 9 / 4)   # |u| in W_-2: weights (1 + m^2)^-1
     v_norm = np.sqrt(2.0)                 # |v| in W_0
     for k in range(5):
-        value, verdict = weighted_norm_series(u, torus.space_at(k), CFG)
+        value, verdict = op.rep.weighted_norm_series(u, torus.space_at(k), CFG)
         assert verdict == "converged"
         assert value == pytest.approx(np.sqrt(1 + (4 + 9) * 2.0 ** k), rel=1e-14)
     cert = certify(op, torus.space_at(2), torus.space_at(0), CFG)
@@ -645,13 +646,51 @@ def _stacked_factors(rep, kernel, lam, n):
     return -lam * (wf / we), vt, ut
 
 
+def _reference_norm_series(vec_fn, space, cfg):
+    """A factor's norm in ``space`` by partial sums over blocks of modes,
+    each evaluating the factor and the weights afresh."""
+    n = 256
+    m = modes(space.basis, n)
+    total = float(np.sum(np.abs(vec_fn(m)) ** 2 * space.weight_at(m) ** 2))
+    increments = []
+    while n < cfg.symbol_probe:
+        m_new = modes(space.basis, 2 * n)[n:]
+        inc = float(np.sum(np.abs(vec_fn(m_new)) ** 2 * space.weight_at(m_new) ** 2))
+        increments.append(inc)
+        total += inc
+        n *= 2
+        if len(increments) >= 2:
+            prev, last = increments[-2], increments[-1]
+            if last <= 1e-18 * max(total, 1.0):
+                return math.sqrt(total), "converged"
+            rho = last / prev if prev > 0 else 0.0
+            if rho < 0.75:
+                tail = last * rho / (1.0 - rho)
+                if tail <= cfg.rel_tol * total:
+                    return math.sqrt(total + tail), "converged"
+            if len(increments) >= 3 and last >= prev and increments[-3] <= prev:
+                if total >= cfg.growth_threshold * max(total - prev - last, 1e-300):
+                    return float("inf"), "diverged"
+    return math.sqrt(total), "inconclusive"
+
+
+def _reference_norm_estimate(rep, kernel, n):
+    """The doubling schedule's norm estimate from `_stacked_factors`: the
+    dense SVD up to n = 96, then the triangle bound of the stacked factors."""
+    if n <= sections._DENSE_ALWAYS:
+        return Representation.norm_estimate(rep, kernel, n)
+    d, vt, ut = _stacked_factors(rep, kernel, 0.0, n)
+    return float(np.max(np.abs(d))
+                 + np.sum(np.linalg.norm(vt, axis=0) * np.linalg.norm(ut, axis=0)))
+
+
 def _one_pair_ranksum_certificate(op, e, f, cfg):
     """The rank-sum certificate of one pair, each factor's series summed
-    afresh; the doubling schedule must run with `_stacked_factors`."""
+    afresh; the doubling schedule must run with `_reference_norm_estimate`."""
     norms = []
     for term in op.rep.terms:
-        (nu, verdict_u), (nv, verdict_v) = (weighted_norm_series(term.u, dual_space(e), cfg),
-                                            weighted_norm_series(term.v, f, cfg))
+        (nu, verdict_u), (nv, verdict_v) = (_reference_norm_series(term.u, dual_space(e), cfg),
+                                            _reference_norm_series(term.v, f, cfg))
         verdicts = (verdict_u, verdict_v)
         norms.append(float("inf") if "diverged" in verdicts else
                      float("nan") if "inconclusive" in verdicts else nu * nv)
@@ -687,7 +726,7 @@ def test_ranksum_certificates_equal_the_one_pair_rule(monkeypatch, case, adjoint
         pairs = [(family.dual_of(f), family.dual_of(e)) for e, f in pairs]
     fresh = (lambda: build().adjoint()) if adjoint else build
     with monkeypatch.context() as patched:
-        patched.setattr(RankSum, "_weighted_factors", _stacked_factors)
+        patched.setattr(RankSum, "norm_estimate", _reference_norm_estimate)
         op = fresh()
         want = [_one_pair_ranksum_certificate(op, e, f, CFG) for e, f in pairs]
     got = certify_pairs(fresh(), pairs, CFG)
@@ -699,23 +738,41 @@ def test_ranksum_certificates_equal_the_one_pair_rule(monkeypatch, case, adjoint
         assert _same(certify(one_at_a_time, e, f, CFG), ref), (label, adjoint, e.label, f.label)
 
 
+def _counted(op, calls):
+    """``op`` with each distinct factor function wrapped to count its calls
+    per (function, basis); a term whose u is v keeps one function."""
+    wrapped = {}
+    for fn in (fn for t in op.rep.terms for fn in (t.u, t.v)):
+        if fn not in wrapped:
+            def counting(m, fn=fn):
+                calls[fn, op.basis] = calls.get((fn, op.basis), 0) + 1
+                return fn(m)
+            wrapped[fn] = counting
+    terms = tuple(RankSumTerm(wrapped[t.u], wrapped[t.v], t.u_source, t.v_source)
+                  for t in op.rep.terms)
+    return CoefficientOperator(op.basis, RankSum(terms), op.symmetric, op.name)
+
+
 def test_a_ranksum_scan_sums_each_factor_series_once(monkeypatch):
     # the scan-ranksum round: torus-comb-4 (four factors, u is v) and
     # torus-delta (one) on W_-1..1, whose three rungs are each other's duals;
-    # one series per pair and factor side took 6 * (8 + 2) = 60
+    # one series per pair and factor side took 6 * (8 + 2) = 60, and each
+    # factor is evaluated once, on the held stacks
     w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
-    summed, series = [], operators.weighted_norm_series
+    summed, series = [], RankSum.weighted_norm_series
 
-    def counting(fn, space, cfg):
+    def summing(self, fn, space, cfg):
         summed.append((fn, space))
-        return series(fn, space, cfg)
+        return series(self, fn, space, cfg)
 
-    monkeypatch.setattr(operators, "weighted_norm_series", counting)
-    grid = GridSpec.parse("-1.2:0.8:2,0.5:0.5:1")
+    monkeypatch.setattr(RankSum, "weighted_norm_series", summing)
+    grid, calls = GridSpec.parse("-1.2:0.8:2,0.5:0.5:1"), {}
     for name in ("torus-comb-4", "torus-delta"):
-        scan = resolvent.union_spectrum_scan(BUILDERS[name]().operator, w1, grid, CFG)
+        scan = resolvent.union_spectrum_scan(_counted(BUILDERS[name]().operator, calls), w1,
+                                             grid, CFG)
         assert scan.duality_checked and not scan.duality_mismatches
     assert len(summed) == len(set(summed)) == 15
+    assert len(calls) == 5 and set(calls.values()) == {1}
 
 
 def _comb_and_decaying():
@@ -772,6 +829,112 @@ def test_an_adjoint_holds_its_own_factors():
     v, u = op.rep.factors(op.basis, 512)
     assert v_adj.tobytes() == u.tobytes() and u_adj.tobytes() == v.tobytes()
     assert not np.shares_memory(v_adj, u) and not np.shares_memory(u_adj, v)
+
+
+class _ListedWeights:
+    """Weights read by slot from an array at every index: on the Hermite
+    basis slot j holds mode j."""
+
+    prefix = "listed"
+
+    def __init__(self, values):
+        self.values = values
+
+    def weight(self, k, m):
+        return self.values[np.asarray(m, dtype=int)]
+
+
+def _listed_ranksum(v, u):
+    """The rank sum whose factor stacks are the columns of ``v`` and ``u``, by slot."""
+    column = lambda stack, k: (lambda m: stack[np.asarray(m, dtype=int), k])
+    return RankSum(tuple(RankSumTerm(column(u, k), column(v, k)) for k in range(v.shape[1])))
+
+
+@st.composite
+def _table_cases(draw):
+    """(v, u, w_F, w_E, rows, ns): random complex n x r stacks for r in {2, 4}
+    and weights holding 0, inf, NaN and values whose ratio overflows."""
+    r, rows = draw(st.sampled_from([2, 4])), draw(st.integers(97, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = np.exp(rng.uniform(-40, 40, (rows, 1)))
+    v, u = ((rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))) * scale
+            for _ in range(2))
+    weights = []
+    for _ in range(2):
+        w = np.exp(rng.uniform(-5, 5, rows))
+        for special in draw(st.lists(st.sampled_from([0.0, np.inf, np.nan, 1e300, 1e-300]),
+                                     max_size=3)):
+            w[draw(st.integers(0, rows - 1))] = special
+        weights.append(w)
+    ns = draw(st.lists(st.integers(97, rows), min_size=1, max_size=4))
+    return v, u, *weights, rows, ns
+
+
+@given(_table_cases())
+@settings(max_examples=40, deadline=None)
+def test_a_table_row_is_bit_for_bit_the_column_norms_of_the_weighted_prefix(case):
+    v, u, wf, we, rows, ns = case
+    rep = _listed_ranksum(v, u)
+    f, e = (ScaleSpace(Basis.HERMITE, 1, _ListedWeights(w)) for w in (wf, we))
+    op = CoefficientOperator(Basis.HERMITE, rep)
+    kernel = op.kernel(e, f, RunConfig(n0=64, n_max=rows))
+    with np.errstate(all="ignore"):
+        for n in ns:
+            for side, weighted in (("v", v[:n] * wf[:n, None]), ("u", u[:n] / we[:n, None])):
+                got = np.sqrt(rep.table(f if side == "v" else e, side, rows)[n - 1])
+                assert got.tobytes() == np.linalg.norm(weighted, axis=0).tobytes(), (n, side)
+            want = _reference_norm_estimate(rep, kernel, n)
+            assert repr(rep.norm_estimate(kernel, n)) == repr(want), n
+    assert all(len(table) == rows for _, table in rep._tables.values())
+
+
+def test_a_one_term_norm_estimate_reads_the_weighted_prefix_and_holds_no_table():
+    # numpy sums one column pairwise, not row by row like the running sums
+    torus = registry()["torus-delta"].family
+    op = torus_delta().operator
+    for e, f in ((torus.space_at(1), torus.space_at(-1)), (torus.space_at(0), torus.space_at(-2))):
+        kernel = op.kernel(e, f, CFG)
+        for n in (97, 256, 1000, 4096):
+            assert repr(op.rep.norm_estimate(kernel, n)) == \
+                repr(_reference_norm_estimate(op.rep, kernel, n)), (e.label, f.label, n)
+    assert op.rep._tables == {}
+
+
+@pytest.mark.parametrize("cfg", [CFG, RunConfig(n0=128, n_max=1024)])
+def test_tables_hold_n_max_slots_and_no_more(cfg):
+    w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
+    for op in (BUILDERS["torus-comb-4"]().operator,
+               operator_from_json(str(DATA / "ranksum-decaying.json"))):
+        certify_pairs(op, w1.admissible_pairs(), cfg)
+        certify_pairs(op, w1.admissible_pairs(), replace(cfg, n_max=cfg.n_max // 2))
+        assert op.rep._tables
+        for space, table in op.rep._tables.values():
+            assert table.shape == (cfg.n_max, len(op.rep.terms)) and not table.flags.writeable
+
+
+def test_a_ranksum_scan_round_builds_one_table_per_stack_side_and_rung(monkeypatch):
+    # the scan-ranksum round: torus-comb-4 (four terms) and torus-delta (one,
+    # so no table) on W_-1..1, the duality pass included; each table is
+    # built once and then read by every truncation walk of a pair that shares it
+    w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
+    built, reads, table = {}, [], RankSum.table
+
+    def spying(self, space, side, n):
+        held = table(self, space, side, n)
+        built.setdefault((id(self), side, space.label), {})[id(held.base)] = held.base
+        reads.append(n)
+        return held
+
+    monkeypatch.setattr(RankSum, "table", spying)
+    grid = GridSpec.parse("-1.2:0.8:2,0.5:0.5:1")
+    ops = [BUILDERS[name]().operator for name in ("torus-comb-4", "torus-delta")]
+    for op in ops:
+        scan = resolvent.union_spectrum_scan(op, w1, grid, CFG)
+        assert scan.duality_checked and not scan.duality_mismatches
+    assert sorted((side, label) for _, side, label in built) == \
+        sorted((side, s.label) for side in "uv" for s in w1)
+    assert all(len(bases) == 1 for bases in built.values())
+    assert {rep for rep, _, _ in built} == {id(ops[0].rep)} and len(reads) > len(built)
 
 
 def test_real_diagonal_symbols_are_probed_in_real_arithmetic(monkeypatch):
