@@ -68,9 +68,9 @@ from .expressions import compile_expression
 from .sections import (_DENSE_ALWAYS, LimitProfile, PairKernel, SectionSummary, _GramSpectrum,
                        _constant_shift_constants, _low_rank_census, _svdvals, gram_band,
                        tail_slots)
-from .spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, check_same_basis,
-                     dual_space, mode_to_position, modes, probe_sups, running_sup, slot_modes,
-                     sorted_modes)
+from .spaces import (Basis, CoefficientVector, PrefixStore, ScaleFamily, ScaleSpace,
+                     check_same_basis, dual_space, mode_to_position, modes, probe_sups,
+                     running_sup, slot_modes, sorted_modes)
 
 CERT_EXACT = "analytic-exact"
 CERT_STABILIZED = "truncation-stabilized"
@@ -197,7 +197,7 @@ class Representation:
 class Diagonal(Representation):
     values: Callable[[np.ndarray], np.ndarray]
     source: Optional[str] = None
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _held: PrefixStore = field(default_factory=PrefixStore, init=False, repr=False, compare=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entries(self, mr, mc):
@@ -270,16 +270,10 @@ class Diagonal(Representation):
         return max(cfg.scan_n_max, 1 << 15)
 
     def symbol(self, basis, n):
-        """Symbol on the first n slots of ``basis``, a read-only view into the one
-        array held per basis; only a longer prefix than any asked before is
-        evaluated. Certificates ask for ``symbol_probe`` slots, so once one is
-        taken the operator holds that many (2 MB at the default probe)."""
-        held = self._held.get(basis)
-        if held is None or len(held) < n:
-            held = np.array(self.values(modes(basis, n).astype(float)), dtype=complex)
-            held.flags.writeable = False
-            self._held[basis] = held
-        return held[:n]
+        """Symbol on the first n slots of ``basis``, a read-only view of the
+        prefix held per basis (`spaces.PrefixStore`)."""
+        return self._held.view(basis, n, lambda lo, hi: np.array(
+            self.values(slot_modes(basis, np.arange(lo, hi)).astype(float)), dtype=complex))
 
     def limit_profile(self, op, e, f, cfg):
         return LimitProfile.probe(op.basis, e, f, cfg, {0: self.values})
@@ -441,8 +435,13 @@ class RankSumTerm:
 @dataclass(frozen=True)
 class RankSum(Representation):
     terms: tuple
-    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _held: PrefixStore = field(default_factory=PrefixStore, init=False, repr=False, compare=False)
+    _tables: PrefixStore = field(default_factory=PrefixStore, init=False, repr=False,
+                                 compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise SpecParseError("rank-sum terms must list at least one term")
 
     def entries(self, mr, mc):
         out = np.zeros((len(mr), len(mc)), dtype=complex)
@@ -461,20 +460,18 @@ class RankSum(Representation):
         (factor function, space) in the call, spaces compared by equality: a
         term with u is v shares its series between E^x and F = E^x. The
         truncation walks of several terms read the held tables (`table`)."""
-        rungs = {s: s for pair in pairs for s in pair}  # one object per equal space
         series, certs = {}, []
 
         def norm(fn, space):
-            if (fn, id(space)) not in series:
-                series[fn, id(space)] = self.weighted_norm_series(fn, space, cfg)
-            return series[fn, id(space)]
+            if (fn, space) not in series:
+                series[fn, space] = self.weighted_norm_series(fn, space, cfg)
+            return series[fn, space]
 
         for e, f in pairs:
             e_dual = dual_space(e)
-            e_dual, f_rung = rungs.setdefault(e_dual, e_dual), rungs[f]
             term_norms = []
             for term in self.terms:
-                (nu, verdict_u), (nv, verdict_v) = norm(term.u, e_dual), norm(term.v, f_rung)
+                (nu, verdict_u), (nv, verdict_v) = norm(term.u, e_dual), norm(term.v, f)
                 term_norms.append(float("inf") if "diverged" in (verdict_u, verdict_v) else
                                   float("nan") if "inconclusive" in (verdict_u, verdict_v) else
                                   nu * nv)
@@ -546,37 +543,31 @@ class RankSum(Representation):
 
     def factors(self, basis: Basis, n: int) -> tuple:
         """(V, U): the n x r stacks of the terms' v and u on the first n slots
-        of ``basis``, read-only views into the one pair held per basis; only a
-        longer prefix than any asked before is evaluated, each distinct
-        function once (U is V when every term has u is v)."""
-        held = self._held.get(basis)
-        if held is None or len(held[0]) < n:
-            m = modes(basis, n).astype(float)
-            values = {}
-            for fn in (f for t in self.terms for f in (t.v, t.u)):
-                if fn not in values:
-                    values[fn] = np.asarray(fn(m), dtype=complex)
-            v = np.stack([values[t.v] for t in self.terms], axis=1)
-            u = v if all(t.u is t.v for t in self.terms) else \
-                np.stack([values[t.u] for t in self.terms], axis=1)
-            v.flags.writeable = u.flags.writeable = False
-            held = self._held[basis] = (v, u)
-        return held[0][:n], held[1][:n]
+        of ``basis``, read-only column blocks of the prefix [V | U] held per
+        basis (`spaces.PrefixStore`), each distinct function evaluated once
+        per block of slots; U is V when every term has u is v."""
+        def fill(lo, hi):
+            m = slot_modes(basis, np.arange(lo, hi)).astype(float)
+            values = {fn: np.asarray(fn(m), dtype=complex)
+                      for fn in dict.fromkeys(f for t in self.terms for f in (t.v, t.u))}
+            sides = "v" if all(t.u is t.v for t in self.terms) else "vu"
+            return np.stack([values[getattr(t, side)] for side in sides for t in self.terms],
+                            axis=1)
+
+        r, held = len(self.terms), self._held.view(basis, n, fill)
+        return held[:, :r], held[:, -r:]
 
     def table(self, space: ScaleSpace, side: str, n: int) -> np.ndarray:
         """Running sums down the columns of |V w_F|^2 (``side`` "v", F =
         ``space``) or |U / w_E|^2 ("u", E = ``space``) on the first n slots, a
-        read-only view into the one table held per (side, rung), the rung
-        keyed by identity; only a longer prefix than any held is summed."""
-        held = self._tables.get((side, id(space)))
-        if held is None or len(held[1]) < n:
-            v, u = self.factors(space.basis, n)
-            w = space.weights(n)[:, None]
-            x = v * w if side == "v" else u / w
-            table = np.cumsum((x.conj() * x).real, axis=0)
-            table.flags.writeable = False
-            held = self._tables[side, id(space)] = (space, table)  # the rung keeps its id
-        return held[1][:n]
+        read-only view of the prefix held per (side, rung)."""
+        def fill(lo, hi):
+            v, u = self.factors(space.basis, hi)
+            w = space.weights(hi)[lo:, None]
+            x = v[lo:] * w if side == "v" else u[lo:] / w
+            return (x.conj() * x).real
+
+        return self._tables.view((side, space), n, fill, np.add)
 
     @staticmethod
     def _triangle_bound(diag: np.ndarray, vt: np.ndarray, ut: np.ndarray) -> float:
@@ -588,17 +579,15 @@ class RankSum(Representation):
         # above n = 96 the triangle bound max |-0 w_F / w_E| + sum ||v w_F|| ||u / w_E||,
         # whose norms with r >= 2 are bit for bit row n - 1 of the tables: numpy
         # sums axis 0 of an n x r array row by row, but one column pairwise. The
-        # max is 0 before the pair's first non-finite ratio (held on the kernel), NaN from it
+        # max is 0 while every ratio of the prefix is finite (held per pair), NaN after
         if n <= _DENSE_ALWAYS:
             return super().norm_estimate(kernel, n)
         if len(self.terms) == 1:
             return self._triangle_bound(*self._weighted_factors(kernel, 0.0, n))
-        rows = max(n, kernel.cfg.n_max)
-        if kernel.held.get("finite ratios", (0,))[0] < rows:
-            ok = np.isfinite(kernel.f.weights(rows) / kernel.e.weights(rows))
-            kernel.held["finite ratios"] = rows, int(np.append(ok, False).argmin())
-        top = 0.0 if n <= kernel.held["finite ratios"][1] else float("nan")
-        v, u = self.table(kernel.f, "v", rows)[n - 1], self.table(kernel.e, "u", rows)[n - 1]
+        finite = self._held.view((kernel.e, kernel.f), n, lambda lo, hi: np.isfinite(
+            kernel.f.weights(hi)[lo:] / kernel.e.weights(hi)[lo:]), np.logical_and)
+        top = 0.0 if finite[n - 1] else float("nan")
+        v, u = self.table(kernel.f, "v", n)[n - 1], self.table(kernel.e, "u", n)[n - 1]
         return float(top + np.sum(np.sqrt(v) * np.sqrt(u)))
 
     def summary(self, kernel, lam, n):
@@ -841,8 +830,6 @@ def operator_from_spec(spec: dict) -> CoefficientOperator:
             terms.append(RankSumTerm(_term_vector(term["u"], basis),
                                      _term_vector(term["v"], basis),
                                      u_source=str(term["u"]), v_source=str(term["v"])))
-        if not terms:
-            raise SpecParseError("rank-sum terms must list at least one term")
         rep = RankSum(tuple(terms))
     elif kind == "dense":
         source = rep_spec["entry"]

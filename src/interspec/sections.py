@@ -408,7 +408,6 @@ class PairKernel:
         self.f = f
         self.cfg = cfg
         self.cert = None  # held by `operators.certify_pairs` once it is taken
-        self.held: dict = {}  # what the representation keeps for the pair
         self._lam: Optional[complex] = None
         self._memo: dict = {}  # n -> summary, at lambda = self._lam
 

@@ -19,22 +19,11 @@ the central space is exactly self-dual. Negative indices are stored as
 exact reciprocals of the positive ones, which makes the duality involution
 an identity on floats.
 
-Each space holds one read-only weight array, as long as the longest prefix
-asked of ``ScaleSpace.weights`` so far, and hands out prefix views of it: the
-norms, section summaries and solves of every pair that shares a rung read
-the same array. A prefix of an elementwise evaluation over contiguous modes
-is bit for bit the evaluation of the prefix, so holding changes no value.
-Tail probes over ``symbol_probe`` slots (`embedding_norm`, certificates,
-limit profiles) evaluate ``weight_at`` on their modes and hold nothing: at
-the default probe that would be 1 MB per rung. `probe_sups` walks the probe
-in blocks of at most ``PROBE_BLOCK`` slots, evaluating each rung once per
-block for all the pairs it serves, so no probe-length array is built. A rung
--k whose rung k is probed too reads the reciprocals of rung k's block, every
-E = F pair reads one shared maximum per chunk, and a chunk whose rigorous
-bound stays below a pair's running maximum is not formed for that pair, so
-the cost of a certificate pass grows with the rungs and the pairs that
-still rise, not with every pair times the probe; the sups stay bit for bit
-those of the whole probe.
+Each space holds its weights as a read-only prefix (`PrefixStore`) and
+hashes its fields once, so equal rungs key one entry of every store. Tail
+probes over ``symbol_probe`` slots (`embedding_norm`, certificates, limit
+profiles) hold nothing: `probe_sups` walks the probe in blocks of at most
+``PROBE_BLOCK`` slots, bit for bit the sups of the whole probe.
 """
 
 from __future__ import annotations
@@ -43,7 +32,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -197,28 +186,51 @@ def generator_from_spec(spec: dict) -> ScaleWeights:
 # spaces and vectors
 
 
+class PrefixStore(dict):
+    """Read-only arrays held by key, each as long as the longest prefix asked
+    of it so far. `view` hands out prefix views; a longer request evaluates
+    only the missing slots [lo, hi) through ``fill(lo, hi)`` and appends
+    them, and an ``accumulate`` ufunc (np.add for running sums) continues
+    from the last held row. An elementwise evaluation of a suffix is bit for
+    bit the suffix of the whole evaluation, and an accumulation adds row by
+    row down axis 0, so growing changes no value."""
+
+    def view(self, key, n: int, fill: Callable, accumulate=None) -> np.ndarray:
+        held = self.get(key)
+        lo = 0 if held is None else len(held)
+        if lo < n:
+            new = fill(lo, n)
+            if accumulate is not None:
+                new = accumulate.accumulate(new, axis=0) if held is None else \
+                    accumulate.accumulate(np.concatenate((held[-1:], new)), axis=0)[1:]
+            held = self[key] = new if held is None else np.concatenate((held, new))
+            held.flags.writeable = False
+        return held[:n]
+
+
 @dataclass(frozen=True)
 class ScaleSpace:
     basis: Basis
     index: Fraction
     family: object
     label: str = ""
-    _held: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _held: PrefixStore = field(default_factory=PrefixStore, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = _as_index(self.index)
         object.__setattr__(self, "index", index)
         if not self.label:
             object.__setattr__(self, "label", f"{self.family.prefix}_{index}")
+        # the hash of the compared fields, taken once: rungs key the held stores
+        object.__setattr__(self, "_hash", hash((self.basis, index, self.family, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def weights(self, n: int) -> np.ndarray:
-        """Weights on the first n slots, a read-only view into the held array;
-        only a longer prefix than any asked before is evaluated."""
-        if self._held is None or len(self._held) < n:
-            held = self.weight_at(modes(self.basis, n))
-            held.flags.writeable = False
-            object.__setattr__(self, "_held", held)
-        return self._held[:n]
+        """Weights on the first n slots, a read-only view of the held prefix."""
+        return self._held.view("weights", n, lambda lo, hi: self.weight_at(
+            slot_modes(self.basis, np.arange(lo, hi))))
 
     def weight_at(self, m: np.ndarray) -> np.ndarray:
         return np.asarray(self.family.weight(self.index, m), dtype=float)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from interspec import operators, resolvent, sections
 from interspec.config import GridSpec, RunConfig
-from interspec.errors import BasisMismatchError, ProductUndefinedError
+from interspec.errors import BasisMismatchError, ProductUndefinedError, SpecParseError
 from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOperator,
                                  ContinuityCertificate, Diagonal, RankSum, RankSumTerm,
                                  _certify_by_truncation, certify, certify_pairs,
@@ -20,9 +20,9 @@ from interspec.operators import (CERT_EXACT, CERT_FAILED, Banded, CoefficientOpe
                                  operator_from_json, operator_from_spec, sesq_form)
 from interspec.gallery import BUILDERS, hermite_position, registry, torus_delta
 from interspec.sections import PairKernel
-from interspec.spaces import (Basis, CoefficientVector, ScaleFamily, ScaleSpace, ScaleWeights,
-                              dual_space, hilbert_scale_family, modes, running_sup, sequence_power_family,
-                              sobolev_torus_family)
+from interspec.spaces import (Basis, CoefficientVector, PrefixStore, ScaleFamily, ScaleSpace,
+                              ScaleWeights, dual_space, hilbert_scale_family, modes, running_sup,
+                              sequence_power_family, sobolev_torus_family)
 
 CFG = RunConfig()
 SPECS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "specs"
@@ -794,10 +794,11 @@ def test_held_factors_are_read_only_prefixes_of_one_evaluation():
                     assert held.shape == fresh.shape and held.tobytes() == fresh.tobytes()
                     with pytest.raises(ValueError):
                         held[0, 0] = 0
-            assert len(rep._held[op.basis][0]) == 4096
-            for array in rep._held[op.basis]:
+            held = rep._held[op.basis]  # [V | U], or V alone when every u is v
+            assert len(held) == 4096
+            for column in (0, -1):
                 with pytest.raises(ValueError):
-                    array[-1, 0] = 0
+                    held[-1, column] = 0
     # every comb term has u is v: one stack serves both sides
     comb = BUILDERS["torus-comb-4"]().operator.rep
     v, u = comb.factors(Basis.FOURIER, 256)
@@ -879,13 +880,16 @@ def test_a_table_row_is_bit_for_bit_the_column_norms_of_the_weighted_prefix(case
     op = CoefficientOperator(Basis.HERMITE, rep)
     kernel = op.kernel(e, f, RunConfig(n0=64, n_max=rows))
     with np.errstate(all="ignore"):
-        for n in ns:
+        for n in ns:  # in drawn order, so a table grows between reads
             for side, weighted in (("v", v[:n] * wf[:n, None]), ("u", u[:n] / we[:n, None])):
-                got = np.sqrt(rep.table(f if side == "v" else e, side, rows)[n - 1])
+                got = np.sqrt(rep.table(f if side == "v" else e, side, n)[n - 1])
                 assert got.tobytes() == np.linalg.norm(weighted, axis=0).tobytes(), (n, side)
             want = _reference_norm_estimate(rep, kernel, n)
             assert repr(rep.norm_estimate(kernel, n)) == repr(want), n
-    assert all(len(table) == rows for _, table in rep._tables.values())
+        top = max(ns)  # each grown table is the running sum of one pass, bit for bit
+        for (side, _), table in rep._tables.items():
+            x = v[:top] * wf[:top, None] if side == "v" else u[:top] / we[:top, None]
+            assert table.tobytes() == np.cumsum((x.conj() * x).real, axis=0).tobytes(), side
 
 
 def test_a_one_term_norm_estimate_reads_the_weighted_prefix_and_holds_no_table():
@@ -901,31 +905,61 @@ def test_a_one_term_norm_estimate_reads_the_weighted_prefix_and_holds_no_table()
 
 
 @pytest.mark.parametrize("cfg", [CFG, RunConfig(n0=128, n_max=1024)])
-def test_tables_hold_n_max_slots_and_no_more(cfg):
+def test_tables_hold_the_deepest_truncation_asked_and_no_more(cfg):
+    # a walk asks its norm estimates up to its certificate's witness_n, and
+    # only those above the dense views' n = 96 read the tables
     w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
     for op in (BUILDERS["torus-comb-4"]().operator,
                operator_from_json(str(DATA / "ranksum-decaying.json"))):
-        certify_pairs(op, w1.admissible_pairs(), cfg)
-        certify_pairs(op, w1.admissible_pairs(), replace(cfg, n_max=cfg.n_max // 2))
+        deepest = {}
+        for c in (cfg, replace(cfg, n_max=cfg.n_max // 2)):
+            for cert in certify_pairs(op, w1.admissible_pairs(), c):
+                for key in (("v", cert.f), ("u", cert.e)):
+                    deepest[key] = max(deepest.get(key, 0), cert.witness_n)
         assert op.rep._tables
-        for space, table in op.rep._tables.values():
-            assert table.shape == (cfg.n_max, len(op.rep.terms)) and not table.flags.writeable
+        assert {key: len(table) for key, table in op.rep._tables.items()} == \
+            {key: n for key, n in deepest.items() if n > sections._DENSE_ALWAYS}
+        for table in op.rep._tables.values():
+            assert len(table) <= cfg.n_max and table.shape[1] == len(op.rep.terms)
+            assert not table.flags.writeable
+
+
+def test_equal_rungs_built_anew_read_the_same_tables():
+    # three loads of one family, certified at three configurations so that no
+    # certificate is found held: the tables are keyed by the rungs' values
+    op = BUILDERS["torus-comb-4"]().operator
+    loads = [ScaleFamily.from_json(str(SPECS / "torus-w1.json")) for _ in range(3)]
+    assert loads[0].spaces == loads[2].spaces and loads[0].spaces[0] is not loads[2].spaces[0]
+    for w1, n0 in zip(loads, (256, 128, 512)):
+        certify_pairs(op, w1.admissible_pairs(), replace(CFG, n0=n0))
+        assert len(op.rep._tables) == 6
+
+
+def test_an_empty_rank_sum_built_in_code_is_a_spec_error():
+    with pytest.raises(SpecParseError, match="rank-sum terms must list at least one term"):
+        RankSum(())
 
 
 def test_a_ranksum_scan_round_builds_one_table_per_stack_side_and_rung(monkeypatch):
     # the scan-ranksum round: torus-comb-4 (four terms) and torus-delta (one,
-    # so no table) on W_-1..1, the duality pass included; each table is
-    # built once and then read by every truncation walk of a pair that shares it
+    # so no table) on W_-1..1, the duality pass included; each slot of a table
+    # is summed once and then read by every truncation walk of a pair that shares it
     w1 = ScaleFamily.from_json(str(SPECS / "torus-w1.json"))
-    built, reads, table = {}, [], RankSum.table
+    built, reads, table, view = {}, [], RankSum.table, PrefixStore.view
 
     def spying(self, space, side, n):
-        held = table(self, space, side, n)
-        built.setdefault((id(self), side, space.label), {})[id(held.base)] = held.base
         reads.append(n)
-        return held
+        return table(self, space, side, n)
+
+    def filling(self, key, n, fill, accumulate=None):  # records the slots each table sums
+        def spied(lo, hi):
+            if accumulate is np.add:
+                built.setdefault((id(self), key[0], key[1].label), []).append((lo, hi))
+            return fill(lo, hi)
+        return view(self, key, n, spied, accumulate)
 
     monkeypatch.setattr(RankSum, "table", spying)
+    monkeypatch.setattr(PrefixStore, "view", filling)
     grid = GridSpec.parse("-1.2:0.8:2,0.5:0.5:1")
     ops = [BUILDERS[name]().operator for name in ("torus-comb-4", "torus-delta")]
     for op in ops:
@@ -933,8 +967,11 @@ def test_a_ranksum_scan_round_builds_one_table_per_stack_side_and_rung(monkeypat
         assert scan.duality_checked and not scan.duality_mismatches
     assert sorted((side, label) for _, side, label in built) == \
         sorted((side, s.label) for side in "uv" for s in w1)
-    assert all(len(bases) == 1 for bases in built.values())
-    assert {rep for rep, _, _ in built} == {id(ops[0].rep)} and len(reads) > len(built)
+    # each slot of a table is summed once: its blocks follow on from slot 0
+    assert all([lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+               for blocks in built.values())
+    assert {store for store, _, _ in built} == {id(ops[0].rep._tables)}
+    assert len(reads) > sum(map(len, built.values()))
 
 
 def test_real_diagonal_symbols_are_probed_in_real_arithmetic(monkeypatch):

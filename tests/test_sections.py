@@ -674,7 +674,7 @@ def test_scan_holds_no_tail_probe_length_array():
     union_spectrum_scan(entry.operator, entry.family, GridSpec.parse("1.5:2.5:2,0.5:0.5:1"),
                         CFG)
     for space in entry.family:
-        held = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+        held = list(space._held.values())
         assert held and all(len(v) < CFG.symbol_probe for v in held), space.label
 
 
